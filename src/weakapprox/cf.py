@@ -1,11 +1,52 @@
 """Exact continued-fraction engine.
 
 A number is represented only by a finite prefix of partial quotients
-``[a0; a1, ..., aN]``; every downstream quantity is computed exactly (as a
-``Fraction``) for the rational truncation value of that prefix.  The
-distance table is trustworthy as a stand-in for the underlying irrational
-only strictly inside the prefix, which is why measure functions built on
-top of it carry an explicit validity bound.
+``[a0; a1, ..., aN]``; every downstream quantity is computed exactly for
+the rational truncation value of that prefix.  The distance table is
+trustworthy as a stand-in for the underlying irrational only strictly
+inside the prefix, which is why measure functions built on top of it carry
+an explicit validity bound.
+
+Integer analysis over the common denominator
+--------------------------------------------
+Let x = p_N/q_N with convergents p_v/q_v, and (p_{-1}, q_{-1}) = (1, 0).
+Everything ``PrefixAnalysis`` stores is an integer; its facts are these.
+
+(1) Backward recurrence.  Put r_N = 0, r_{N-1} = 1 and
+    r_v = a_{v+2} r_{v+1} + r_{v+2} for v = N-2, ..., -1.  Then
+    |q_v p_N - p_v q_N| = r_v for -1 <= v <= N, so r_{-1} = q_N.
+    Proof: e_v = q_v p_N - p_v q_N obeys the forward recurrence
+    e_{v+1} = a_{v+1} e_v + e_{v-1} of p and q, with e_N = 0 and
+    |e_{N-1}| = |p_N q_{N-1} - p_{N-1} q_N| = 1.  Writing
+    e_v = s (-1)^v r_v for the fixed sign s turns it into
+    r_{v-1} = a_{v+1} r_v + r_{v+1}, whose solution from r_N, r_{N-1} is
+    the nonnegative integer sequence above.
+
+(2) Continuant identity.  q_N = q_v r_{v-1} + q_{v-1} r_v for 0 <= v <= N.
+    Proof: at v = N the right side is q_N * 1 + q_{N-1} * 0.  Substituting
+    r_{v-1} = a_{v+1} r_v + r_{v+1} and q_{v+1} = a_{v+1} q_v + q_{v-1}
+    shows that the right side at v equals the one at v + 1.
+
+(3) Distances.  q_v x = p_v + e_v/q_N, so ||q_v x|| = min(r_v, q_N - r_v)/q_N.
+    By (2), q_{v+1} r_v <= q_N, so 2 r_v <= q_N whenever q_{v+1} >= 2.
+    Only q_1 = a_1 = 1 breaks that: at the corner v = 0, a_1 = 1 the
+    nearest integer to x is a0 + 1, and the stored value is the complement
+    q_N - r_0, which equals r_1 because r_{-1} = a_1 r_0 + r_1 = q_N.
+    Call the stored value rho_v; then ||q_v x|| = rho_v/q_N for every v.
+
+(4) Lowest terms.  g_v = gcd(rho_v, q_N) = gcd(q_v, q_N) = gcd(q_v, rho_v).
+    Proof: rho_v = +-q_v p_N (mod q_N) and gcd(p_N, q_N) = 1, which gives
+    the first equality.  For v >= 1, rho_v = r_v and (2) shows that
+    gcd(q_v, r_v) divides q_N, hence divides gcd(r_v, q_N); conversely
+    gcd(q_v, q_N) divides both q_v and r_v.  For v = 0 all three are 1,
+    since q_0 = 1.  So ||q_v x|| = (rho_v/g_v) / (q_N/g_v) in lowest terms,
+    and g_v is found without any gcd of two numbers the size of q_N: by (2),
+    q_v rho_v <= q_v r_{v-1} <= q_N, so the smaller of q_v and rho_v has at
+    most half the digits of q_N.
+
+``Fraction`` objects are made only at the public boundary
+(``Convergent.value``, ``truncation_value``, ``ExactDistance.value``), from
+pairs already known to be in lowest terms.
 """
 
 from __future__ import annotations
@@ -13,14 +54,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from math import gcd
 
-from .intmath import decimal_str, dist_to_int, parse_decimal
+from .intmath import decimal_str, parse_decimal, reduced_fraction
 
 __all__ = [
     "PartialQuotients",
+    "PrefixAnalysis",
     "Convergent",
     "ExactDistance",
+    "analyse",
     "convergents",
     "truncation_value",
     "qnorm_table",
@@ -51,6 +95,15 @@ class PartialQuotients:
     def depth(self) -> int:
         """Number of tail entries N."""
         return len(self.tail)
+
+    @cached_property
+    def analysis(self) -> "PrefixAnalysis":
+        """The integer analysis of this prefix, made on first use and kept.
+
+        Every distance, measure function and exponent of the prefix reads
+        it, so one prefix is analysed once however many of them are asked.
+        """
+        return analyse(self)
 
     def to_json(self) -> str:
         """Serialize with arbitrary-precision integers as decimal strings."""
@@ -92,7 +145,8 @@ class Convergent:
 
     @property
     def value(self) -> Fraction:
-        return Fraction(self.p, self.q)
+        # p_v q_{v-1} - p_{v-1} q_v = +-1, so p/q is in lowest terms.
+        return reduced_fraction(self.p, self.q)
 
 
 @dataclass(frozen=True)
@@ -130,8 +184,7 @@ def convergents(pq: PartialQuotients) -> list[Convergent]:
 
 def truncation_value(pq: PartialQuotients) -> Fraction:
     """The exact rational value of the prefix (equals the last convergent)."""
-    c = convergents(pq)[-1]
-    return Fraction(c.p, c.q)
+    return convergents(pq)[-1].value
 
 
 def denominator_sequence(pq: PartialQuotients) -> list[tuple[int, int]]:
@@ -149,6 +202,54 @@ def denominator_sequence(pq: PartialQuotients) -> list[tuple[int, int]]:
     return out
 
 
+@dataclass(frozen=True)
+class PrefixAnalysis:
+    """Integer analysis of one prefix over its own denominator q_N.
+
+    ``q[v]`` is the convergent denominator q_v, ``rho[v]`` is q_N ||q_v x||
+    and ``gcds[v]`` is g_v = gcd(q_v, rho_v), for v = 0..N, as facts
+    (1)-(4) of the module docstring define them.  The numerators p_v are
+    not kept: nothing downstream reads them.  Rows v <= N-2 are valid for
+    measure functions, whose domain therefore ends at ``domain_end`` =
+    q_{N-1}.
+    """
+
+    q: tuple[int, ...]
+    rho: tuple[int, ...]
+    gcds: tuple[int, ...]
+
+    @property
+    def q_n(self) -> int:
+        return self.q[-1]
+
+    @property
+    def domain_end(self) -> int:
+        return self.q[-2]
+
+    def distance(self, v: int) -> tuple[int, int]:
+        """||q_v x|| as (numerator, denominator) in lowest terms."""
+        g = self.gcds[v]
+        return self.rho[v] // g, self.q_n // g
+
+
+def analyse(pq: PartialQuotients) -> PrefixAnalysis:
+    """Denominators q_v, rho_v by the backward recurrence (1) with the
+    corner complement (3), and g_v by (4).  ``pq.analysis`` keeps the result."""
+    n = pq.depth
+    if n < 2:
+        raise ValueError("need at least two tail entries for a usable distance table")
+    q = tuple(c.q for c in convergents(pq))
+    q_n = q[-1]
+    rho = [0] * (n + 1)
+    rho[n - 1] = 1
+    for v in range(n - 2, -1, -1):
+        rho[v] = pq.tail[v + 1] * rho[v + 1] + rho[v + 2]
+    if 2 * rho[0] > q_n:
+        rho[0] = q_n - rho[0]
+    gcds = tuple(gcd(q_v, r) for q_v, r in zip(q, rho))
+    return PrefixAnalysis(q, tuple(rho), gcds)
+
+
 def qnorm_table(pq: PartialQuotients) -> list[ExactDistance]:
     """Exact distances ||q_v * x|| for v = 0..N, x the truncation value.
 
@@ -161,30 +262,22 @@ def qnorm_table(pq: PartialQuotients) -> list[ExactDistance]:
     bound on q_v ||q_v x|| is attained with equality).  The final entry v = N
     is exactly zero and flagged tail-degenerate.
     """
+    an = pq.analysis
     n = pq.depth
-    if n < 2:
-        raise ValueError("need at least two tail entries for a usable distance table")
-    conv = convergents(pq)
-    pn, qn = conv[-1].p, conv[-1].q
-    x = Fraction(pn, qn)
-    out: list[ExactDistance] = []
-    for c in conv:
-        val = dist_to_int(c.q * x)
-        eligible = (
-            c.index <= n - 2
-            and not (c.index == 0 and pq.tail[0] == 1)
-            and not (c.index == n - 2 and pq.tail[-1] == 1)
+    return [
+        ExactDistance(
+            index=v,
+            q=q,
+            value=reduced_fraction(*an.distance(v)),
+            sandwich_ok=(
+                v <= n - 2
+                and not (v == 0 and pq.tail[0] == 1)
+                and not (v == n - 2 and pq.tail[-1] == 1)
+            ),
+            tail_degenerate=v == n,
         )
-        out.append(
-            ExactDistance(
-                index=c.index,
-                q=c.q,
-                value=val,
-                sandwich_ok=eligible,
-                tail_degenerate=c.index == n,
-            )
-        )
-    return out
+        for v, q in enumerate(an.q)
+    ]
 
 
 def evaluate_nested(pq: PartialQuotients) -> Fraction:
@@ -193,12 +286,3 @@ def evaluate_nested(pq: PartialQuotients) -> Fraction:
     for a in reversed(pq.tail[:-1]):
         x = a + 1 / x
     return pq.a0 + 1 / x
-
-
-def format_prefix(pq: PartialQuotients, max_terms: int = 12) -> str:
-    """Human-readable '[a0;a1,...]' with long tails elided."""
-    shown: Sequence[int] = pq.tail[:max_terms]
-    body = ",".join(decimal_str(a) for a in shown)
-    if len(pq.tail) > max_terms:
-        body += ",..."
-    return f"[{pq.a0};{body}]"

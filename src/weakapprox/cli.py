@@ -1,7 +1,9 @@
 """Command-line front end: experiment orchestration and artifact I/O.
 
 Exit codes: 0 all checks passed, 1 a bound or oracle check failed,
-2 usage error, 3 resource guard exceeded.
+2 usage error, 3 resource guard exceeded, 4 the ``verify`` bound is
+inapplicable to the estimates (for example varpi_psi <= 1 for T2) and no
+consistency flag fired, so nothing was checked.
 
 Everything is deterministic for a fixed invocation: one seed drives all
 randomness, JSON is emitted with sorted keys, and the SVG writer formats
@@ -20,6 +22,7 @@ from . import __version__
 from .bounds import check_theorem
 from .cf import PartialQuotients, convergents, qnorm_table, truncation_value
 from .construct import (
+    ConstructionSpec,
     GuardExceeded,
     InterleavingError,
     construct_thm1,
@@ -37,6 +40,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+EXIT_INAPPLICABLE = 4
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -101,19 +105,18 @@ def cmd_cf(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    gamma = _parse_gamma(args.gamma)
+    spec = ConstructionSpec(
+        args.scheme,
+        _parse_gamma(args.gamma),
+        args.depth,
+        seed_theta=_seed_tuple(args.seed_theta) if args.seed_theta else (),
+        seed_eta=_seed_tuple(args.seed_eta) if args.seed_eta else (),
+    )
+    built = spec.build()
     if args.scheme == "thm1":
-        seed = _seed_tuple(args.seed_theta) if args.seed_theta else (0, 1)
-        pq = construct_thm1(gamma, args.depth, seed=seed)
-        _emit(pq.to_json() + "\n", args.output)
+        _emit(built.to_json() + "\n", args.output)
         return EXIT_OK
-    builder = construct_thm2 if args.scheme == "thm2" else construct_thm3
-    kwargs = {}
-    if args.seed_theta:
-        kwargs["seed_theta"] = _seed_tuple(args.seed_theta)
-    if args.seed_eta:
-        kwargs["seed_eta"] = _seed_tuple(args.seed_eta)
-    theta, eta = builder(gamma, args.depth, **kwargs)
+    theta, eta = built
     out = {
         "theta": json.loads(theta.to_json()),
         "eta": json.loads(eta.to_json()),
@@ -247,11 +250,9 @@ def cmd_verify(args) -> int:
         "report": report,
     }
     _emit(_json_dump(out), args.output)
-    if check.applicable and check.satisfied:
-        return EXIT_OK
-    if report_flags(report):
-        return EXIT_CHECK_FAILED
-    return EXIT_OK if not check.applicable else EXIT_CHECK_FAILED
+    if check.applicable:
+        return EXIT_OK if check.satisfied else EXIT_CHECK_FAILED
+    return EXIT_CHECK_FAILED if report_flags(report) else EXIT_INAPPLICABLE
 
 
 def report_flags(report: dict) -> list:

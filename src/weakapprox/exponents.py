@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cf import PartialQuotients, qnorm_table
-from .intmath import decimal_str, log_fraction, log_int
+from .cf import PartialQuotients, qnorm_table  # noqa: F401 - perfbench looks it up here
+from .intmath import decimal_str, log_int
 from .measure import StepFunction, min_step, psi_step, upsilon_step
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "uniform_exponent",
     "exponent_report",
     "default_window",
+    "apply_window",
 ]
 
 #: Tolerance for exact-arithmetic comparisons in consistency flags.
@@ -81,11 +82,16 @@ def default_window(count: int) -> tuple[int, int]:
     return front, back
 
 
-def _apply_window(
+def apply_window(
     samples: list[tuple[int, float]],
     window: tuple[int, int] | None,
     minimum: int,
 ) -> tuple[list[tuple[int, float]], tuple[int, int]]:
+    """The samples inside ``window`` (default: ``default_window``) and its bounds.
+
+    An explicit (lo, hi) window is clipped to the sample range; fewer than
+    ``minimum`` samples, or an empty selection, is an error.
+    """
     if len(samples) < minimum:
         raise ValueError(f"need at least {minimum} samples, have {len(samples)}")
     if window is None:
@@ -109,14 +115,13 @@ def ordinary_exponent(
     Samples -log||q_v x|| / log q_v over interior indices v <= N-2 with
     q_v >= 2; each is within o(1) of log q_{v+1} / log q_v.  Window max.
     """
-    table = qnorm_table(pq)
-    n = pq.depth
+    an = pq.analysis
     samples: list[tuple[int, float]] = []
-    for row in table:
-        if row.index > n - 2 or row.q < 2:
-            continue
-        samples.append((row.q, -log_fraction(row.value) / log_int(row.q)))
-    picked, win = _apply_window(samples, window, minimum=1)
+    for v in range(pq.depth - 1):
+        q = an.q[v]
+        if q >= 2:
+            samples.append((q, -_log_ratio(*an.distance(v)) / log_int(q)))
+    picked, win = apply_window(samples, window, minimum=1)
     value = max(s for _, s in picked)
     return ExponentEstimate("omega", value, win, tuple(samples))
 
@@ -139,15 +144,22 @@ def uniform_exponent(
     if kind not in _MIN_KINDS:
         raise ValueError(f"unknown uniform kind {kind!r}")
     shift = _WEAK_SHIFT[kind]
-    samples: list[tuple[int, float]] = []
-    points = [t for t in f.breakpoints[1:] if t >= 2]
+    # The left limit at breakpoints[k] is values[k - 1]; at domain_end it is
+    # the last value.
+    points = [(t, v) for t, v in zip(f.breakpoints[1:], f.values) if t >= 2]
     if f.domain_end >= 2:
-        points.append(f.domain_end)
-    for t in points:
-        samples.append((t, shift - log_fraction(f.left_limit(t)) / log_int(t)))
-    picked, win = _apply_window(samples, window, minimum=minimum_samples)
+        points.append((f.domain_end, f.values[-1]))
+    samples = [
+        (t, shift - _log_ratio(v.numerator, v.denominator) / log_int(t)) for t, v in points
+    ]
+    picked, win = apply_window(samples, window, minimum=minimum_samples)
     value = min(s for _, s in picked)
     return ExponentEstimate(kind, value, win, tuple(samples))
+
+
+def _log_ratio(num: int, den: int) -> float:
+    """log(num/den) from a pair in lowest terms, the way ``log_fraction`` takes it."""
+    return log_int(num) - log_int(den)
 
 
 def _flag(flags: list[str], ok: bool, message: str) -> None:
@@ -173,8 +185,8 @@ def exponent_report(
     """
     flags: list[str] = []
     omega_t = ordinary_exponent(theta, window)
-    omega_bar_t = uniform_exponent(upsilon_step(theta), "omega_bar", window,
-                                   minimum_samples=1)
+    ups_t = upsilon_step(theta)
+    omega_bar_t = uniform_exponent(ups_t, "omega_bar", window, minimum_samples=1)
     report: dict = {
         "omega_theta": omega_t.value,
         "omega_bar_theta": omega_bar_t.value,
@@ -192,10 +204,10 @@ def exponent_report(
 
     if eta is not None:
         omega_e = ordinary_exponent(eta, window)
-        omega_bar_e = uniform_exponent(upsilon_step(eta), "omega_bar", window,
-                                       minimum_samples=1)
+        ups_e = upsilon_step(eta)
+        omega_bar_e = uniform_exponent(ups_e, "omega_bar", window, minimum_samples=1)
         psi_min = min_step(psi_step(theta), psi_step(eta))
-        ups_min = min_step(upsilon_step(theta), upsilon_step(eta))
+        ups_min = min_step(ups_t, ups_e)
         varpi_psi = uniform_exponent(psi_min, "varpi_psi", window, minimum_samples=1)
         varpi_ups = uniform_exponent(ups_min, "varpi_upsilon", window,
                                      minimum_samples=1)

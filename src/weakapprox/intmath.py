@@ -36,7 +36,7 @@ def log_int(n: int) -> float:
 
 def log_fraction(x: Fraction) -> float:
     """Natural log of a positive rational, safe for huge numerators/denominators."""
-    if x <= 0:
+    if x.numerator <= 0:
         raise ValueError("log_fraction requires a positive rational")
     return log_int(x.numerator) - log_int(x.denominator)
 
@@ -130,6 +130,20 @@ def round_div_root(base: int, num: int, den: int, c: int, s: int) -> int:
     if v <= 0 or v ** den <= (1 << den) * power:
         return m + 1
     return m
+
+
+def reduced_fraction(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)`` for a pair already in lowest terms with den > 0.
+
+    The constructor would take gcd(num, den) to normalise, which costs tens
+    of milliseconds when both terms have 10^5 digits; callers that know the
+    pair is coprime skip it here.  The object is built the way the standard
+    library's own coprime constructor builds it.
+    """
+    x = object.__new__(Fraction)
+    x._numerator = num
+    x._denominator = den
+    return x
 
 
 def dist_to_int(x: Fraction) -> Fraction:

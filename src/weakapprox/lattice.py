@@ -31,7 +31,7 @@ from math import gcd
 from typing import Union
 
 from .cf import PartialQuotients, truncation_value
-from .exponents import ExponentEstimate, _apply_window
+from .exponents import ExponentEstimate, apply_window
 from .intmath import fraction_str, log_fraction, parse_fraction
 
 __all__ = [
@@ -480,8 +480,8 @@ def lattice_exponents(
         raise ValueError("not enough nondegenerate records to sample")
 
     if window is not None:
-        ord_picked, ord_win = _apply_window(ord_all, window, minimum=1)
-        uni_picked, uni_win = _apply_window(uni_all, window, minimum=1)
+        ord_picked, ord_win = apply_window(ord_all, window, minimum=1)
+        uni_picked, uni_win = apply_window(uni_all, window, minimum=1)
     else:
         ord_picked, ord_win = _coverage_schedule(ord_all, log_coverage)
         uni_picked, uni_win = _coverage_schedule(uni_all, log_coverage)

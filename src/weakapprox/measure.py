@@ -10,17 +10,41 @@ stored breakpoint".  Values are exact rationals computed for the truncation
 value of a partial-quotient prefix; the representation is valid only for
 t < domain_end (the second-to-last convergent denominator), beyond which the
 truncation stops tracking the underlying number.
+
+Both functions are read off the prefix's integer analysis
+(``PartialQuotients.analysis``; facts (1)-(4) of the ``cf`` docstring):
+||q_v x|| = rho_v / q_N with one denominator q_N for every v, so the running
+minima compare the integers rho_v (psi) and q_v rho_v (upsilon) directly.
+Only a value that is kept is brought to lowest terms, and for both kinds
+every prime common to the numerator and q_N divides g_v = gcd(q_v, rho_v):
+
+* psi: the common primes of rho_v and q_N divide gcd(rho_v, q_N) = g_v (4).
+* upsilon: a prime l dividing both q_v rho_v and q_N divides q_v or rho_v,
+  hence gcd(q_v, q_N) or gcd(rho_v, q_N), and both equal g_v by (4).
+
+Dividing numerator and denominator by c = gcd(g_v, num, den) removes common
+primes without creating new ones, and every prime still common divides the
+previous c; so repeating with c = gcd(c, num, den) until c = 1 leaves the
+pair in lowest terms, with every gcd taken against the small g_v.
+
+Comparisons between values with different denominators (``min_step``, the
+strict-decrease check of ``StepFunction``) are exact: for positive a/b and
+c/d, if bl(a) + bl(d) and bl(c) + bl(b) (bl = bit length) differ by 2 or
+more the larger sum belongs to the larger cross product, because
+2^(k-1) <= n < 2^k for a k-bit n; only a near-tie cross-multiplies.
 """
 
 from __future__ import annotations
 
 import io
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Union
 
-from .cf import PartialQuotients, qnorm_table
-from .intmath import decimal_str, dist_to_int, parse_decimal
+from .cf import PartialQuotients, qnorm_table  # noqa: F401 - perfbench looks it up here
+from .intmath import decimal_str, dist_to_int, parse_decimal, reduced_fraction
 
 __all__ = [
     "StepFunction",
@@ -50,7 +74,7 @@ class StepFunction:
 
     def __post_init__(self) -> None:
         bps = tuple(int(b) for b in self.breakpoints)
-        vals = tuple(Fraction(v) for v in self.values)
+        vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
         if len(bps) != len(vals) or not bps:
@@ -60,11 +84,12 @@ class StepFunction:
         for a, b in zip(bps, bps[1:]):
             if b <= a:
                 raise ValueError("breakpoints must be strictly increasing")
-        for v, w in zip(vals, vals[1:]):
-            if w >= v:
-                raise ValueError("values must strictly decrease at stored breakpoints")
-        if vals[-1] <= 0:
+        # Positivity first: the screened comparison assumes it.
+        if any(v.numerator <= 0 for v in vals):
             raise ValueError("values must be positive")
+        for v, w in zip(vals, vals[1:]):
+            if not _less(w, v):
+                raise ValueError("values must strictly decrease at stored breakpoints")
         if self.domain_end <= bps[-1]:
             raise ValueError("domain_end must exceed the last breakpoint")
 
@@ -76,14 +101,7 @@ class StepFunction:
         """Index k of the piece containing t; raises outside the domain."""
         if t < self.breakpoints[0] or t >= self.domain_end:
             raise ValueError(f"t = {t} outside domain [{self.breakpoints[0]}, {self.domain_end})")
-        lo, hi = 0, len(self.breakpoints) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.breakpoints[mid] <= t:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        return bisect_right(self.breakpoints, t) - 1
 
     def value(self, t: Rat) -> Fraction:
         """f(t)."""
@@ -93,14 +111,7 @@ class StepFunction:
         """f(t-) = value just before t, for domain_start < t <= domain_end."""
         if t <= self.breakpoints[0] or t > self.domain_end:
             raise ValueError(f"left limit undefined at t = {t}")
-        lo, hi = 0, len(self.breakpoints) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.breakpoints[mid] < t:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self.values[lo]
+        return self.values[bisect_left(self.breakpoints, t) - 1]
 
     def is_discontinuous_at(self, t: Rat) -> bool:
         """True iff t is a stored breakpoint with a predecessor piece."""
@@ -147,18 +158,57 @@ class StepFunction:
         return StepFunction(tuple(bps), tuple(vals), domain_end)
 
 
+def _less(a: Fraction, b: Fraction) -> bool:
+    """a < b for positive rationals; cross-multiplies only on a near-tie."""
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    left = an.bit_length() + bd.bit_length()
+    right = bn.bit_length() + ad.bit_length()
+    if left + 1 < right:
+        return True
+    if right + 1 < left:
+        return False
+    return an * bd < bn * ad
+
+
 def _merged(points: list[tuple[int, Fraction]], domain_end: int) -> StepFunction:
     """Build a StepFunction keeping only strict drops."""
     bps: list[int] = []
     vals: list[Fraction] = []
     for t, v in points:
-        if not bps:
-            bps.append(t)
-            vals.append(v)
-        elif v < vals[-1]:
+        if not vals or _less(v, vals[-1]):
             bps.append(t)
             vals.append(v)
     return StepFunction(tuple(bps), tuple(vals), domain_end)
+
+
+def _lowest_terms(num: int, den: int, c: int) -> tuple[int, int]:
+    """num/den in lowest terms, given that every prime common to both divides c."""
+    c = gcd(c, num, den)
+    while c > 1:
+        num //= c
+        den //= c
+        c = gcd(c, num, den)
+    return num, den
+
+
+def _measure(pq: PartialQuotients, weak: bool) -> StepFunction:
+    """Running minimum of rho_v (psi) or q_v rho_v (upsilon) over v <= N-2."""
+    if pq.depth < 2:
+        raise ValueError("need depth >= 2 to build a measure function")
+    an = pq.analysis
+    if an.domain_end < 2:
+        raise ValueError("valid domain [1, q_{N-1}) is empty for this prefix")
+    bps: list[int] = []
+    vals: list[Fraction] = []
+    best = None
+    for v in range(pq.depth - 1):
+        q = an.q[v]
+        scaled = q * an.rho[v] if weak else an.rho[v]
+        if best is None or scaled < best:
+            best = scaled
+            bps.append(q)
+            vals.append(reduced_fraction(*_lowest_terms(scaled, an.q_n, an.gcds[v])))
+    return StepFunction(tuple(bps), tuple(vals), an.domain_end)
 
 
 def psi_step(pq: PartialQuotients) -> StepFunction:
@@ -168,15 +218,7 @@ def psi_step(pq: PartialQuotients) -> StepFunction:
     are the (deduplicated) convergent denominators and the values the exact
     distances.  Valid for t < q_{N-1}.
     """
-    if pq.depth < 2:
-        raise ValueError("need depth >= 2 to build a measure function")
-    table = qnorm_table(pq)
-    n = pq.depth
-    domain_end = table[n - 1].q
-    if domain_end < 2:
-        raise ValueError("valid domain [1, q_{N-1}) is empty for this prefix")
-    points = [(row.q, row.value) for row in table if row.index <= n - 2]
-    return _merged(points, domain_end)
+    return _measure(pq, weak=False)
 
 
 def upsilon_step(pq: PartialQuotients) -> StepFunction:
@@ -185,33 +227,31 @@ def upsilon_step(pq: PartialQuotients) -> StepFunction:
     Consecutive equal values are merged away, so stored breakpoints are
     exactly the discontinuity points.
     """
-    if pq.depth < 2:
-        raise ValueError("need depth >= 2 to build a measure function")
-    table = qnorm_table(pq)
-    n = pq.depth
-    domain_end = table[n - 1].q
-    if domain_end < 2:
-        raise ValueError("valid domain [1, q_{N-1}) is empty for this prefix")
-    best: Fraction | None = None
-    points: list[tuple[int, Fraction]] = []
-    for row in table:
-        if row.index > n - 2:
-            break
-        cand = row.q * row.value
-        if best is None or cand < best:
-            best = cand
-        points.append((row.q, best))
-    return _merged(points, domain_end)
+    return _measure(pq, weak=True)
 
 
 def min_step(f: StepFunction, g: StepFunction) -> StepFunction:
-    """Pointwise minimum of two step functions on their domain intersection."""
+    """Pointwise minimum of two step functions on their domain intersection.
+
+    One linear pass over the merged breakpoints of both functions.
+    """
     start = max(f.domain_start, g.domain_start)
     end = min(f.domain_end, g.domain_end)
     if start >= end:
         raise ValueError("domains do not overlap")
-    cuts = sorted({b for b in f.breakpoints + g.breakpoints if start <= b < end} | {start})
-    points = [(t, min(f.value(t), g.value(t))) for t in cuts]
+    i, j = f.piece_index(start), g.piece_index(start)
+    points: list[tuple[int, Fraction]] = []
+    t = start
+    while t < end:
+        a, b = f.values[i], g.values[j]
+        points.append((t, b if _less(b, a) else a))
+        nf = f.breakpoints[i + 1] if i + 1 < len(f.breakpoints) else end
+        ng = g.breakpoints[j + 1] if j + 1 < len(g.breakpoints) else end
+        t = min(nf, ng)
+        if nf == t:
+            i += 1
+        if ng == t:
+            j += 1
     return _merged(points, end)
 
 

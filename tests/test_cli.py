@@ -1,9 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from weakapprox.cli import main
-from weakapprox.construct import DIGIT_GUARD_ENV
+import weakapprox.cli as cli
+from weakapprox.bounds import BoundCheck
+from weakapprox.cli import EXIT_INAPPLICABLE, main
+from weakapprox.construct import DIGIT_GUARD_ENV, construct_thm2
 from weakapprox.measure import StepFunction
 
 
@@ -48,6 +51,17 @@ class TestConstruct:
         assert code == 0
         data = json.loads(out)
         assert set(data) == {"theta", "eta"}
+
+    def test_seeds_reach_the_scheme(self, capsys):
+        code, out = run(
+            ["construct", "--scheme", "thm2", "--gamma", "3/2", "--depth", "4",
+             "--seed-theta", "0,5", "--seed-eta", "1,3"],
+            capsys,
+        )
+        assert code == 0
+        theta, eta = construct_thm2(Fraction(3, 2), 4, seed_theta=(0, 5), seed_eta=(1, 3))
+        data = json.loads(out)
+        assert data == {"theta": json.loads(theta.to_json()), "eta": json.loads(eta.to_json())}
 
     def test_guard_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv(DIGIT_GUARD_ENV, "50")
@@ -183,6 +197,23 @@ class TestVerifyCommand:
         data = json.loads(out)
         assert data["check"]["satisfied"] is True
         assert abs(data["check"]["slack"]) < 0.15
+
+
+    @pytest.mark.parametrize("flags", [[], ["omega_theta below 1"]])
+    def test_inapplicable_check_is_not_a_pass(self, capsys, monkeypatch, flags):
+        def inapplicable(which, estimates, tolerance):
+            return BoundCheck(which, None, None, None, None, False, tolerance, estimates,
+                              "varpi_psi <= 1")
+
+        real_report = cli.exponent_report
+        monkeypatch.setattr(cli, "check_theorem", inapplicable)
+        monkeypatch.setattr(cli, "exponent_report",
+                            lambda *a, **k: {**real_report(*a, **k), "flags": flags})
+        code, out = run(
+            ["verify", "--theorem", "T2", "--gamma", "13/10", "--depth", "8"], capsys
+        )
+        assert json.loads(out)["check"]["applicable"] is False
+        assert code == (1 if flags else EXIT_INAPPLICABLE)
 
 
 def test_version_runs():

@@ -1,0 +1,259 @@
+"""Property tests of the integer number-side core against Fraction oracles.
+
+The core (``cf.PrefixAnalysis``, the measure functions built from it, the
+screened comparison and the estimators that sample it) works on integers
+over the common denominator q_N.  Every property here is checked against
+plain ``Fraction`` arithmetic: ``dist_to_int``, ``brute_measure``,
+``Fraction.__lt__`` and, for whole reports, the Fraction-only algorithm
+kept below as ``fraction_report``.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import weakapprox.cf as cf
+from weakapprox.cf import PartialQuotients, convergents, evaluate_nested, qnorm_table
+from weakapprox.construct import construct_thm1, construct_thm2, construct_thm3
+from weakapprox.exponents import (
+    ASYMPTOTIC_TOL,
+    EXACT_TOL,
+    apply_window,
+    exponent_report,
+)
+from weakapprox.intmath import decimal_str, dist_to_int, log_fraction, log_int
+from weakapprox.measure import _less, brute_measure, psi_step, upsilon_step
+
+core_settings = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def prefixes(draw, max_depth=40, max_quotient=10**6):
+    """Depth 2..max_depth, quotients 1..max_quotient, any-sign a0, and the
+    a1 = 1 and trailing-1 corners switched on independently."""
+    depth = draw(st.integers(2, max_depth))
+    tail = draw(st.lists(st.integers(1, max_quotient), min_size=depth, max_size=depth))
+    if draw(st.booleans()):
+        tail[0] = 1
+    if draw(st.booleans()):
+        tail[-1] = 1
+    a0 = draw(st.integers(-(10**6), 10**6))
+    return PartialQuotients(a0, tuple(tail))
+
+
+def small_domain(pq):
+    return 2 <= convergents(pq)[-2].q <= 60
+
+
+def assert_lowest_terms(x: Fraction, num: int, den: int):
+    assert den > 0 and math.gcd(num, den) == 1
+    assert (x.numerator, x.denominator) == (num, den)
+    assert x == Fraction(num, den)
+
+
+# ---------------------------------------------------------------------------
+# distances, the gcd identity, stored pairs
+
+
+@core_settings
+@given(prefixes())
+def test_rows_equal_nearest_integer_distance(pq):
+    x = evaluate_nested(pq)
+    an = pq.analysis
+    for row in qnorm_table(pq):
+        oracle = dist_to_int(row.q * x)
+        assert row.value == oracle
+        assert_lowest_terms(row.value, oracle.numerator, oracle.denominator)
+        assert Fraction(an.rho[row.index], an.q_n) == oracle
+
+
+@core_settings
+@given(prefixes())
+def test_gcd_identity_and_continuant_identity(pq):
+    an = pq.analysis
+    q = an.q
+    q_n = an.q_n
+    for v, rho in enumerate(an.rho):
+        assert math.gcd(rho, q_n) == math.gcd(q[v], rho) == an.gcds[v]
+        assert 2 * rho <= q_n
+    # q_N = q_v r_{v-1} + q_{v-1} r_v; rho = r away from the v = 0 corner.
+    for v in range(2, pq.depth + 1):
+        assert q_n == q[v] * an.rho[v - 1] + q[v - 1] * an.rho[v]
+
+
+@core_settings
+@given(prefixes())
+def test_stored_pairs_are_coprime_and_equal_the_fraction_values(pq):
+    assume(convergents(pq)[-2].q >= 2)
+    psi, ups = psi_step(pq), upsilon_step(pq)
+    ref_psi, ref_ups = fraction_psi(pq), fraction_upsilon(pq)
+    for f, ref in ((psi, ref_psi), (ups, ref_ups)):
+        assert (f.breakpoints, f.values, f.domain_end) == ref
+        for v, r in zip(f.values, ref[1]):
+            assert_lowest_terms(v, r.numerator, r.denominator)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(prefixes(max_depth=8, max_quotient=6).filter(small_domain))
+def test_measure_functions_match_brute_scan_everywhere(pq):
+    x = evaluate_nested(pq)
+    psi, ups = psi_step(pq), upsilon_step(pq)
+    for t in range(1, psi.domain_end):
+        assert psi.value(t) == brute_measure(x, t, "ordinary")
+        assert ups.value(t) == brute_measure(x, t, "weak")
+
+
+# ---------------------------------------------------------------------------
+# screened comparison
+
+positive = st.integers(1, 2**200)
+
+
+@core_settings
+@given(positive, positive, positive, positive)
+def test_screened_less_agrees_with_fraction_order(an, ad, bn, bd):
+    a, b = Fraction(an, ad), Fraction(bn, bd)
+    assert _less(a, b) == (a < b)
+    assert _less(b, a) == (b < a)
+
+
+@core_settings
+@given(positive, positive, st.integers(1, 2**64), st.integers(-3, 3))
+def test_screened_less_on_near_ties(num, den, scale, nudge):
+    a = Fraction(num, den)
+    b = Fraction(num * scale + nudge, den * scale) if num * scale + nudge > 0 else a
+    for left, right in ((a, b), (b, a)):
+        # Nearly equal values put the bit-length sums at the screen's edge.
+        bits = (left.numerator.bit_length() + right.denominator.bit_length(),
+                right.numerator.bit_length() + left.denominator.bit_length())
+        assert abs(bits[0] - bits[1]) <= 2
+        assert _less(left, right) == (left < right)
+
+
+# ---------------------------------------------------------------------------
+# one analysis per prefix per op
+
+
+def test_report_analyses_each_prefix_once(monkeypatch):
+    calls = []
+    real = cf.analyse
+    monkeypatch.setattr(cf, "analyse", lambda pq: calls.append(pq) or real(pq))
+    theta, eta = construct_thm3(Fraction(1), 8)
+    exponent_report(theta, eta)
+    assert calls == [theta, eta]
+
+
+# ---------------------------------------------------------------------------
+# Fraction-only reference: the number-side algorithm before the integer core
+
+
+def fraction_rows(pq):
+    conv = convergents(pq)
+    x = Fraction(conv[-1].p, conv[-1].q)
+    n = pq.depth
+    return [(c.q, dist_to_int(c.q * x)) for c in conv if c.index <= n - 2], conv[n - 1].q
+
+
+def fraction_merged(points, end):
+    bps, vals = [], []
+    for t, v in points:
+        if not vals or v < vals[-1]:
+            bps.append(t)
+            vals.append(v)
+    return tuple(bps), tuple(vals), end
+
+
+def fraction_psi(pq):
+    rows, end = fraction_rows(pq)
+    return fraction_merged(rows, end)
+
+
+def fraction_upsilon(pq):
+    rows, end = fraction_rows(pq)
+    best, points = None, []
+    for q, d in rows:
+        best = q * d if best is None or q * d < best else best
+        points.append((q, best))
+    return fraction_merged(points, end)
+
+
+def fraction_value(f, t):
+    bps, vals, _ = f
+    return vals[max(k for k, b in enumerate(bps) if b <= t)]
+
+
+def fraction_min(f, g):
+    start, end = max(f[0][0], g[0][0]), min(f[2], g[2])
+    cuts = sorted({b for b in f[0] + g[0] if start <= b < end} | {start})
+    return fraction_merged([(t, min(fraction_value(f, t), fraction_value(g, t)))
+                            for t in cuts], end)
+
+
+def fraction_ordinary(pq):
+    rows, _ = fraction_rows(pq)
+    samples = [(q, -log_fraction(d) / log_int(q)) for q, d in rows if q >= 2]
+    picked, _ = apply_window(samples, None, minimum=1)
+    return max(s for _, s in picked), samples
+
+
+def fraction_uniform(f, shift):
+    bps, vals, end = f
+    samples = [(t, shift - log_fraction(vals[k - 1]) / log_int(t))
+               for k, t in enumerate(bps) if k >= 1 and t >= 2]
+    if end >= 2:
+        samples.append((end, shift - log_fraction(vals[-1]) / log_int(end)))
+    picked, _ = apply_window(samples, None, minimum=1)
+    return min(s for _, s in picked), samples
+
+
+def fraction_report(theta, eta=None):
+    def dump(samples):
+        return [[decimal_str(t), s] for t, s in samples]
+
+    omega_t, s_ot = fraction_ordinary(theta)
+    bar_t, s_bt = fraction_uniform(fraction_upsilon(theta), 1.0)
+    out = {"omega_theta": omega_t, "omega_bar_theta": bar_t,
+           "samples": {"omega_theta": dump(s_ot), "omega_bar_theta": dump(s_bt)}}
+    flags = []
+    if not omega_t >= 1 - EXACT_TOL:
+        flags.append("omega_theta below 1")
+    if not omega_t >= bar_t - ASYMPTOTIC_TOL:
+        flags.append("omega_theta below omega_bar_theta")
+    if eta is not None:
+        omega_e, _ = fraction_ordinary(eta)
+        bar_e, _ = fraction_uniform(fraction_upsilon(eta), 1.0)
+        vp, s_vp = fraction_uniform(fraction_min(fraction_psi(theta), fraction_psi(eta)), 0.0)
+        vu, s_vu = fraction_uniform(
+            fraction_min(fraction_upsilon(theta), fraction_upsilon(eta)), 1.0)
+        out.update({"omega_eta": omega_e, "omega_bar_eta": bar_e,
+                    "varpi_psi": vp, "varpi_upsilon": vu})
+        out["samples"]["varpi_psi"] = dump(s_vp)
+        out["samples"]["varpi_upsilon"] = dump(s_vu)
+        if not omega_e >= 1 - EXACT_TOL:
+            flags.append("omega_eta below 1")
+        if not omega_e >= bar_e - ASYMPTOTIC_TOL:
+            flags.append("omega_eta below omega_bar_eta")
+        if not vp >= 1 - ASYMPTOTIC_TOL:
+            flags.append("varpi_psi below 1")
+        if not vp <= vu + ASYMPTOTIC_TOL:
+            flags.append("varpi_psi above varpi_upsilon")
+    out["flags"] = flags
+    return out
+
+
+@pytest.mark.parametrize(
+    "prefixes",
+    [
+        pytest.param((construct_thm1(Fraction(3, 2), 10),), id="thm1-d10"),
+        pytest.param(construct_thm2(Fraction(13, 10), 10), id="thm2-d10"),
+        pytest.param(construct_thm3(Fraction(1), 8), id="thm3-d8"),
+    ],
+)
+def test_report_equals_fraction_reference(prefixes):
+    assert exponent_report(*prefixes) == fraction_report(*prefixes)

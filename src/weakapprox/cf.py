@@ -96,6 +96,16 @@ class PartialQuotients:
         """Number of tail entries N."""
         return len(self.tail)
 
+    def min_q_digits(self) -> int:
+        """A lower bound on the decimal digits of q_N, from bit lengths only:
+        q_N >= a_1 ... a_N and q_N >= F_{N+1} >= phi^(N-1), with constants
+        rounded down so that it never exceeds the true count."""
+        bits = max(
+            sum(a.bit_length() - 1 for a in self.tail),
+            int((self.depth - 1) * 0.6942419),  # log2(phi) = 0.69424191...
+        )
+        return int(bits * 0.30102999) + 1  # log10(2) = 0.30102999566...
+
     @cached_property
     def analysis(self) -> "PrefixAnalysis":
         """The integer analysis of this prefix, made on first use and kept.

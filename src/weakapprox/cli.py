@@ -25,6 +25,7 @@ from .construct import (
     ConstructionSpec,
     GuardExceeded,
     InterleavingError,
+    _digit_guard,
     construct_thm1,
     construct_thm2,
     construct_thm3,
@@ -66,11 +67,24 @@ def _parse_prefix(text: str) -> PartialQuotients:
 
 
 def _load_prefix(arg: str) -> PartialQuotients:
-    """Accept '[a0;a1,...]' inline or a path to a JSON artifact."""
+    """Accept '[a0;a1,...]' inline or a path to a JSON artifact.
+
+    A prefix whose q_N certainly exceeds the digit guard raises
+    ``GuardExceeded`` (exit 3) before anything analyses it.
+    """
     p = Path(arg)
-    if p.exists():
-        return PartialQuotients.from_json(p.read_text(encoding="utf-8"))
-    return _parse_prefix(arg)
+    try:
+        is_file = p.is_file()
+    except OSError:  # an inline prefix longer than the longest file name
+        is_file = False
+    if is_file:
+        pq = PartialQuotients.from_json(p.read_text(encoding="utf-8"))
+    else:
+        pq = _parse_prefix(arg)
+    digits, guard = pq.min_q_digits(), _digit_guard(None)
+    if digits > guard:
+        raise GuardExceeded(f"prefix q_N has at least {digits} digits (guard {guard})")
+    return pq
 
 
 def _seed_tuple(text: str) -> tuple[int, ...]:

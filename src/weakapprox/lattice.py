@@ -8,31 +8,58 @@ Rational lattices degenerate at large t: some point hits a coordinate axis
 (the product vanishes) at the *degeneracy radius*, computable exactly from
 the matrix entries.  All exponent sampling stays strictly below it.
 
-Two evaluation strategies:
+``psi_lattice`` scans the whole box: exact for any nonsingular rational
+matrix, cost growing with the box area, and the oracle of the tests.
+``minimum_profile`` walks the chain of relative minima instead (Voronoi
+1896; Cassels, *An Introduction to the Geometry of Numbers*, ch. V).
 
-  * ``psi_lattice`` - exhaustive scan of the box preimage, exact for any
-    nonsingular rational matrix; cost grows with the box area.
-  * ``minimum_profile`` - the full running-minimum record profile up to
-    huge radii, enumerating only candidate minimizers: a small exhaustive
-    core plus, per coordinate, the integer points hugging that coordinate's
-    zero line.  Once the running minimum is below 1 (the core guarantees
-    that for the unit-diagonal lattices this is used on), every later
-    record has a coordinate below 1 in absolute value and therefore lies on
-    one of the two branch families.
+Say y dominates x if |y1| <= |x1|, |y2| <= |x2| and (|y1|, |y2|) differs
+from (|x1|, |x2|).  A nonzero lattice point no lattice point dominates is a
+relative minimum; minima are counted once per (|x1|, |x2|).  Two minima
+cannot share |x1| (one would dominate the other), so by |x1| falling they
+have |x2| rising: they form a chain.
+
+(1) Every record value is attained at a relative minimum.  For a nonzero
+    point x, among the nonzero points y with |y1| <= |x1| and |y2| <= |x2|
+    one with the least |y1| + |y2| is a minimum, with sup-norm and product
+    at most x's.  So Psi(t) is the least product over the minima with
+    sup-norm <= t, and the records of Psi are the strict running minima of
+    the product over the minima in order of sup-norm.
+(2) The minima with sup-norm <= R are one contiguous stretch of the chain,
+    the meet of its |x1| <= R end and its |x2| <= R end.  Whatever dominates
+    a point of the box [-R, R]^2 lies in it, so the undominated points of an
+    exhaustive scan of the box are exactly these minima: consecutive ones.
+(3) Let p, q be consecutive, |p1| > |q1|, oriented so that p1, q1 > 0.  No
+    nonzero lattice point has |y1| < p1 and |y2| < |q2|: the minimum that
+    (1) finds for it would lie strictly between p and q.  So p, q is a basis
+    (else some a p + b q with |a|, |b| <= 1/2, not both 0, is such a
+    point), and p2 q2 <= 0 (else q - p is one).  The next minimum r has the
+    least |y2| among the nonzero points with |y1| < q1, and r = +-(p - a q)
+    as q, r is a basis too.  |p1 - a q1| < q1 leaves a = floor(p1/q1) or
+    a + 1, and |p2 - a q2| = |p2| + a |q2| picks a = floor(p1/q1).  So
+    r = p - floor(p1/q1) q with 0 <= r1 < q1: the continued-fraction
+    algorithm on p1/q1, ending at an axis point, r1 = 0.  Swapping the
+    coordinates walks the other way.
+(4) Along a walk the falling coordinate stays below the seed's and the
+    growing one rises strictly, so the walk may stop at its first point
+    outside the box: every later minimum lies outside too.
+
+``minimum_profile`` seeds the chain with an exhaustive core around the
+origin, walks it both ways, and keeps the running minima, all on integer
+coordinates over the row denominators; only the records become Fractions.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Iterable, Iterator, Union
 
 from .cf import PartialQuotients, truncation_value
 from .exponents import ExponentEstimate, apply_window
-from .intmath import fraction_str, log_fraction, parse_fraction
+from .intmath import fraction_str, log_fraction, parse_fraction, reduced_fraction
 
 __all__ = [
     "Lattice2",
@@ -248,180 +275,125 @@ def _better(a: LatticeMinimum, b: LatticeMinimum) -> bool:
     return a.point < b.point
 
 
-def _convergent_denominators(ratio: Fraction, cap: int) -> list[int]:
-    """Denominators of the continued-fraction convergents of |ratio|, up to cap."""
-    num = abs(ratio.numerator) % ratio.denominator
-    den = ratio.denominator
+#: Sup-norm radius of the first exhaustive core in ``minimum_profile``.
+_CORE_RADIUS = 8
+
+#: A lattice point as (m, n, x1, x2), with x1, x2 its coordinates scaled to
+#: integers by the row denominators.
+_Point = tuple[int, int, int, int]
+
+
+def _integer_rows(lat: Lattice2) -> tuple[int, int, int, int, int, int]:
+    """(A1, B1, d1, A2, B2, d2) with row i of the matrix equal to (Ai, Bi) / di."""
     out: list[int] = []
-    q_prev, q = 0, 1
-    while num != 0 and q <= cap:
-        a = den // num
-        den, num = num, den % num
-        q, q_prev = a * q + q_prev, q
-        if q <= cap:
-            out.append(q)
-    return out
+    for a, b in ((lat.a11, lat.a12), (lat.a21, lat.a22)):
+        d = math.lcm(a.denominator, b.denominator)
+        out += (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d)
+    return tuple(out)
 
 
-#: Generator range below which branch candidates are enumerated densely.
-_DENSE_LIMIT = 4096
+def _core_points(
+    rows: tuple[int, int, int, int], x1_max: int, x2_max: int
+) -> Iterator[_Point]:
+    """Every nonzero lattice point with |x1| <= x1_max and |x2| <= x2_max."""
+    A1, B1, A2, B2 = rows
+    n_max = (abs(A1) * x2_max + abs(A2) * x1_max) // abs(A1 * B2 - B1 * A2)
+    for n in range(-n_max, n_max + 1):
+        lo, hi = -math.inf, math.inf
+        for a, b, lim in ((A1, B1, x1_max), (A2, B2, x2_max)):
+            c = b * n
+            if a < 0:
+                a, c = -a, -c
+            if a:  # -lim <= a m + c <= lim
+                lo = max(lo, -((lim + c) // a))
+                hi = min(hi, (lim - c) // a)
+            elif abs(c) > lim:
+                hi = -math.inf
+        for m in range(lo, hi + 1) if lo <= hi else ():
+            if m or n:
+                yield (m, n, A1 * m + B1 * n, A2 * m + B2 * n)
 
 
-def _branch_generators(ratio: Fraction, cap: int) -> list[int]:
-    """Generator values along one zero line: dense start, then the convergent
-    denominators of the hugging ratio (where the running weak minimum can
-    improve) with a +-1 neighbourhood."""
-    dense_top = min(cap, _DENSE_LIMIT)
-    gens = set(range(1, dense_top + 1))
-    if cap > _DENSE_LIMIT:
-        for q in _convergent_denominators(ratio, cap):
-            for d in (-1, 0, 1):
-                if 1 <= q + d <= cap:
-                    gens.add(q + d)
-    return sorted(gens)
+def _relative_minima(points: Iterable[_Point]) -> list[_Point]:
+    """The points that no other point dominates, one for each absolute
+    vector, by |x1| rising (and so |x2| falling)."""
+    minima: list[_Point] = []
+    for p in points:
+        a1, a2 = abs(p[2]), abs(p[3])
+        if not any(abs(q[2]) <= a1 and abs(q[3]) <= a2 for q in minima):
+            minima = [q for q in minima if not (a1 <= abs(q[2]) and a2 <= abs(q[3]))]
+            minima.append(p)
+    return sorted(minima, key=lambda p: abs(p[2]))
 
 
-class _Frontier:
-    """Running-minimum records over increasing sup-norm, integer-keyed.
-
-    Entries are (sup_scaled, psq_scaled, point) with shared denominators, so
-    dominance tests are pure integer comparisons; only the O(#records)
-    frontier is kept in memory while candidates stream through.  ``covers``
-    rejects candidates from bit lengths alone, so the expensive exact keys
-    (two huge-integer products) are computed only for genuine record
-    contenders.
-    """
-
-    def __init__(self) -> None:
-        self.entries: list[tuple[int, int, tuple[int, int]]] = []
-
-    def covers(self, sup_bits_hi: int, psq_bits_lo: int) -> bool:
-        """True if some record certainly has sup' <= 2^(sup_bits_hi - 2) and
-        psq' < 2^psq_bits_lo, i.e. dominates any candidate with
-        sup >= 2^(sup_bits_hi - 2) and psq >= 2^psq_bits_lo."""
-        for sup_, psq_, _ in self.entries:
-            if sup_.bit_length() > sup_bits_hi - 2:
-                break  # sorted by sup; later entries are larger
-            if psq_.bit_length() <= psq_bits_lo:
-                return True
-        return False
-
-    def insert(self, sup: int, psq: int, pt: tuple[int, int]) -> None:
-        sups = [e[0] for e in self.entries]
-        i = bisect.bisect_right(sups, sup) - 1
-        if i >= 0 and self.entries[i][1] <= psq:
-            return  # dominated by an earlier-or-equal record
-        pos = i + 1
-        self.entries.insert(pos, (sup, psq, pt))
-        k = pos + 1
-        while k < len(self.entries) and self.entries[k][1] >= psq:
-            del self.entries[k]
-        # An equal-sup predecessor with a larger product is now redundant.
-        if pos > 0 and self.entries[pos - 1][0] == sup:
-            del self.entries[pos - 1]
-
-    def records(self) -> list[tuple[int, int, tuple[int, int]]]:
-        out: list[tuple[int, int, tuple[int, int]]] = []
-        for sup, psq, pt in self.entries:
-            if not out or psq < out[-1][1]:
-                out.append((sup, psq, pt))
-        return out
+def _walk(p: _Point, q: _Point, i: int, limit: int) -> list[_Point]:
+    """The relative minima beyond the consecutive minima p, q on the side
+    where coordinate i of the point tuple falls (i = 2 for x1, 3 for x2),
+    up to the first whose other coordinate exceeds ``limit``; fact (3)."""
+    j = 5 - i  # the growing coordinate
+    if p[i] < 0:
+        p = (-p[0], -p[1], -p[2], -p[3])
+    if q[i] < 0:
+        q = (-q[0], -q[1], -q[2], -q[3])
+    walked: list[_Point] = []
+    while 0 < q[i] < p[i]:  # the falling coordinate falls strictly, so this ends
+        a = p[i] // q[i]
+        r = (p[0] - a * q[0], p[1] - a * q[1], p[2] - a * q[2], p[3] - a * q[3])
+        if abs(r[j]) > limit:
+            break
+        walked.append(r)
+        p, q = q, r
+    return walked
 
 
-def minimum_profile(
-    lat: Lattice2,
-    t_max: Rat,
-    core_radius: int = 8,
-) -> list[ProfileRecord]:
+def minimum_profile(lat: Lattice2, t_max: Rat) -> list[ProfileRecord]:
     """All running-minimum records of the product up to sup-norm t_max.
 
-    Candidate points: an exhaustive core (sup-norm <= core_radius) plus the
-    two branch families m = floor(-theta n) + d and n = floor(-eta m) + d,
-    d in {-1, 0, 1, 2}, with generators up to the exact preimage cap.  Large
-    generators are restricted to convergent denominators of the row ratio
-    (running minima of the hugging product improve only there); between
-    consecutive records of the constructions this profiles, values drop by
-    orders of magnitude, so the cross-term corrections (bounded by the
-    opposite row entry) cannot create records elsewhere.  The exhaustive
-    scan cross-validates this in the test suite.
-
-    All candidate arithmetic runs on integers over the two row denominators;
-    Fractions are materialized only for the returned records.
+    The candidates are the relative minima with sup-norm <= t_max: those of
+    an exhaustive core, whose radius starts at ``_CORE_RADIUS`` and doubles
+    until it holds two minima or reaches t_max, and those of the two walks
+    from the ends of the core (see the module docstring).
     """
     t_max = Fraction(t_max)
     if t_max <= 0:
         raise ValueError("t_max must be positive")
+    A1, B1, d1, A2, B2, d2 = _integer_rows(lat)
 
-    # Integerized rows: a1j = (A1, B1) / d1, a2j = (A2, B2) / d2.
-    d1 = lat.a11.denominator * lat.a12.denominator // gcd(
-        lat.a11.denominator, lat.a12.denominator
-    )
-    d2 = lat.a21.denominator * lat.a22.denominator // gcd(
-        lat.a21.denominator, lat.a22.denominator
-    )
-    A1 = int(lat.a11 * d1)
-    B1 = int(lat.a12 * d1)
-    A2 = int(lat.a21 * d2)
-    B2 = int(lat.a22 * d2)
-    tn, td = t_max.numerator, t_max.denominator
-    sup_den = d1 * d2  # sup_scaled is over this denominator
-    t_scaled = tn * sup_den // td  # sup <= t_scaled iff sup-norm <= t_max
-    t_bits = t_scaled.bit_length()
-    bd1, bd2 = d1.bit_length(), d2.bit_length()
+    def limits(t: Fraction) -> tuple[int, int]:
+        # sup-norm <= t  iff  |x1| <= t d1 and |x2| <= t d2
+        return t.numerator * d1 // t.denominator, t.numerator * d2 // t.denominator
 
-    frontier = _Frontier()
-    seen: set[tuple[int, int]] = set()
+    radius = Fraction(_CORE_RADIUS)
+    while True:
+        core_t = min(radius, t_max)
+        chain = _relative_minima(_core_points((A1, B1, A2, B2), *limits(core_t)))
+        if len(chain) >= 2 or core_t == t_max:
+            break
+        radius *= 2
+    x1_max, x2_max = limits(t_max)
+    if len(chain) >= 2:
+        walks = _walk(chain[1], chain[0], 2, x2_max), _walk(chain[-2], chain[-1], 3, x1_max)
+        chain += walks[0] + walks[1]
 
-    def add(m: int, n: int) -> None:
-        if (m, n) == (0, 0) or (m, n) in seen or (-m, -n) in seen:
-            return
-        seen.add((m, n))
-        x1n = A1 * m + B1 * n
-        x2n = A2 * m + B2 * n
-        if x1n != 0 and x2n != 0:
-            # Fast bit-length screens before any huge multiplication:
-            # sup is in [2^(b_sup - 2), 2^b_sup).
-            b_sup = max(x1n.bit_length() + bd2, x2n.bit_length() + bd1)
-            if b_sup >= t_bits + 2:
-                return  # certainly outside the box
-            psq_lo = max(0, 2 * (x1n.bit_length() + x2n.bit_length()) - 4)
-            if frontier.covers(b_sup, psq_lo):
-                return  # certainly dominated by an existing record
-        sup = max(abs(x1n) * d2, abs(x2n) * d1)
-        if sup == 0 or sup > t_scaled:
-            return
-        frontier.insert(sup, (x1n * x2n) ** 2, (m, n))
-
-    core_t = min(t_max, Fraction(core_radius))
-    n_core = _box_ranges(lat, core_t)[1]
-    for n in range(-n_core, n_core + 1):
-        lo, hi = _m_interval(lat, n, core_t)
-        for m in range(lo, hi + 1):
-            add(m, n)
-
-    det = abs(lat.det)
-    if A1 != 0:
-        # Branch hugging the x1 = 0 line; the free coordinate grows like
-        # |det / a11| per unit n, shifted by at most 2 |a21|.
-        n_cap = int((t_max * abs(lat.a11) + 2 * abs(lat.a21)) / det) + 2
-        for n in _branch_generators(Fraction(B1, A1), n_cap):
-            c = (-B1 * n) // A1
-            for m in (c - 1, c, c + 1, c + 2):
-                add(m, n)
-    if B2 != 0:
-        m_cap = int((t_max * abs(lat.a22) + 2 * abs(lat.a12)) / det) + 2
-        for m in _branch_generators(Fraction(A2, B2), m_cap):
-            c = (-A2 * m) // B2
-            for n in (c - 1, c, c + 1, c + 2):
-                add(m, n)
-
+    den = d1 * d2
     records: list[ProfileRecord] = []
-    for sup, psq, pt in frontier.records():
+    best = None
+    for sup, prod, p in sorted(
+        (max(abs(p[2]) * d2, abs(p[3]) * d1), abs(p[2] * p[3]), p) for p in chain
+    ):
+        if best is not None and prod >= best:
+            continue
+        best = prod
+        # sup/den is |x1|/d1 or |x2|/d2, reduced by a gcd of that size;
+        # gcd(prod^2, den^2) = gcd(prod, den)^2.
+        x, d = (abs(p[2]), d1) if sup == abs(p[2]) * d2 else (abs(p[3]), d2)
+        g = gcd(x, d)
+        h = gcd(prod, den)
         records.append(
             ProfileRecord(
-                Fraction(sup, sup_den),
-                pt,
-                Fraction(psq, (sup_den) ** 2),
+                reduced_fraction(x // g, d // g),
+                (p[0], p[1]),
+                reduced_fraction((prod // h) ** 2, (den // h) ** 2),
             )
         )
     return records
@@ -431,7 +403,6 @@ def lattice_exponents(
     lat: Lattice2,
     t_max: Rat | None = None,
     window: tuple[int, int] | None = None,
-    core_radius: int = 8,
     log_coverage: float = 0.35,
 ) -> tuple[ExponentEstimate, ExponentEstimate, dict]:
     """Ordinary and uniform lattice exponent estimates from the record profile.
@@ -463,7 +434,7 @@ def lattice_exponents(
             info["truncated"] = True
     info["t_max"] = fraction_str(t_eff)
 
-    records = minimum_profile(lat, t_eff, core_radius=core_radius)
+    records = minimum_profile(lat, t_eff)
     ord_all: list[tuple[int, float]] = []
     uni_all: list[tuple[int, float]] = []
     for k, rec in enumerate(records):

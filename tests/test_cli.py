@@ -2,9 +2,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weakapprox.cli as cli
 from weakapprox.bounds import BoundCheck
+from weakapprox.cf import PartialQuotients, convergents
 from weakapprox.cli import EXIT_INAPPLICABLE, main
 from weakapprox.construct import DIGIT_GUARD_ENV, construct_thm2
 from weakapprox.measure import StepFunction
@@ -220,3 +223,49 @@ def test_version_runs():
     with pytest.raises(SystemExit) as err:
         main(["--version"])
     assert err.value.code == 0
+
+
+class TestLoadGuard:
+    """A loaded prefix whose q_N certainly exceeds the digit guard exits 3."""
+
+    FIB_300 = "[0;" + ",".join(["1"] * 300) + "]"  # q_N = F_301 has 63 digits
+
+    @pytest.mark.parametrize(
+        "prefix, guard, code",
+        [
+            ("[0;" + "1" + "0" * 60 + "]", "50", 3),  # one 61-digit quotient
+            (FIB_300, "62", 3),
+            (FIB_300, "63", 0),
+            ("[0;2,2,2]", "1", 0),
+        ],
+        ids=["quotient", "fibonacci-over", "fibonacci-at", "small"],
+    )
+    def test_inline_prefix(self, capsys, monkeypatch, prefix, guard, code):
+        monkeypatch.setenv(DIGIT_GUARD_ENV, guard)
+        assert main(["cf", "--prefix", prefix]) == code
+        err = capsys.readouterr().err
+        assert ("resource guard" in err) == (code == 3)
+
+    def test_json_artifact(self, tmp_path, capsys, monkeypatch):
+        theta, eta = construct_thm2(Fraction(3, 2), 6)
+        paths = []
+        for name, pq in (("theta", theta), ("eta", eta)):
+            p = tmp_path / f"{name}.json"
+            p.write_text(pq.to_json(), encoding="utf-8")
+            paths.append(str(p))
+        digits = max(len(str(convergents(pq)[-1].q)) for pq in (theta, eta))
+        argv = ["exponents", "--theta", paths[0], "--eta", paths[1]]
+        monkeypatch.setenv(DIGIT_GUARD_ENV, str(digits))
+        assert run(argv, capsys)[0] == 0
+        monkeypatch.setenv(DIGIT_GUARD_ENV, "2")
+        assert run(argv, capsys)[0] == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.integers(1, 3), st.integers(1, 10**40)), min_size=1, max_size=200
+        )
+    )
+    def test_digit_bound_never_exceeds_q(self, tail):
+        pq = PartialQuotients(0, tuple(tail))
+        assert pq.min_q_digits() <= len(str(convergents(pq)[-1].q))

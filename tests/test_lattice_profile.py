@@ -1,0 +1,179 @@
+"""The lattice record profile against the exhaustive oracle ``psi_lattice``.
+
+``minimum_profile`` lists the records of Psi from the chain of relative
+minima (see the ``lattice`` module docstring).  Three facts pin a profile
+down completely, given that Psi is non-increasing in t: each record equals
+Psi at its radius, Psi just below each record equals the previous record
+(or there is no lattice point yet), and Psi at t_max equals the last
+record.  They are checked here on random rational matrices, then on a pair
+whose only record lies off the old convergent branches, and the lattice
+exponent estimates are checked to converge with depth.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from weakapprox.cf import PartialQuotients
+from weakapprox.cli import EXIT_USAGE, main
+from weakapprox.construct import construct_thm3, growth_rate_thm3
+from weakapprox.lattice import (
+    Lattice2,
+    degeneracy_radius,
+    lattice_exponents,
+    lattice_from_pair,
+    minimum_profile,
+    psi_lattice,
+)
+
+profile_settings = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+#: Points ``psi_lattice`` may visit per call; t is capped to keep within it.
+ORACLE_POINTS = 1500
+
+ENTRIES = st.builds(Fraction, st.integers(-400, 400), st.integers(1, 60))
+
+
+def oracle_cap(lat: Lattice2) -> Fraction:
+    """Largest t (in 16ths) at which one ``psi_lattice`` call visits at most
+    about ORACLE_POINTS n-values and box points: the box holds about
+    4 t^2 / |det| points over 2 (|a11| + |a21|) t / |det| + 3 values of n."""
+    det = float(abs(lat.det))
+    s = float(abs(lat.a11) + abs(lat.a21))
+    # 4 t^2 / det + 2 s t / det + 3 <= ORACLE_POINTS
+    a, b, c = 4 / det, 2 * s / det, 3 - ORACLE_POINTS
+    root = (-b + math.sqrt(b * b - 4 * a * c)) / (2 * a)
+    return Fraction(math.floor(root * 16), 16)
+
+
+@st.composite
+def radii(draw, lat: Lattice2) -> Fraction:
+    """t_max up to about 40, or at or past the degeneracy radius, capped by
+    the oracle's budget."""
+    radius = degeneracy_radius(lat)
+    den = draw(st.sampled_from((1, 3, 7, 8)))
+    t = draw(
+        st.one_of(
+            st.builds(Fraction, st.integers(1, 40 * den), st.just(den)),
+            st.just(radius),
+            st.builds(lambda k: radius * Fraction(8 + k, 8), st.integers(1, 16)),
+        )
+    )
+    cap = oracle_cap(lat)
+    assume(cap > 0)
+    return min(t, cap)
+
+
+@st.composite
+def unit_diagonal(draw):
+    theta, eta = draw(ENTRIES), draw(ENTRIES)
+    assume(theta * eta != 1)
+    lat = Lattice2(Fraction(1), theta, eta, Fraction(1))
+    return lat, draw(radii(lat))
+
+
+@st.composite
+def general(draw):
+    entries = [draw(ENTRIES) for _ in range(4)]
+    assume(entries[0] * entries[3] != entries[1] * entries[2])
+    lat = Lattice2(*entries)
+    return lat, draw(radii(lat))
+
+
+def psi_or_none(lat: Lattice2, t: Fraction):
+    """The oracle's product minimum at t, or None when the box holds no point."""
+    if t <= 0:
+        return None
+    try:
+        return psi_lattice(lat, t).product_sq
+    except ValueError:
+        return None
+
+
+def assert_matches_oracle(lat: Lattice2, t_max: Fraction) -> None:
+    records = minimum_profile(lat, t_max)
+    # Sup-norms are multiples of 1/(d1 d2), so t - below is above every
+    # sup-norm less than t.
+    den = math.prod(x.denominator for x in (lat.a11, lat.a12, lat.a21, lat.a22))
+    below = Fraction(1, 2 * den)
+    previous = None
+    for rec in records:
+        assert rec.t <= t_max
+        x1, x2 = lat.image(*rec.point)
+        assert max(abs(x1), abs(x2)) == rec.t
+        assert (x1 * x2) ** 2 == rec.product_sq
+        assert psi_lattice(lat, rec.t).product_sq == rec.product_sq
+        assert psi_or_none(lat, rec.t - below) == previous
+        previous = rec.product_sq
+    assert psi_or_none(lat, t_max) == previous
+
+
+@profile_settings
+@given(unit_diagonal())
+def test_unit_diagonal_profile_matches_oracle(case):
+    assert_matches_oracle(*case)
+
+
+@profile_settings
+@given(general())
+def test_general_profile_matches_oracle(case):
+    assert_matches_oracle(*case)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # (1, +-1) and (1, -+1) share |x|: the chain holds a twin pair
+        # between the axis points (2, 0) and (0, 2).
+        (1, 1, 1, -1),
+        # a12 = 0: the axis point (0, a22) ends the chain at once.
+        (Fraction(3, 7), 0, Fraction(-5, 2), Fraction(2, 9)),
+    ],
+)
+def test_degenerate_chains_match_oracle(entries):
+    lat = Lattice2(*map(Fraction, entries))
+    for t in (Fraction(1, 2), 1, 2, degeneracy_radius(lat), 6):
+        assert_matches_oracle(lat, Fraction(t))
+
+
+def roadmap_pair() -> Lattice2:
+    theta, eta = PartialQuotients.parse("[26;1,1,3]"), PartialQuotients.parse("[49;2]")
+    return lattice_from_pair(theta, eta)
+
+
+def test_record_off_the_convergent_branches_api():
+    lat = roadmap_pair()
+    radius = degeneracy_radius(lat)
+    assert radius == Fraction(18400, 7)
+    records = minimum_profile(lat, radius * Fraction(4095, 4096))
+    assert [(r.t, r.product_sq) for r in records] == [(Fraction(186, 7), Fraction(34596, 49))]
+
+
+def test_record_off_the_convergent_branches_cli(capsys):
+    code = main(["lattice", "--theta", "[26;1,1,3]", "--eta", "[49;2]"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "not enough nondegenerate records" in captured.err
+
+
+@pytest.mark.parametrize(
+    "gamma, depths", [(Fraction(1, 2), (6, 8, 10, 12)), (Fraction(1), (6, 8, 10))]
+)
+def test_lattice_exponents_converge_with_depth(gamma, depths):
+    """|omega_lattice - (root + 1)/2| and |omega_bar_lattice - (gamma + 2)/2|
+    both fall strictly with the depth of the thm3 pair."""
+    ordinary_limit = (growth_rate_thm3(gamma) + 1) / 2
+    uniform_limit = (float(gamma) + 2) / 2
+    ordinary_err, uniform_err = [], []
+    for depth in depths:
+        ordinary, uniform, _ = lattice_exponents(lattice_from_pair(*construct_thm3(gamma, depth)))
+        ordinary_err.append(abs(ordinary.value - ordinary_limit))
+        uniform_err.append(abs(uniform.value - uniform_limit))
+    assert all(a > b for a, b in zip(ordinary_err, ordinary_err[1:])), ordinary_err
+    assert all(a > b for a, b in zip(uniform_err, uniform_err[1:])), uniform_err

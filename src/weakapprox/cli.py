@@ -205,7 +205,7 @@ def cmd_lemma1(args) -> int:
     for k in range(args.pairs):
         gen = random_step_pair(args.seed + k, pieces=args.pieces)
         report = check_conditions(gen.pair)
-        witnesses = find_witnesses(gen.pair)
+        witnesses = find_witnesses(gen.pair, margin=args.margin)
         verified = [w for w in witnesses if verify_witness(gen.pair, w)]
         ok = report.a_holds and report.b_holds and len(verified) >= 1
         if not ok:
@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u-end", type=int, help="domain end for the first CSV")
     p.add_argument("--v-end", type=int, help="domain end for the second CSV")
     p.add_argument("--margin", type=int, default=2,
-                   help="interior margin (intervals) excluded from the witness scan")
+                   help="breakpoints at each window edge left out of the witness scan")
     p.add_argument("--output")
     p.set_defaults(func=cmd_lemma1)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cf import PartialQuotients, qnorm_table  # noqa: F401 - perfbench looks it up here
-from .intmath import decimal_str, log_int
+from .intmath import decimal_str, log_fraction, log_int
 from .measure import StepFunction, min_step, psi_step, upsilon_step
 
 __all__ = [
@@ -39,7 +39,6 @@ EXACT_TOL = 1e-9
 #: Tolerance for asymptotic (finite-depth) comparisons in consistency flags.
 ASYMPTOTIC_TOL = 0.05
 
-_MAX_KINDS = {"omega"}
 _MIN_KINDS = {"omega_bar", "varpi_psi", "varpi_upsilon"}
 #: Kinds whose defining normalization is t^(c-1); their samples get +1.
 _WEAK_SHIFT = {"omega_bar": 1.0, "varpi_psi": 0.0, "varpi_upsilon": 1.0}
@@ -120,7 +119,8 @@ def ordinary_exponent(
     for v in range(pq.depth - 1):
         q = an.q[v]
         if q >= 2:
-            samples.append((q, -_log_ratio(*an.distance(v)) / log_int(q)))
+            num, den = an.distance(v)
+            samples.append((q, -(log_int(num) - log_int(den)) / log_int(q)))
     picked, win = apply_window(samples, window, minimum=1)
     value = max(s for _, s in picked)
     return ExponentEstimate("omega", value, win, tuple(samples))
@@ -149,17 +149,10 @@ def uniform_exponent(
     points = [(t, v) for t, v in zip(f.breakpoints[1:], f.values) if t >= 2]
     if f.domain_end >= 2:
         points.append((f.domain_end, f.values[-1]))
-    samples = [
-        (t, shift - _log_ratio(v.numerator, v.denominator) / log_int(t)) for t, v in points
-    ]
+    samples = [(t, shift - log_fraction(v) / log_int(t)) for t, v in points]
     picked, win = apply_window(samples, window, minimum=minimum_samples)
     value = min(s for _, s in picked)
     return ExponentEstimate(kind, value, win, tuple(samples))
-
-
-def _log_ratio(num: int, den: int) -> float:
-    """log(num/den) from a pair in lowest terms, the way ``log_fraction`` takes it."""
-    return log_int(num) - log_int(den)
 
 
 def _flag(flags: list[str], ok: bool, message: str) -> None:

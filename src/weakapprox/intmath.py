@@ -82,52 +82,35 @@ def nth_root_floor(n: int, k: int) -> int:
 
 
 def round_root(n: int, num: int, den: int) -> int:
-    """Nearest integer to n**(num/den) for n >= 1 and num, den >= 1.
-
-    Ties (exact half-integers are impossible for irrational roots, but the
-    comparison is exact regardless) round up.  All comparisons are between
-    integers: ``m`` is nearest iff (2m-1)^den <= 2^den * n^num < (2m+1)^den.
-    """
-    if n < 1 or num < 1 or den < 1:
-        raise ValueError("round_root requires positive arguments")
-    power = n ** num
-    r = nth_root_floor(power, den)
-    # Root lies in [r, r+1); round to r or r+1 by comparing with r + 1/2.
-    if (2 * r + 1) ** den <= (1 << den) * power:
-        return r + 1
-    return r
+    """Nearest integer to n**(num/den) for n >= 1 and num, den >= 1, ties up."""
+    return round_div_root(n, num, den, 0, 1)
 
 
 def floor_div_root(base: int, num: int, den: int, c: int, s: int) -> int:
     """floor((base**(num/den) - c) / s) for base, s >= 1.
 
-    Exact: locates the unique m with c + m*s <= base**(num/den) < c + (m+1)*s
-    using integer power comparisons only.
+    Exact with r = floor(R), R = base**(num/den): m = (r - c) // s gives
+    c + m*s <= r <= R, and the integer c + (m+1)*s exceeds r, so it is at
+    least r + 1 > R.
     """
     if base < 1 or s < 1 or num < 1 or den < 1:
-        raise ValueError("floor_div_root requires positive base, s, num, den")
-    power = base ** num
-    r = nth_root_floor(power, den)  # base**(num/den) is in [r, r+1)
-    m = (r - c) // s
-
-    def le_root(v: int) -> bool:
-        # v <= base**(num/den)?
-        return v <= 0 or v ** den <= power
-
-    while not le_root(c + m * s):
-        m -= 1
-    while le_root(c + (m + 1) * s):
-        m += 1
-    return m
+        raise ValueError("root helpers require positive base, s, num, den")
+    return (nth_root_floor(base**num, den) - c) // s
 
 
 def round_div_root(base: int, num: int, den: int, c: int, s: int) -> int:
-    """Nearest integer to (base**(num/den) - c) / s, exact, ties up."""
-    m = floor_div_root(base, num, den, c, s)
-    # Compare base**(num/den) with c + (m + 1/2)*s, i.e. (2c + (2m+1)s)/2.
+    """Nearest integer to (base**(num/den) - c) / s, exact, ties up.
+
+    With m the floor (``floor_div_root``), the answer is m + 1 iff
+    base**(num/den) >= c + (m + 1/2)*s, i.e. iff v = 2c + (2m+1)s is at
+    most 0 or v**den <= 2**den * base**num; all comparisons are integer.
+    """
+    if base < 1 or s < 1 or num < 1 or den < 1:
+        raise ValueError("root helpers require positive base, s, num, den")
+    power = base**num
+    m = (nth_root_floor(power, den) - c) // s
     v = 2 * c + (2 * m + 1) * s
-    power = base ** num
-    if v <= 0 or v ** den <= (1 << den) * power:
+    if v <= 0 or v**den <= power << den:
         return m + 1
     return m
 

@@ -15,23 +15,41 @@ force the existence of index pairs (n*, m*) such that
   q_{n*} < s_{m*} < q_{n*+1} < s_{m*+1},
   u(s_{m*}) < v(s_{m*}-)  and  v(q_{n*+1}-) < u(q_{n*+1}-).
 
-This module checks the hypotheses exactly (on a step function the witness
-point of (a) can be taken at the right end of the interval, so each interval
-reduces to one exact rational comparison), scans for all witness pairs, and
-re-verifies each witness clause by direct evaluation.  Because measure-side
-step functions are stored merged, "discontinuous at t" is simply "t is a
-stored breakpoint with a predecessor".
+This module checks the hypotheses exactly, scans for all witness pairs by
+index arithmetic on the sorted breakpoints, and re-verifies each witness
+clause by direct evaluation (``verify_witness``, the independent oracle).
+Because measure-side step functions are stored merged, "discontinuous at t"
+is simply "t is a stored breakpoint with a predecessor": the first two
+clauses hold for every index >= 1.
+
+Hypotheses.  u is non-increasing, so on a full v-interval ending at e its
+smallest value is u(e-), the value of u's last piece starting before e.
+Each interval is therefore one exact comparison, and the clipped start of
+that piece of u is a witness point t*.  (b) is the same with u and v swapped.
+
+One candidate per u-breakpoint.  Fix nu with 1 <= nu < len(q) - 1 and let
+mu = bisect_left(s, q_{nu+1}) - 1, so s_mu is the last v-breakpoint below
+q_{nu+1} and s_{mu+1} >= q_{nu+1}.  Any pair (nu, m) meeting the
+interleaving clause s_m < q_{nu+1} < s_{m+1} has m = mu: if m < mu then
+s_{m+1} <= s_mu < q_{nu+1}, and if m > mu then s_m >= s_{mu+1} >= q_{nu+1},
+since s is strictly increasing.  So the scan tests mu alone, which fails
+when s_{mu+1} = q_{nu+1} (a shared breakpoint) or s_mu <= q_nu.  When the
+interleaving holds, u is constant on [q_nu, q_{nu+1}) and v on
+[s_mu, s_{mu+1}), which gives the values by index:
+
+  u(s_mu) = u(q_{nu+1}-) = u.values[nu],
+  v(s_mu-) = v.values[mu-1],   v(q_{nu+1}-) = v.values[mu].
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .intmath import decimal_str, fraction_str
-from .measure import StepFunction
+from .measure import StepFunction, _less
 
 __all__ = [
     "StepPair",
@@ -43,8 +61,6 @@ __all__ = [
     "verify_witness",
     "random_step_pair",
 ]
-
-Rat = Union[int, Fraction]
 
 #: Full breakpoint intervals this close to the window edge are not scanned;
 #: truncated boundary pieces can spuriously satisfy or break the clauses.
@@ -109,44 +125,33 @@ class ConditionReport:
 
     a_holds: bool
     b_holds: bool
-    a_witnesses: tuple[tuple[int, Rat], ...]  # (v-interval index, t*)
-    b_witnesses: tuple[tuple[int, Rat], ...]  # (u-interval index, t**)
+    a_witnesses: tuple[tuple[int, int], ...]  # (v-interval index, t*)
+    b_witnesses: tuple[tuple[int, int], ...]  # (u-interval index, t**)
     a_failures: tuple[int, ...]
     b_failures: tuple[int, ...]
 
 
-def _full_intervals(f: StepFunction, lo: int, hi: int) -> list[tuple[int, int, int]]:
-    """(piece index, clipped start, end) for pieces whose stored upper
-    breakpoint lies inside [lo, hi].
+def _interval_checks(
+    upper: StepFunction, lower: StepFunction, lo: int, hi: int
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """Witnesses (k, t*) and failures over the full pieces k of lower.
 
-    The lower end may be clipped at lo (the value is still f's piece value
-    there); pieces cut off at the top are excluded, since the drop that ends
-    them is not visible inside the window.
+    A full piece ends at lower.bp[k+1] <= hi and, clipped at
+    lo >= lower.domain_start, starts below its end; pieces cut off at the
+    top are left out, since the drop that ends them is not visible inside
+    the window.  j is upper's last piece before the end, and t* is its
+    clipped start (module docstring).
     """
-    out = []
-    for k in range(len(f.breakpoints) - 1):
-        start = max(f.breakpoints[k], lo)
-        end = f.breakpoints[k + 1]
-        if end <= hi and start < end:
-            out.append((k, start, end))
-    return out
-
-
-def _interval_witness(
-    upper: StepFunction, lower_val: Fraction, start: int, end: int
-) -> Rat | None:
-    """A point t in [start, end) with upper(t) < lower_val, else None.
-
-    upper is non-increasing, so its minimum on the interval is its left
-    limit at the interval end; the witness can be placed at the start of
-    upper's last piece inside the interval.
-    """
-    if upper.left_limit(end) >= lower_val:
-        return None
-    k = upper.piece_index(end - 1) if end - 1 >= upper.domain_start else None
-    if k is None:
-        return start
-    return max(start, upper.breakpoints[k])
+    ubp, lbp = upper.breakpoints, lower.breakpoints
+    witnesses: list[tuple[int, int]] = []
+    failures: list[int] = []
+    for k in range(bisect_right(lbp, lo) - 1, bisect_right(lbp, hi) - 1):
+        j = bisect_left(ubp, lbp[k + 1]) - 1
+        if _less(upper.values[j], lower.values[k]):
+            witnesses.append((k, max(lbp[k], lo, ubp[j])))
+        else:
+            failures.append(k)
+    return witnesses, failures
 
 
 def check_conditions(pair: StepPair) -> ConditionReport:
@@ -157,30 +162,10 @@ def check_conditions(pair: StepPair) -> ConditionReport:
     intervals.
     """
     lo, hi = pair.effective_window()
-    u, v = pair.u, pair.v
-    v_ints = _full_intervals(v, lo, hi)
-    u_ints = _full_intervals(u, lo, hi)
-    if len(v_ints) < 2 or len(u_ints) < 2:
+    a_wit, a_fail = _interval_checks(pair.u, pair.v, lo, hi)
+    b_wit, b_fail = _interval_checks(pair.v, pair.u, lo, hi)
+    if len(a_wit) + len(a_fail) < 2 or len(b_wit) + len(b_fail) < 2:
         raise ValueError("window too small: need >= 2 checkable intervals per side")
-
-    a_wit: list[tuple[int, Rat]] = []
-    a_fail: list[int] = []
-    for k, start, end in v_ints:
-        t_star = _interval_witness(u, v.values[k], start, end)
-        if t_star is None:
-            a_fail.append(k)
-        else:
-            a_wit.append((k, t_star))
-
-    b_wit: list[tuple[int, Rat]] = []
-    b_fail: list[int] = []
-    for k, start, end in u_ints:
-        t_star = _interval_witness(v, u.values[k], start, end)
-        if t_star is None:
-            b_fail.append(k)
-        else:
-            b_wit.append((k, t_star))
-
     return ConditionReport(
         a_holds=not a_fail,
         b_holds=not b_fail,
@@ -191,63 +176,52 @@ def check_conditions(pair: StepPair) -> ConditionReport:
     )
 
 
+def _interior(bps: tuple[int, ...], lo: int, hi: int, margin: int) -> range:
+    """Indices of the breakpoints in [lo, hi) less ``margin`` at each end,
+    kept to 1 <= k < len(bps) - 1 (a predecessor and a successor)."""
+    return range(
+        max(bisect_left(bps, lo) + margin, 1), min(bisect_left(bps, hi) - margin, len(bps) - 1)
+    )
+
+
 def find_witnesses(pair: StepPair, margin: int = BOUNDARY_MARGIN) -> list[Witness]:
     """All index pairs satisfying the five witness clauses, interior only.
 
-    Scans u-breakpoint indices with at least ``margin`` full intervals
-    between them and the window edge (and likewise for v), using the
-    interleaving clause to prune; an empty result on a narrow window is
-    valid output.
+    Scans the u-breakpoints of the window less ``margin`` at each end (and
+    likewise for v); for each nu the only candidate is
+    mu = bisect_left(v.bp, q_{nu+1}) - 1 (module docstring).  An empty
+    result on a narrow window is valid output.
     """
+    if margin < 0:
+        raise ValueError("margin must be >= 0")
     lo, hi = pair.effective_window()
     u, v = pair.u, pair.v
+    q, s = u.breakpoints, v.breakpoints
+    mu_range = _interior(s, lo, hi, margin)
     out: list[Witness] = []
-
-    u_idx = [k for k in range(len(u.breakpoints)) if lo <= u.breakpoints[k] < hi]
-    v_idx = [k for k in range(len(v.breakpoints)) if lo <= v.breakpoints[k] < hi]
-    if len(u_idx) <= 2 * margin or len(v_idx) <= 2 * margin:
-        return out
-    u_int = u_idx[margin:-margin] if margin else u_idx
-    v_int = v_idx[margin:-margin] if margin else v_idx
-
-    for nu in u_int:
-        if nu + 1 >= len(u.breakpoints) or nu < 1:
+    for nu in _interior(q, lo, hi, margin):
+        mu = bisect_left(s, q[nu + 1]) - 1
+        if mu not in mu_range:
             continue
-        q0, q1 = u.breakpoints[nu], u.breakpoints[nu + 1]
-        if u.values[nu] >= u.values[nu - 1]:
-            continue  # u continuous at q0 (cannot happen for merged storage)
-        for mu in v_int:
-            if mu + 1 >= len(v.breakpoints) or mu < 1:
-                continue
-            s0, s1 = v.breakpoints[mu], v.breakpoints[mu + 1]
-            if s0 <= q0:
-                continue
-            if s0 >= q1:
-                break  # v_int is increasing; interleaving now impossible
-            if not (q1 < s1):
-                continue
-            if v.values[mu] >= v.values[mu - 1]:
-                continue
-            u_at_s = u.value(s0)
-            v_before_s = v.left_limit(s0)
-            if not u_at_s < v_before_s:
-                continue
-            v_before_q1 = v.left_limit(q1)
-            u_before_q1 = u.left_limit(q1)
-            if not v_before_q1 < u_before_q1:
-                continue
+        u_nu, v_before_s, v_mu = u.values[nu], v.values[mu - 1], v.values[mu]
+        if (
+            q[nu] < s[mu]
+            and q[nu + 1] < s[mu + 1]
+            and _less(u_nu, v_before_s)
+            and _less(v_mu, u_nu)
+        ):
             out.append(
                 Witness(
                     nu_star=nu,
                     mu_star=mu,
-                    q_nu=q0,
-                    s_mu=s0,
-                    q_nu1=q1,
-                    s_mu1=s1,
-                    u_at_s=u_at_s,
+                    q_nu=q[nu],
+                    s_mu=s[mu],
+                    q_nu1=q[nu + 1],
+                    s_mu1=s[mu + 1],
+                    u_at_s=u_nu,
                     v_before_s=v_before_s,
-                    v_before_q1=v_before_q1,
-                    u_before_q1=u_before_q1,
+                    v_before_q1=v_mu,
+                    u_before_q1=u_nu,
                 )
             )
     return out

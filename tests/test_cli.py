@@ -173,6 +173,23 @@ class TestLemmaCommand:
         assert data["a_holds"] and data["b_holds"]
         assert data["all_verified"] and len(data["witnesses"]) == 1
 
+    def test_generator_margin_zero(self, capsys):
+        # Every u-breakpoint but the last (no q_{nu+1}) and the first, which
+        # lies before the window's start s_1, yields one witness.
+        code, out = run(["lemma1", "--seed", "0", "--pairs", "3", "--pieces", "10",
+                         "--margin", "0"], capsys)
+        assert code == 0
+        assert [row["witnesses"] for row in json.loads(out)["pairs"]] == [8, 8, 8]
+
+    def test_negative_margin_is_a_usage_error(self, tmp_path, capsys):
+        (tmp_path / "u.csv").write_text("t,value_num,value_den\n1,1,1\n4,3,10\n10,1,10\n")
+        (tmp_path / "v.csv").write_text("t,value_num,value_den\n2,1,2\n6,1,5\n15,1,20\n")
+        csv_args = ["--u-csv", str(tmp_path / "u.csv"), "--v-csv", str(tmp_path / "v.csv"),
+                    "--u-end", "20", "--v-end", "20"]
+        for extra in (["--seed", "0", "--pairs", "2"], csv_args):
+            code, out = run(["lemma1", "--margin", "-1", *extra], capsys)
+            assert code == 2 and out == ""
+
 
 class TestVerifyCommand:
     def test_t3_small_depth(self, capsys):

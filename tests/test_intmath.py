@@ -95,6 +95,28 @@ def test_floor_div_root_is_floor():
         assert floor_div_root(base, 1, den, c, s) == (root - c) // s
 
 
+def test_root_helpers_negative_c():
+    # Irrational roots too: x <= k*R for R = base**(num/den) is checked as
+    # x <= 0 or x**den <= k**den * base**num.
+    def at_most(x, k, base, num, den):
+        return x <= 0 or x**den <= k**den * base**num
+
+    rng = random.Random(17)
+    for _ in range(300):
+        base, num, den = rng.randint(1, 10**6), rng.randint(1, 5), rng.randint(1, 5)
+        c, s = -rng.randint(1, 10**4), rng.randint(1, 10**4)
+        m = floor_div_root(base, num, den, c, s)
+        assert at_most(c + m * s, 1, base, num, den)
+        assert not at_most(c + (m + 1) * s, 1, base, num, den)
+        r = round_div_root(base, num, den, c, s)
+        # c + (r - 1/2) s <= R < c + (r + 1/2) s: nearest, ties up
+        assert at_most(2 * c + (2 * r - 1) * s, 2, base, num, den)
+        assert not at_most(2 * c + (2 * r + 1) * s, 2, base, num, den)
+    # (1 + 8) / 10 rounds up although 2c + s < 0.
+    assert floor_div_root(1, 1, 2, -8, 10) == 0
+    assert round_div_root(1, 1, 2, -8, 10) == 1
+
+
 def test_log_int_matches_math_log():
     for n in (1, 2, 3, 10, 12345, 10**15):
         assert abs(log_int(n) - math.log(n)) < 1e-12

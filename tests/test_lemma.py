@@ -1,6 +1,9 @@
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from weakapprox.construct import construct_thm2
 from weakapprox.lemma import (
@@ -146,3 +149,152 @@ class TestGenerator:
             random_step_pair(0, value_decay=Fraction(3, 2))
         with pytest.raises(ValueError):
             random_step_pair(0, max_gap=0)
+
+
+# ---------------------------------------------------------------------------
+# brute oracles for the index-driven scan and interval check
+
+lemma_settings = settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+@st.composite
+def step_pairs(draw):
+    """Pairs from one walk down the levels 1/(i+1) over points of 1..40.
+
+    Each point is a breakpoint of u, of v or of both (s_mu = q_{nu+1}); the
+    owner mostly alternates, as the lemma's witnesses need.  The walk may
+    stay on its level, so u and v tie, and v's levels are shifted by a
+    drawn offset, so either function may lie above the other.  The window
+    is optional.
+    """
+    points = sorted(draw(st.sets(st.integers(1, 40), min_size=6, max_size=24)))
+    offset = {"u": 2, "v": 2 + draw(st.integers(-2, 2))}
+    bps = {"u": [], "v": []}
+    idx = {"u": [-1], "v": [-1]}
+    level, owner = 0, "v"
+    for t in points:
+        level += draw(st.integers(0, 2))
+        step = draw(st.sampled_from(("switch", "switch", "switch", "stay", "both")))
+        if step == "switch":
+            owner = "u" if owner == "v" else "v"
+        for f in "uv" if step == "both" else owner:
+            bps[f].append(t)
+            idx[f].append(max(level + offset[f], idx[f][-1] + 1))
+            level = idx[f][-1] - offset[f]
+    assume(bps["u"] and bps["v"])
+    u, v = (
+        StepFunction(tuple(bps[f]), tuple(Fraction(1, i + 1) for i in idx[f][1:]),
+                     bps[f][-1] + draw(st.integers(1, 4)))
+        for f in "uv"
+    )
+    window = draw(st.none() | st.tuples(st.integers(0, 40), st.integers(1, 45)))
+    return StepPair(u, v, window and (window[0], window[0] + window[1]))
+
+
+def brute_witnesses(pair, margin):
+    """Every (nu, mu) of the window interiors meeting the five clauses."""
+    lo, hi = pair.effective_window()
+    u, v = pair.u, pair.v
+
+    def interior(f):
+        idx = [k for k, b in enumerate(f.breakpoints) if lo <= b < hi]
+        return idx[margin:len(idx) - margin]
+
+    out = []
+    for nu in interior(u):
+        for mu in interior(v):
+            if nu + 1 >= len(u.breakpoints) or mu + 1 >= len(v.breakpoints):
+                continue
+            q0, q1 = u.breakpoints[nu], u.breakpoints[nu + 1]
+            s0, s1 = v.breakpoints[mu], v.breakpoints[mu + 1]
+            if (
+                u.is_discontinuous_at(q0)
+                and v.is_discontinuous_at(s0)
+                and q0 < s0 < q1 < s1
+                and u.value(s0) < v.left_limit(s0)
+                and v.left_limit(q1) < u.left_limit(q1)
+            ):
+                out.append((nu, mu, q0, s0, q1, s1, u.value(s0), v.left_limit(s0),
+                            v.left_limit(q1), u.left_limit(q1)))
+    return out
+
+
+def brute_intervals(upper, lower, lo, hi):
+    """(k, start, end, holds, t*) for each full piece of lower, by scanning
+    every integer point of the piece; t* is the clipped start of upper's
+    last piece before end."""
+    out = []
+    for k in range(len(lower.breakpoints) - 1):
+        start, end = max(lower.breakpoints[k], lo), lower.breakpoints[k + 1]
+        if end <= hi and start < end:
+            holds = any(upper.value(t) < lower.values[k] for t in range(start, end))
+            t_star = max(start, upper.breakpoints[upper.piece_index(end - 1)])
+            out.append((k, start, end, holds, t_star))
+    return out
+
+
+class TestAgainstBruteOracles:
+    @lemma_settings
+    @given(step_pairs(), st.integers(0, 3))
+    def test_find_witnesses_equals_brute_scan(self, pair, margin):
+        try:
+            want = brute_witnesses(pair, margin)
+        except ValueError:  # empty window
+            with pytest.raises(ValueError):
+                find_witnesses(pair, margin)
+            return
+        got = find_witnesses(pair, margin)
+        assert [astuple(w) for w in got] == want
+        assert all(verify_witness(pair, w) for w in got)
+
+    @lemma_settings
+    @given(step_pairs())
+    def test_check_conditions_equals_brute_intervals(self, pair):
+        try:
+            lo, hi = pair.effective_window()
+        except ValueError:
+            with pytest.raises(ValueError):
+                check_conditions(pair)
+            return
+        a = brute_intervals(pair.u, pair.v, lo, hi)
+        b = brute_intervals(pair.v, pair.u, lo, hi)
+        if len(a) < 2 or len(b) < 2:
+            with pytest.raises(ValueError, match="window too small"):
+                check_conditions(pair)
+            return
+        report = check_conditions(pair)
+        for upper, lower, rows, wit, fail, flag in (
+            (pair.u, pair.v, a, report.a_witnesses, report.a_failures, report.a_holds),
+            (pair.v, pair.u, b, report.b_witnesses, report.b_failures, report.b_holds),
+        ):
+            assert list(wit) == [(k, t) for k, _, _, holds, t in rows if holds]
+            assert list(fail) == [k for k, _, _, holds, _ in rows if not holds]
+            assert flag == all(holds for *_, holds, _ in rows)
+            for (k, t), (_, start, end, _, _) in zip(wit, [r for r in rows if r[3]]):
+                assert start <= t < end
+                assert upper.value(t) < lower.values[k]
+
+    def test_strategy_reaches_shared_breakpoints_and_ties(self):
+        seen = {"shared": False, "tie": False}
+
+        @settings(max_examples=100, deadline=None)
+        @given(step_pairs())
+        def probe(pair):
+            seen["shared"] |= bool(set(pair.u.breakpoints) & set(pair.v.breakpoints))
+            seen["tie"] |= bool(set(pair.u.values) & set(pair.v.values))
+
+        probe()
+        assert seen["shared"] and seen["tie"]
+
+
+class TestBenchmarkInvariant:
+    @pytest.mark.parametrize("pieces", [10, 40, 600])
+    def test_alternating_pairs_have_pieces_minus_five_witnesses(self, pieces):
+        # One witness per scanned u-breakpoint: the window starts at s_1,
+        # leaving pieces - 1 u-breakpoints, less the margin at both ends.
+        for seed in (0, 1):
+            pair = random_step_pair(seed, pieces=pieces).pair
+            witnesses = find_witnesses(pair)
+            assert len(witnesses) == pieces - 5
+            assert all(verify_witness(pair, w) for w in witnesses)

@@ -124,7 +124,9 @@ class PartialQuotients:
 
     @staticmethod
     def from_json(text: str) -> "PartialQuotients":
-        data = json.loads(text)
+        # parse_int=str: a quotient written as a JSON number is parsed like
+        # a string one, by parse_decimal, whatever its length.
+        data = json.loads(text, parse_int=str)
         return PartialQuotients(
             parse_decimal(str(data["a0"])),
             tuple(parse_decimal(str(a)) for a in data["tail"]),
@@ -141,8 +143,8 @@ class PartialQuotients:
         if ";" not in s:
             raise ValueError("expected '[a0;a1,...]' notation")
         head, _, rest = s.partition(";")
-        tail = tuple(int(p) for p in rest.split(",") if p.strip() != "")
-        return PartialQuotients(int(head), tail)
+        tail = tuple(parse_decimal(p) for p in rest.split(",") if p.strip() != "")
+        return PartialQuotients(parse_decimal(head), tail)
 
 
 @dataclass(frozen=True)

@@ -207,7 +207,8 @@ def cmd_lemma1(args) -> int:
         report = check_conditions(gen.pair)
         witnesses = find_witnesses(gen.pair, margin=args.margin)
         verified = [w for w in witnesses if verify_witness(gen.pair, w)]
-        ok = report.a_holds and report.b_holds and len(verified) >= 1
+        # Every witness found must verify, not just one of them.
+        ok = report.a_holds and report.b_holds and 1 <= len(verified) == len(witnesses)
         if not ok:
             failures += 1
         results.append(

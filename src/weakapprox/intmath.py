@@ -2,21 +2,42 @@
 
 Everything downstream works on arbitrary-precision integers and
 ``fractions.Fraction``.  Denominators in the growth constructions reach
-tens of thousands of digits, so logarithms are never taken by converting
-to float directly: ``log_int`` splits off the bit length and converts
-only the top 64 bits.
+hundreds of thousands of digits, so no kernel here is quadratic in them:
+
+- Logarithms are never taken by converting to float directly: ``log_int``
+  splits off the bit length and converts only the top 64 bits.
+- ``nth_root_floor`` doubles its precision (Brent & Zimmermann, *Modern
+  Computer Arithmetic*, 1.5): Newton's method starts from the root of a
+  number half as long, so one or two of its steps run at full size.  Its
+  docstring proves the result exact.
+- ``decimal_str`` and ``parse_decimal`` convert by divide and conquer
+  (ibid., 1.7): ``decimal_str`` recombines binary halves in the C
+  ``decimal`` module in a context that raises on any rounding, and
+  ``parse_decimal`` recombines decimal halves with int multiplies.
+
+No function here reads or changes the interpreter-wide int<->str digit
+limit; only pieces below the default limit go through plain ``str``/``int``.
 """
 
 from __future__ import annotations
 
 import math
-import sys
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 
 #: Bits of the mantissa used when taking logs of huge integers.
 _LOG_MANTISSA_BITS = 64
 
 _LN2 = math.log(2.0)
+
+#: Largest integer (in bits) that ``decimal_str`` converts with plain ``str``.
+_PLAIN_BITS = 10_000
+
+#: Longest text that ``parse_decimal`` converts with plain ``int``.
+_PLAIN_DIGITS = 4_300
+
+#: Exact integer arithmetic in ``decimal``: any rounding raises.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
 
 
 def log_int(n: int) -> float:
@@ -42,11 +63,21 @@ def log_fraction(x: Fraction) -> float:
 
 
 def nth_root_floor(n: int, k: int) -> int:
-    """floor(n**(1/k)) for n >= 0, k >= 1, by seeded integer Newton iteration.
+    """floor(n**(1/k)) for n >= 0, k >= 1, exactly, by precision doubling.
 
-    The seed comes from ``log_int`` (accurate to ~1e-15 relative), so only a
-    couple of full-precision correction steps are needed even for inputs
-    with 10^5 digits.
+    Newton's method starts from the root of a number half as long, taken
+    recursively, so only one or two of its steps run at full size.  With
+    b = n.bit_length(): for b <= 128k the start is 1 << ceil(b/k), whose
+    k-th power is at least 2**b > n.  Otherwise s = b//k//2 and
+    y = floor((n >> ks)**(1/k)); then n >> ks < (y+1)**k gives
+    n < ((y+1) << s)**k, so x = (y+1) << s is again a strict upper bound.
+
+    Exactness: as (k-1)x is an integer, the step
+    x -> ((k-1)x + n // x**(k-1)) // k is the floor of the real Newton
+    iterate ((k-1)x + n/x**(k-1))/k, which by AM-GM is >= n**(1/k); so
+    every iterate is >= floor(n**(1/k)).  While x**k > n the real iterate
+    is < x, so the integer one is too and the sequence strictly falls.
+    The first x with x**k <= n is therefore the floor.
     """
     if k <= 0:
         raise ValueError("root order must be positive")
@@ -58,27 +89,22 @@ def nth_root_floor(n: int, k: int) -> int:
         return 1
     if k == 2:
         return math.isqrt(n)
+    return _root_floor(n, k)
 
-    # Seed slightly above the true root so Newton descends monotonically.
-    lg = log_int(n) / k
-    ebits = int(lg / _LN2)
-    frac = lg - ebits * _LN2
-    x = int(math.exp(frac) * (1 << 64) * 1.0000001) << max(ebits - 64, 0)
-    if ebits < 64:
-        x >>= 64 - ebits
-    x = max(x, 2)
 
+def _root_floor(n: int, k: int) -> int:
+    """``nth_root_floor`` for n >= 1, k >= 2; private, so the recursion is one call."""
+    b = n.bit_length()
+    if b <= 128 * k:
+        x = 1 << -(-b // k)
+    else:
+        s = b // k // 2
+        x = (_root_floor(n >> (k * s), k) + 1) << s
     while True:
-        t = ((k - 1) * x + n // x ** (k - 1)) // k
-        if t >= x:
-            break
-        x = t
-    # The loop can stop one off; pin down the exact floor.
-    while x ** k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
+        xk1 = x ** (k - 1)
+        if x * xk1 <= n:
+            return x
+        x = ((k - 1) * x + n // xk1) // k
 
 
 def round_root(n: int, num: int, den: int) -> int:
@@ -142,33 +168,70 @@ def digits_of(n: int) -> int:
     return int(abs(n).bit_length() * 0.30103) + 1
 
 
-def _ensure_str_digits(n_digits: int) -> None:
-    """Grow the interpreter's int<->str conversion limit when needed.
-
-    Artifacts serialize arbitrary-precision integers as decimal strings, so
-    the default 4300-digit guard must stretch with the data.
-    """
-    try:
-        cur = sys.get_int_max_str_digits()
-    except AttributeError:  # pragma: no cover
-        return
-    if cur == 0:
-        return
-    need = n_digits + 16
-    if cur < need:
-        sys.set_int_max_str_digits(need)
-
-
 def decimal_str(n: int) -> str:
-    """str(n) for integers of any size."""
-    _ensure_str_digits(digits_of(n))
-    return str(n)
+    """str(n) for integers of any size, in time below quadratic.
+
+    Up to ``_PLAIN_BITS`` bits (about 3,000 digits, under the interpreter's
+    default 4,300-digit int<->str limit) this is ``str(n)``.  Larger |n| is
+    split at 2**w, w half its bit length, and both halves are converted
+    recursively and recombined as hi * 2**w + lo in the C ``decimal``
+    module, whose multiplication is subquadratic.  The context has
+    ``MAX_PREC`` digits and traps ``Inexact`` and ``Rounded``, so a
+    rounding would raise instead of printing wrong digits.  No global
+    limit or context is read or changed.
+    """
+    if n.bit_length() <= _PLAIN_BITS:
+        return str(n)
+    sign = "-" if n < 0 else ""
+    return sign + str(_to_decimal(abs(n), n.bit_length(), {}))
+
+
+def _to_decimal(n: int, bits: int, pow2: dict[int, Decimal]) -> Decimal:
+    """Exact ``Decimal`` of 0 <= n < 2**bits by binary splitting; ``pow2``
+    holds the powers of 2 made so far, for one conversion only."""
+    if bits <= _PLAIN_BITS:
+        return Decimal(n)
+    w = bits // 2
+    hi = n >> w
+    if w not in pow2:
+        pow2[w] = _EXACT.power(2, w)
+    return _EXACT.add(_EXACT.multiply(_to_decimal(hi, bits - w, pow2), pow2[w]),
+                      _to_decimal(n - (hi << w), w, pow2))
 
 
 def parse_decimal(text: str) -> int:
-    """int(text) for decimal strings of any length."""
-    _ensure_str_digits(len(text))
-    return int(text)
+    """int(text) for decimal strings of any length, in time below quadratic.
+
+    Up to ``_PLAIN_DIGITS`` characters (the interpreter's default int<->str
+    limit) this is ``int(text)``.  A longer text may have surrounding
+    whitespace and one sign, like ``int``, but otherwise only ASCII digits
+    (no underscores); anything else raises ``ValueError``.  Its digits are
+    split in half, both halves parsed recursively and rebuilt as
+    hi * 10**len(lo) + lo with int multiplies (Karatsuba).  No global limit
+    is read or changed.
+    """
+    if len(text) <= _PLAIN_DIGITS:
+        return int(text)
+    digits = text.strip()
+    negative = digits[:1] == "-"
+    if digits[:1] in ("-", "+"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid decimal literal of {len(text)} characters")
+    n = _from_digits(digits, {})
+    return -n if negative else n
+
+
+def _from_digits(digits: str, pow10: dict[int, int]) -> int:
+    """int of a nonempty ASCII digit string by splitting it in half;
+    ``pow10`` holds the powers of 10 made so far, for one conversion only."""
+    if len(digits) <= _PLAIN_DIGITS:
+        return int(digits)
+    mid = len(digits) // 2
+    w = len(digits) - mid
+    if w not in pow10:
+        pow10[w] = 10**w
+    return _from_digits(digits[:mid], pow10) * pow10[w] + _from_digits(digits[mid:], pow10)
 
 
 def fraction_str(x: Fraction) -> str:

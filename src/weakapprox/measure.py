@@ -115,11 +115,8 @@ class StepFunction:
 
     def is_discontinuous_at(self, t: Rat) -> bool:
         """True iff t is a stored breakpoint with a predecessor piece."""
-        try:
-            k = self.breakpoints.index(int(t)) if t == int(t) else -1
-        except (ValueError, OverflowError):
-            return False
-        return k >= 1
+        k = bisect_left(self.breakpoints, t)
+        return 1 <= k < len(self.breakpoints) and self.breakpoints[k] == t
 
     def pieces(self) -> Iterable[tuple[int, int, Fraction]]:
         """Yield (start, end, value) for each piece, end exclusive."""

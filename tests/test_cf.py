@@ -125,6 +125,15 @@ def test_json_roundtrip_with_huge_entries():
     assert again == pq
 
 
+def test_json_numbers_of_any_length(default_int_limit):
+    # Quotients written as JSON numbers, one of them past the interpreter's
+    # default 4,300-digit int<->str limit, parse like string ones.
+    text = '{"a0": -2, "tail": [3, "7", 1' + "0" * 4999 + '7, 2]}'
+    assert PartialQuotients.from_json(text) == PartialQuotients(-2, (3, 7, 10**5000 + 7, 2))
+    with pytest.raises(ValueError):
+        PartialQuotients.from_json('{"a0": 1.5, "tail": [1]}')
+
+
 def test_parse_bracket_notation():
     pq = PartialQuotients.parse("[0;2,2,2]")
     assert pq == PartialQuotients(0, (2, 2, 2))

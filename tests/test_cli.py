@@ -1,5 +1,10 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +15,7 @@ from weakapprox.bounds import BoundCheck
 from weakapprox.cf import PartialQuotients, convergents
 from weakapprox.cli import EXIT_INAPPLICABLE, main
 from weakapprox.construct import DIGIT_GUARD_ENV, construct_thm2
+from weakapprox.intmath import decimal_str
 from weakapprox.measure import StepFunction
 
 
@@ -181,6 +187,21 @@ class TestLemmaCommand:
         assert code == 0
         assert [row["witnesses"] for row in json.loads(out)["pairs"]] == [8, 8, 8]
 
+    def test_unverifiable_witness_fails_the_run(self, capsys, monkeypatch):
+        # One bogus witness beside the good ones must not pass as verified.
+        real = cli.find_witnesses
+
+        def with_bogus(pair, margin):
+            found = real(pair, margin=margin)
+            return [*found, dataclasses.replace(found[0], nu_star=found[0].nu_star + 1)]
+
+        monkeypatch.setattr(cli, "find_witnesses", with_bogus)
+        code, out = run(["lemma1", "--seed", "0", "--pairs", "3", "--pieces", "10"], capsys)
+        assert code == 1
+        data = json.loads(out)
+        assert data["failures"] == 3
+        assert [row["witnesses"] for row in data["pairs"]] == [5, 5, 5]
+
     def test_negative_margin_is_a_usage_error(self, tmp_path, capsys):
         (tmp_path / "u.csv").write_text("t,value_num,value_den\n1,1,1\n4,3,10\n10,1,10\n")
         (tmp_path / "v.csv").write_text("t,value_num,value_den\n2,1,2\n6,1,5\n15,1,20\n")
@@ -286,3 +307,50 @@ class TestLoadGuard:
     def test_digit_bound_never_exceeds_q(self, tail):
         pq = PartialQuotients(0, tuple(tail))
         assert pq.min_q_digits() <= len(str(convergents(pq)[-1].q))
+
+
+class TestNoGlobalIntStrLimit:
+    """Huge prefixes go in and out without the interpreter-wide int<->str limit.
+
+    The prefix has five 5,000-digit quotients, more than the default
+    4,300-digit limit allows ``int``/``str`` to convert, and q_N has about
+    25,000 digits.
+    """
+
+    BIG = [10**4999 + 7 * i + 1 for i in range(5)]
+    TAIL = (1, BIG[0], 2, BIG[1], 3, BIG[2], 1, BIG[3], 2, BIG[4], 3, 1)
+    INLINE = "[0;" + ",".join(decimal_str(a) for a in TAIL) + "]"
+
+    def _inputs(self, tmp_path):
+        path = tmp_path / "prefix.json"
+        path.write_text(PartialQuotients(0, self.TAIL).to_json(), encoding="utf-8")
+        return (self.INLINE, str(path))
+
+    def test_q_n_exceeds_the_default_limit(self):
+        q_n = convergents(PartialQuotients(0, self.TAIL))[-1].q
+        assert len(decimal_str(q_n)) > 20_000
+
+    @pytest.mark.parametrize("command, flag", [("cf", "--prefix"), ("exponents", "--theta")])
+    def test_limit_unchanged(self, tmp_path, capsys, default_int_limit, command, flag):
+        outputs = []
+        for prefix in self._inputs(tmp_path):
+            code, out = run([command, flag, prefix], capsys)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert sys.get_int_max_str_digits() == default_int_limit
+
+    def test_subprocess_at_default_limit(self, tmp_path, capsys):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out_path = tmp_path / "cf.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "weakapprox", "cf", "--prefix", self.INLINE,
+             "--output", str(out_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, out = run(["cf", "--prefix", self.INLINE], capsys)
+        assert code == 0
+        assert out_path.read_text(encoding="utf-8") == out

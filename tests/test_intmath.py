@@ -1,8 +1,12 @@
+import contextlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weakapprox.intmath import (
     decimal_str,
@@ -157,3 +161,113 @@ def test_fraction_str_roundtrip():
     assert parse_fraction(fraction_str(x)) == x
     assert parse_fraction("5/12") == Fraction(5, 12)
     assert parse_fraction("-3") == -3
+
+
+# -- oracles for the big-integer kernels --------------------------------------
+
+
+@contextlib.contextmanager
+def unlimited_int_str():
+    """Lift the interpreter's int<->str limit for the oracle, then restore it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@st.composite
+def root_cases(draw):
+    """(n, k): random n of up to ~40k bits, perfect powers m**k and their
+    neighbours, and bit lengths 128k +- 1 around the recursion threshold."""
+    k = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["random", "power", "threshold"]))
+    if kind == "random":
+        bits = draw(st.integers(0, 40_000))
+        n = draw(st.integers(0, (1 << bits) - 1)) | (1 << bits >> 1)
+    elif kind == "power":
+        m = draw(st.integers(1, (1 << (40_000 // k)) - 1))
+        n = m**k + draw(st.integers(-1, 1))
+    else:
+        bits = 128 * k + draw(st.integers(-1, 1))
+        n = (1 << (bits - 1)) | draw(st.integers(0, (1 << (bits - 1)) - 1))
+    return max(n, 0), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_cases())
+@example((3**20000, 40))
+@example((2**(128 * 3 + 1) - 1, 3))
+def test_nth_root_floor_oracle(case):
+    n, k = case
+    x = nth_root_floor(n, k)
+    assert x**k <= n < (x + 1) ** k
+
+
+@st.composite
+def big_ints(draw):
+    """Integers around the split points of ``decimal_str``/``parse_decimal``:
+    random ones of up to 60k bits, 10**j and 10**j - 1, 2**w +- 1, negated
+    at random."""
+    kind = draw(st.sampled_from(["random", "ten", "two"]))
+    if kind == "random":
+        bits = draw(st.integers(0, 60_000))
+        n = draw(st.integers(0, (1 << bits) - 1))
+    elif kind == "ten":
+        j = draw(st.one_of(st.integers(4290, 4310), st.integers(1, 18_000)))
+        n = 10**j - draw(st.integers(0, 1))
+    else:
+        w = draw(st.one_of(st.integers(9_990, 10_010), st.integers(1, 60_000)))
+        n = (1 << w) + draw(st.integers(-1, 1))
+    return -n if draw(st.booleans()) else n
+
+
+@settings(max_examples=200, deadline=None)
+@given(big_ints())
+@example(-(10**4300))
+@example(2**10_000 + 1)
+def test_decimal_conversions_match_str_and_int(n):
+    with unlimited_int_str():
+        text = str(n)
+    # The kernels run at the interpreter's own limit.
+    assert decimal_str(n) == text
+    assert parse_decimal(text) == n
+    padded = f" \t+{text}\n" if n >= 0 else f"  {text} "
+    assert parse_decimal(padded) == n
+
+
+def test_decimal_conversions_deep_recursion():
+    n = 7**150_000  # ~127k digits, four levels of splitting
+    with unlimited_int_str():
+        text = str(n)
+    assert decimal_str(n) == text
+    assert decimal_str(-n) == "-" + text
+    assert parse_decimal(text) == n
+    assert parse_decimal("-" + text) == -n
+
+
+def test_decimal_conversions_leave_the_limit_alone(default_int_limit):
+    n = 3**60_000
+    assert parse_decimal(decimal_str(n)) == n
+    assert sys.get_int_max_str_digits() == default_int_limit
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "--5", "+-5", "-", "  ", "1" * 5000 + "x" + "1" * 5000, "-" + "9" * 4400 + "-",
+     "1" * 2500 + " " + "1" * 2500, "+" * 4301],
+)
+def test_parse_decimal_rejects_what_int_rejects(text):
+    with unlimited_int_str():
+        with pytest.raises(ValueError):
+            int(text)
+    with pytest.raises(ValueError):
+        parse_decimal(text)
+
+
+def test_parse_decimal_long_text_is_ascii_digits_only():
+    # ``int`` would accept these; artifacts never hold them.
+    for text in ("1_000" + "0" * 5000, "\u0661" * 5000):
+        with pytest.raises(ValueError):
+            parse_decimal(text)

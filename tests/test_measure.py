@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weakapprox.cf import PartialQuotients, convergents
 from weakapprox.measure import (
@@ -65,6 +67,22 @@ class TestStepFunction:
         assert f.is_discontinuous_at(10)
         assert not f.is_discontinuous_at(1)  # no stored predecessor
         assert not f.is_discontinuous_at(5)
+
+    @given(
+        st.lists(st.integers(1, 60), min_size=1, max_size=12, unique=True),
+        st.one_of(
+            st.integers(-5, 70),
+            st.fractions(-5, 70),
+            st.floats(allow_nan=True, allow_infinity=True),
+        ),
+    )
+    def test_discontinuity_predicate_is_membership(self, bps, t):
+        bps = sorted(bps)
+        values = [Fraction(1, k + 1) for k in range(len(bps))]
+        f = StepFunction(tuple(bps), tuple(values), bps[-1] + 1)
+        assert f.is_discontinuous_at(t) == (t in f.breakpoints[1:])
+        for b in bps:
+            assert f.is_discontinuous_at(b) == (b != bps[0])
 
 
 class TestPsiStep:

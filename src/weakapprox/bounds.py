@@ -81,20 +81,27 @@ class BoundCheck:
         }
 
 
-def _not_applicable(theorem: str, inputs: dict, note: str, tol: float) -> BoundCheck:
-    return BoundCheck(theorem, None, None, None, None, False, tol, inputs, note)
+#: Per theorem: the estimate keys it reads, the key that must exceed 1 for
+#: the bound to apply (None: always applies), the left side and the bound as
+#: functions of the keys' values in order, and the note of an applicable check.
+_THEOREMS = {
+    "T1": (("omega_theta", "omega_bar_theta"), None,
+           lambda o, w: o, lambda o, w: math.inf if w >= 2.0 else 1.0 / (2.0 - w), ""),
+    "T2": (("omega_theta", "omega_eta", "varpi_psi"), "varpi_psi",
+           lambda a, b, vp: min(a, b), lambda a, b, vp: vp * vp, ""),
+    "T3": (("omega_theta", "omega_eta", "varpi_upsilon"), "varpi_upsilon",
+           lambda a, b, vu: max(a, b), lambda a, b, vu: g_frak(vu), ""),
+    "T4": (("omega_lattice", "omega_bar_lattice"), "omega_bar_lattice",
+           lambda o, w: o, lambda o, w: (g_frak(2.0 * w - 1.0) + 1.0) / 2.0,
+           "bound = (g_frak(2w-1)+1)/2 = G_frak(w-1)*(w-1)+1"),
+}
 
 
-def check_theorem(
-    which: str,
-    estimates: dict,
-    tolerance: float = CHECK_TOL,
-    infinite_threshold: float = INFINITE_THRESHOLD,
-) -> BoundCheck:
+def check_theorem(which: str, estimates: dict, tolerance: float = CHECK_TOL) -> BoundCheck:
     """Evaluate one of the four lower-bound inequalities on estimates.
 
     T1: omega >= 1/(2 - omega_bar) for one number (infinite bound at
-        omega_bar = 2, checked against ``infinite_threshold``).
+        omega_bar = 2, checked against ``INFINITE_THRESHOLD``).
     T2: min(omega_theta, omega_eta) >= varpi_psi^2, needs varpi_psi > 1.
     T3: max(omega_theta, omega_eta) >= g_frak(varpi_upsilon), needs
         varpi_upsilon > 1.
@@ -105,66 +112,24 @@ def check_theorem(
         G_frak(w - 1) * (w - 1) + 1 at w = omega_bar_lattice via the root
         identity g_frak(2u + 1) = G_frak(u)^2.  Needs omega_bar_lattice > 1.
 
-    Ineligible inputs give an inapplicable (not failed) check.
+    Only the theorem's own keys are read from ``estimates``.  Missing or
+    ineligible inputs give an inapplicable (not failed) check.
     """
+    if which not in _THEOREMS:
+        raise ValueError(f"unknown theorem id {which!r}")
+    keys, gate, lhs_of, bound_of, note = _THEOREMS[which]
     tol = tolerance
-    if which == "T1":
-        needed = ("omega_theta", "omega_bar_theta")
-        if any(k not in estimates for k in needed):
-            return _not_applicable(which, estimates, "missing inputs", tol)
-        omega = estimates["omega_theta"]
-        omega_bar = estimates["omega_bar_theta"]
-        inputs = {k: estimates[k] for k in needed}
-        if omega_bar >= 2.0:
-            satisfied = omega >= infinite_threshold
-            return BoundCheck(
-                which, omega, math.inf, None, satisfied, True, tol, inputs,
-                note=f"uniform estimate at blow-up point; threshold {infinite_threshold}",
-            )
-        bound = 1.0 / (2.0 - omega_bar)
-        slack = omega - bound
-        return BoundCheck(which, omega, bound, slack, slack >= -tol, True, tol, inputs)
-
-    if which == "T2":
-        needed = ("omega_theta", "omega_eta", "varpi_psi")
-        if any(k not in estimates for k in needed):
-            return _not_applicable(which, estimates, "missing inputs", tol)
-        inputs = {k: estimates[k] for k in needed}
-        vp = estimates["varpi_psi"]
-        if vp <= 1.0:
-            return _not_applicable(which, inputs, "varpi_psi <= 1", tol)
-        lhs = min(estimates["omega_theta"], estimates["omega_eta"])
-        bound = vp * vp
-        slack = lhs - bound
-        return BoundCheck(which, lhs, bound, slack, slack >= -tol, True, tol, inputs)
-
-    if which == "T3":
-        needed = ("omega_theta", "omega_eta", "varpi_upsilon")
-        if any(k not in estimates for k in needed):
-            return _not_applicable(which, estimates, "missing inputs", tol)
-        inputs = {k: estimates[k] for k in needed}
-        vu = estimates["varpi_upsilon"]
-        if vu <= 1.0:
-            return _not_applicable(which, inputs, "varpi_upsilon <= 1", tol)
-        lhs = max(estimates["omega_theta"], estimates["omega_eta"])
-        bound = g_frak(vu)
-        slack = lhs - bound
-        return BoundCheck(which, lhs, bound, slack, slack >= -tol, True, tol, inputs)
-
-    if which == "T4":
-        needed = ("omega_lattice", "omega_bar_lattice")
-        if any(k not in estimates for k in needed):
-            return _not_applicable(which, estimates, "missing inputs", tol)
-        inputs = {k: estimates[k] for k in needed}
-        w = estimates["omega_bar_lattice"]
-        if w <= 1.0:
-            return _not_applicable(which, inputs, "omega_bar_lattice <= 1", tol)
-        lhs = estimates["omega_lattice"]
-        bound = (g_frak(2.0 * w - 1.0) + 1.0) / 2.0
-        slack = lhs - bound
+    if any(k not in estimates for k in keys):
+        return BoundCheck(which, None, None, None, None, False, tol, estimates, "missing inputs")
+    inputs = {k: estimates[k] for k in keys}
+    if gate is not None and inputs[gate] <= 1.0:
+        return BoundCheck(which, None, None, None, None, False, tol, inputs, f"{gate} <= 1")
+    values = inputs.values()
+    lhs, bound = lhs_of(*values), bound_of(*values)
+    if bound == math.inf:
         return BoundCheck(
-            which, lhs, bound, slack, slack >= -tol, True, tol, inputs,
-            note="bound = (g_frak(2w-1)+1)/2 = G_frak(w-1)*(w-1)+1",
+            which, lhs, bound, None, lhs >= INFINITE_THRESHOLD, True, tol, inputs,
+            f"uniform estimate at blow-up point; threshold {INFINITE_THRESHOLD}",
         )
-
-    raise ValueError(f"unknown theorem id {which!r}")
+    slack = lhs - bound
+    return BoundCheck(which, lhs, bound, slack, slack >= -tol, True, tol, inputs, note)

@@ -89,7 +89,7 @@ class PartialQuotients:
             raise ValueError("prefix needs at least one partial quotient after a0")
         for i, a in enumerate(self.tail):
             if a < 1:
-                raise ValueError(f"tail entry a{i + 1} = {a} must be >= 1")
+                raise ValueError(f"tail entry a{i + 1} = {decimal_str(a)} must be >= 1")
 
     @property
     def depth(self) -> int:

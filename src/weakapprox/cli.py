@@ -19,18 +19,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .bounds import check_theorem
+from .bounds import CHECK_TOL, check_theorem
 from .cf import PartialQuotients, convergents, qnorm_table, truncation_value
-from .construct import (
-    ConstructionSpec,
-    GuardExceeded,
-    InterleavingError,
-    _digit_guard,
-    construct_thm1,
-    construct_thm2,
-    construct_thm3,
-)
-from .exponents import exponent_report
+from .construct import ConstructionSpec, GuardExceeded, InterleavingError, _digit_guard
+from .exponents import ASYMPTOTIC_TOL, exponent_report
 from .intmath import decimal_str, fraction_str
 from .lattice import diag_scale, lattice_exponents, lattice_from_pair
 from .lemma import StepPair, check_conditions, find_witnesses, random_step_pair, verify_witness
@@ -42,6 +34,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_INAPPLICABLE = 4
+
+#: The construction each bound is checked on; T4 is T3's lattice form.
+_SCHEME_OF = {"T1": "thm1", "T2": "thm2", "T3": "thm3", "T4": "thm3"}
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -55,19 +50,8 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _parse_gamma(text: str) -> Fraction:
-    return Fraction(text)
-
-
-def _parse_prefix(text: str) -> PartialQuotients:
-    text = text.strip()
-    if text.startswith("{"):
-        return PartialQuotients.from_json(text)
-    return PartialQuotients.parse(text)
-
-
 def _load_prefix(arg: str) -> PartialQuotients:
-    """Accept '[a0;a1,...]' inline or a path to a JSON artifact.
+    """Accept '[a0;a1,...]' or a JSON artifact, inline or as a file path.
 
     A prefix whose q_N certainly exceeds the digit guard raises
     ``GuardExceeded`` (exit 3) before anything analyses it.
@@ -77,10 +61,11 @@ def _load_prefix(arg: str) -> PartialQuotients:
         is_file = p.is_file()
     except OSError:  # an inline prefix longer than the longest file name
         is_file = False
-    if is_file:
-        pq = PartialQuotients.from_json(p.read_text(encoding="utf-8"))
+    text = p.read_text(encoding="utf-8") if is_file else arg.strip()
+    if is_file or text.startswith("{"):
+        pq = PartialQuotients.from_json(text)
     else:
-        pq = _parse_prefix(arg)
+        pq = PartialQuotients.parse(text)
     digits, guard = pq.min_q_digits(), _digit_guard(None)
     if digits > guard:
         raise GuardExceeded(f"prefix q_N has at least {digits} digits (guard {guard})")
@@ -121,7 +106,7 @@ def cmd_cf(args) -> int:
 def cmd_construct(args) -> int:
     spec = ConstructionSpec(
         args.scheme,
-        _parse_gamma(args.gamma),
+        Fraction(args.gamma),
         args.depth,
         seed_theta=_seed_tuple(args.seed_theta) if args.seed_theta else (),
         seed_eta=_seed_tuple(args.seed_eta) if args.seed_eta else (),
@@ -173,7 +158,7 @@ def cmd_lattice(args) -> int:
         "info": info,
         "flags": [],
     }
-    if uniform.value > ordinary.value + 0.05:
+    if uniform.value > ordinary.value + ASYMPTOTIC_TOL:
         out["flags"].append("uniform estimate above ordinary estimate")
     _emit(_json_dump(out), args.output)
     return EXIT_CHECK_FAILED if out["flags"] else EXIT_OK
@@ -225,37 +210,17 @@ def cmd_lemma1(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    gamma = _parse_gamma(args.gamma)
-    tol = args.tolerance
-
-    if args.theorem == "T1":
-        pq = construct_thm1(gamma, args.depth)
-        report = exponent_report(pq)
-        estimates = {
-            "omega_theta": report["omega_theta"],
-            "omega_bar_theta": report["omega_bar_theta"],
-        }
-        check = check_theorem("T1", estimates, tolerance=tol)
-    elif args.theorem in ("T2", "T3"):
-        builder = construct_thm2 if args.theorem == "T2" else construct_thm3
-        theta, eta = builder(gamma, args.depth)
-        report = exponent_report(theta, eta)
-        estimates = {
-            k: report[k]
-            for k in ("omega_theta", "omega_eta", "varpi_psi", "varpi_upsilon")
-        }
-        check = check_theorem(args.theorem, estimates, tolerance=tol)
-    else:  # T4
-        theta, eta = construct_thm3(gamma, args.depth)
-        report = exponent_report(theta, eta)
-        lat = lattice_from_pair(theta, eta)
-        ordinary, uniform, info = lattice_exponents(lat)
-        estimates = {
-            "omega_lattice": ordinary.value,
-            "omega_bar_lattice": uniform.value,
-        }
-        check = check_theorem("T4", estimates, tolerance=tol)
+    gamma = Fraction(args.gamma)
+    built = ConstructionSpec(_SCHEME_OF[args.theorem], gamma, args.depth).build()
+    pair = built if isinstance(built, tuple) else (built,)
+    report = exponent_report(*pair)
+    flags = report["flags"]
+    estimates = report
+    if args.theorem == "T4":
+        ordinary, uniform, info = lattice_exponents(lattice_from_pair(*pair))
+        estimates = {"omega_lattice": ordinary.value, "omega_bar_lattice": uniform.value}
         report = {"number_side": report, "lattice_info": info}
+    check = check_theorem(args.theorem, estimates, tolerance=args.tolerance)
 
     out = {
         "theorem": args.theorem,
@@ -267,15 +232,7 @@ def cmd_verify(args) -> int:
     _emit(_json_dump(out), args.output)
     if check.applicable:
         return EXIT_OK if check.satisfied else EXIT_CHECK_FAILED
-    return EXIT_CHECK_FAILED if report_flags(report) else EXIT_INAPPLICABLE
-
-
-def report_flags(report: dict) -> list:
-    if "flags" in report:
-        return report["flags"]
-    if "number_side" in report:
-        return report["number_side"].get("flags", [])
-    return []
+    return EXIT_CHECK_FAILED if flags else EXIT_INAPPLICABLE
 
 
 def cmd_plot(args) -> int:
@@ -367,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", required=True, choices=("T1", "T2", "T3", "T4"))
     p.add_argument("--gamma", required=True)
     p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--tolerance", type=float, default=0.05)
+    p.add_argument("--tolerance", type=float, default=CHECK_TOL)
     p.add_argument("--output")
     p.set_defaults(func=cmd_verify)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cf import PartialQuotients
-from .intmath import digits_of, round_div_root, round_root
+from .intmath import decimal_str, digits_of, round_div_root, round_root
 
 __all__ = [
     "ConstructionSpec",
@@ -69,6 +69,23 @@ def _check_guard(q: int, guard: int) -> None:
         raise GuardExceeded(f"denominator reached ~{digits_of(q)} digits (guard {guard})")
 
 
+def _checked(scheme: str, gamma, depth: int) -> Fraction:
+    """gamma as a Fraction, once scheme, gamma and depth are all valid."""
+    if scheme not in ("thm1", "thm2", "thm3"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    gamma = Fraction(gamma)
+    in_domain, domain = {
+        "thm1": (1 < gamma < 2, "1 < gamma < 2"),
+        "thm2": (gamma > 1, "gamma > 1"),
+        "thm3": (gamma > 0, "gamma > 0"),
+    }[scheme]
+    if not in_domain:
+        raise ValueError(f"{scheme} requires {domain}")
+    if depth < 3:
+        raise ValueError("depth must be >= 3")
+    return gamma
+
+
 @dataclass(frozen=True)
 class ConstructionSpec:
     """Parameters of one construction run, validated at creation."""
@@ -80,30 +97,15 @@ class ConstructionSpec:
     seed_eta: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.scheme not in ("thm1", "thm2", "thm3"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.depth < 3:
-            raise ValueError("depth must be >= 3")
-        g = self.gamma
-        if self.scheme == "thm1" and not (1 < g < 2):
-            raise ValueError("thm1 requires 1 < gamma < 2")
-        if self.scheme == "thm2" and not g > 1:
-            raise ValueError("thm2 requires gamma > 1")
-        if self.scheme == "thm3" and not g > 0:
-            raise ValueError("thm3 requires gamma > 0")
+        _checked(self.scheme, self.gamma, self.depth)
 
-    def build(self, digit_guard: int | None = None):
+    def build(self):
         """Run the scheme: one prefix for thm1, a (theta, eta) pair otherwise."""
         if self.scheme == "thm1":
-            seed = self.seed_theta or (0, 1)
-            return construct_thm1(self.gamma, self.depth, seed, digit_guard)
+            return construct_thm1(self.gamma, self.depth, self.seed_theta or (0, 1))
         builder = construct_thm2 if self.scheme == "thm2" else construct_thm3
-        kwargs = {"digit_guard": digit_guard}
-        if self.seed_theta:
-            kwargs["seed_theta"] = self.seed_theta
-        if self.seed_eta:
-            kwargs["seed_eta"] = self.seed_eta
-        return builder(self.gamma, self.depth, **kwargs)
+        seeds = {"seed_theta": self.seed_theta, "seed_eta": self.seed_eta}
+        return builder(self.gamma, self.depth, **{k: v for k, v in seeds.items() if v})
 
 
 def construct_thm1(
@@ -117,11 +119,7 @@ def construct_thm1(
     The exponent e is rational, so the rounding is done by exact integer
     root-taking.  seed = (a0, a1, ...) provides the first quotients.
     """
-    gamma = Fraction(gamma)
-    if not (1 < gamma < 2):
-        raise ValueError("thm1 requires 1 < gamma < 2")
-    if depth < 3:
-        raise ValueError("depth must be >= 3")
+    gamma = _checked("thm1", gamma, depth)
     if len(seed) < 2:
         raise ValueError("seed must provide a0 and at least a1")
     guard = _digit_guard(digit_guard)
@@ -169,7 +167,7 @@ def _interleaved_pair(
     q_prev, q = 1, a_tail[0]   # q_0 = 1, q_1 = a_1
     s_prev, s = 1, b_tail[0]   # s_0 = 1, s_1 = b_1
     if not s < q:
-        raise InterleavingError(1, f"seeds give s_1 = {s} >= q_1 = {q}")
+        raise InterleavingError(1, f"seeds give s_1 = {decimal_str(s)} >= q_1 = {decimal_str(q)}")
 
     while len(a_tail) < depth:
         nu = len(a_tail)  # current index v with q_v, s_v known
@@ -180,7 +178,9 @@ def _interleaved_pair(
         s, s_prev = b_next * s + s_prev, s
         b_tail.append(b_next)
         if not q < s:
-            raise InterleavingError(nu, f"q_{nu} = {q} >= s_{nu + 1} = {s}")
+            raise InterleavingError(
+                nu, f"q_{nu} = {decimal_str(q)} >= s_{nu + 1} = {decimal_str(s)}"
+            )
         _check_guard(s, guard)
 
         if coupled:
@@ -190,7 +190,9 @@ def _interleaved_pair(
         q, q_prev = a_next * q + q_prev, q
         a_tail.append(a_next)
         if not s < q:
-            raise InterleavingError(nu + 1, f"s_{nu + 1} = {s} >= q_{nu + 1} = {q}")
+            raise InterleavingError(
+                nu + 1, f"s_{nu + 1} = {decimal_str(s)} >= q_{nu + 1} = {decimal_str(q)}"
+            )
         _check_guard(q, guard)
 
     return (
@@ -207,11 +209,7 @@ def construct_thm2(
     digit_guard: int | None = None,
 ) -> tuple[PartialQuotients, PartialQuotients]:
     """Pair scheme with q_v ~ s_v^gamma and s_{v+1} ~ q_v^gamma, gamma > 1."""
-    gamma = Fraction(gamma)
-    if not gamma > 1:
-        raise ValueError("thm2 requires gamma > 1")
-    if depth < 3:
-        raise ValueError("depth must be >= 3")
+    gamma = _checked("thm2", gamma, depth)
     return _interleaved_pair(gamma, depth, seed_theta, seed_eta, False, digit_guard)
 
 
@@ -223,11 +221,7 @@ def construct_thm3(
     digit_guard: int | None = None,
 ) -> tuple[PartialQuotients, PartialQuotients]:
     """Pair scheme with s_{v+1} ~ q_v^gamma s_v and q_{v+1} ~ s_{v+1}^gamma q_v."""
-    gamma = Fraction(gamma)
-    if not gamma > 0:
-        raise ValueError("thm3 requires gamma > 0")
-    if depth < 3:
-        raise ValueError("depth must be >= 3")
+    gamma = _checked("thm3", gamma, depth)
     return _interleaved_pair(gamma, depth, seed_theta, seed_eta, True, digit_guard)
 
 

@@ -155,17 +155,25 @@ def uniform_exponent(
     return ExponentEstimate(kind, value, win, tuple(samples))
 
 
-def _flag(flags: list[str], ok: bool, message: str) -> None:
-    if not ok:
-        flags.append(message)
+def _one_number(
+    pq: PartialQuotients, name: str, window: tuple[int, int] | None, flags: list[str]
+) -> tuple[ExponentEstimate, ExponentEstimate, StepFunction]:
+    """omega, omega_bar and the upsilon function of one prefix; appends the
+    prefix's two ordering flags to ``flags``."""
+    omega = ordinary_exponent(pq, window)
+    ups = upsilon_step(pq)
+    omega_bar = uniform_exponent(ups, "omega_bar", window, minimum_samples=1)
+    if not omega.value >= 1 - EXACT_TOL:
+        flags.append(f"omega_{name} below 1")
+    if not omega.value >= omega_bar.value - ASYMPTOTIC_TOL:
+        flags.append(f"omega_{name} below omega_bar_{name}")
+    return omega, omega_bar, ups
 
 
 def exponent_report(
     theta: PartialQuotients,
     eta: PartialQuotients | None = None,
     window: tuple[int, int] | None = None,
-    exact_tol: float = EXACT_TOL,
-    asymptotic_tol: float = ASYMPTOTIC_TOL,
 ) -> dict:
     """All number exponents for one prefix or a pair, with ordering flags.
 
@@ -177,9 +185,7 @@ def exponent_report(
     the domain-end envelope sample.
     """
     flags: list[str] = []
-    omega_t = ordinary_exponent(theta, window)
-    ups_t = upsilon_step(theta)
-    omega_bar_t = uniform_exponent(ups_t, "omega_bar", window, minimum_samples=1)
+    omega_t, omega_bar_t, ups_t = _one_number(theta, "theta", window, flags)
     report: dict = {
         "omega_theta": omega_t.value,
         "omega_bar_theta": omega_bar_t.value,
@@ -188,21 +194,11 @@ def exponent_report(
             "omega_bar_theta": omega_bar_t.to_dict()["samples"],
         },
     }
-    _flag(flags, omega_t.value >= 1 - exact_tol, "omega_theta below 1")
-    _flag(
-        flags,
-        omega_t.value >= omega_bar_t.value - asymptotic_tol,
-        "omega_theta below omega_bar_theta",
-    )
-
     if eta is not None:
-        omega_e = ordinary_exponent(eta, window)
-        ups_e = upsilon_step(eta)
-        omega_bar_e = uniform_exponent(ups_e, "omega_bar", window, minimum_samples=1)
+        omega_e, omega_bar_e, ups_e = _one_number(eta, "eta", window, flags)
         psi_min = min_step(psi_step(theta), psi_step(eta))
-        ups_min = min_step(ups_t, ups_e)
         varpi_psi = uniform_exponent(psi_min, "varpi_psi", window, minimum_samples=1)
-        varpi_ups = uniform_exponent(ups_min, "varpi_upsilon", window,
+        varpi_ups = uniform_exponent(min_step(ups_t, ups_e), "varpi_upsilon", window,
                                      minimum_samples=1)
         report.update(
             {
@@ -214,22 +210,10 @@ def exponent_report(
         )
         report["samples"]["varpi_psi"] = varpi_psi.to_dict()["samples"]
         report["samples"]["varpi_upsilon"] = varpi_ups.to_dict()["samples"]
-        _flag(flags, omega_e.value >= 1 - exact_tol, "omega_eta below 1")
-        _flag(
-            flags,
-            omega_e.value >= omega_bar_e.value - asymptotic_tol,
-            "omega_eta below omega_bar_eta",
-        )
-        _flag(
-            flags,
-            varpi_psi.value >= 1 - asymptotic_tol,
-            "varpi_psi below 1",
-        )
-        _flag(
-            flags,
-            varpi_psi.value <= varpi_ups.value + asymptotic_tol,
-            "varpi_psi above varpi_upsilon",
-        )
+        if not varpi_psi.value >= 1 - ASYMPTOTIC_TOL:
+            flags.append("varpi_psi below 1")
+        if not varpi_psi.value <= varpi_ups.value + ASYMPTOTIC_TOL:
+            flags.append("varpi_psi above varpi_upsilon")
 
     report["flags"] = flags
     return report

@@ -239,6 +239,13 @@ def fraction_str(x: Fraction) -> str:
     return f"{decimal_str(x.numerator)}/{decimal_str(x.denominator)}"
 
 
+def _rat_str(x) -> str:
+    """str(x) for error messages, with ints and Fractions of any size."""
+    if isinstance(x, Fraction):
+        return fraction_str(x) if x.denominator != 1 else decimal_str(x.numerator)
+    return decimal_str(x) if isinstance(x, int) else str(x)
+
+
 def parse_fraction(text: str) -> Fraction:
     """Parse 'num/den' or a plain integer string of any length."""
     text = text.strip()

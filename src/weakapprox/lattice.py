@@ -58,8 +58,8 @@ from math import gcd
 from typing import Iterable, Iterator, Union
 
 from .cf import PartialQuotients, truncation_value
-from .exponents import ExponentEstimate, apply_window
-from .intmath import fraction_str, log_fraction, parse_fraction, reduced_fraction
+from .exponents import ExponentEstimate
+from .intmath import _rat_str, fraction_str, log_fraction, parse_fraction, reduced_fraction
 
 __all__ = [
     "Lattice2",
@@ -74,6 +74,10 @@ __all__ = [
 ]
 
 Rat = Union[int, Fraction]
+
+#: The lattice schedule keeps records whose log T exceeds this fraction of
+#: the largest log T.
+_LOG_COVERAGE = 0.35
 
 
 @dataclass(frozen=True)
@@ -260,7 +264,7 @@ def psi_lattice(lat: Lattice2, t: Rat) -> LatticeMinimum:
             if best is None or _better(cand, best):
                 best = cand
     if best is None:
-        raise ValueError(f"no nonzero lattice point with sup-norm <= {t}")
+        raise ValueError(f"no nonzero lattice point with sup-norm <= {_rat_str(t)}")
     return best
 
 
@@ -402,8 +406,6 @@ def minimum_profile(lat: Lattice2, t_max: Rat) -> list[ProfileRecord]:
 def lattice_exponents(
     lat: Lattice2,
     t_max: Rat | None = None,
-    window: tuple[int, int] | None = None,
-    log_coverage: float = 0.35,
 ) -> tuple[ExponentEstimate, ExponentEstimate, dict]:
     """Ordinary and uniform lattice exponent estimates from the record profile.
 
@@ -416,9 +418,8 @@ def lattice_exponents(
     binds), with log Psi = log(product_sq) / 4.  Ordinary estimate: sample
     max; uniform: sample min.
 
-    Default schedule keeps records in the top (1 - log_coverage) fraction of
-    the log-T range, dropping small-scale transients; an explicit ``window``
-    indexes into the full sample lists instead.  The range is capped
+    The schedule keeps records in the top (1 - ``_LOG_COVERAGE``) fraction
+    of the log-T range, dropping small-scale transients.  The range is capped
     strictly below the degeneracy radius; a requested t_max at or beyond it
     is truncated and flagged in the info dict.
     """
@@ -450,12 +451,8 @@ def lattice_exponents(
     if not ord_all or not uni_all:
         raise ValueError("not enough nondegenerate records to sample")
 
-    if window is not None:
-        ord_picked, ord_win = apply_window(ord_all, window, minimum=1)
-        uni_picked, uni_win = apply_window(uni_all, window, minimum=1)
-    else:
-        ord_picked, ord_win = _coverage_schedule(ord_all, log_coverage)
-        uni_picked, uni_win = _coverage_schedule(uni_all, log_coverage)
+    ord_picked, ord_win = _coverage_schedule(ord_all)
+    uni_picked, uni_win = _coverage_schedule(uni_all)
 
     ordinary = ExponentEstimate(
         "omega_lattice", max(s for _, s in ord_picked), ord_win, tuple(ord_all)
@@ -468,12 +465,12 @@ def lattice_exponents(
 
 
 def _coverage_schedule(
-    samples: list[tuple[int, float]], log_coverage: float
+    samples: list[tuple[int, float]],
 ) -> tuple[list[tuple[int, float]], tuple[int, int]]:
-    """Keep samples whose log T exceeds log_coverage * (largest log T),
+    """Keep samples whose log T exceeds ``_LOG_COVERAGE`` * (largest log T),
     always retaining at least the last two."""
     t_top = samples[-1][0]
-    threshold = log_coverage * math.log(t_top)
+    threshold = _LOG_COVERAGE * math.log(t_top)
     lo = 0
     for k, (t, _) in enumerate(samples):
         if math.log(t) < threshold:

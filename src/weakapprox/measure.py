@@ -44,7 +44,7 @@ from math import gcd
 from typing import Iterable, Union
 
 from .cf import PartialQuotients, qnorm_table  # noqa: F401 - perfbench looks it up here
-from .intmath import decimal_str, dist_to_int, parse_decimal, reduced_fraction
+from .intmath import _rat_str, decimal_str, dist_to_int, parse_decimal, reduced_fraction
 
 __all__ = [
     "StepFunction",
@@ -100,7 +100,8 @@ class StepFunction:
     def piece_index(self, t: Rat) -> int:
         """Index k of the piece containing t; raises outside the domain."""
         if t < self.breakpoints[0] or t >= self.domain_end:
-            raise ValueError(f"t = {t} outside domain [{self.breakpoints[0]}, {self.domain_end})")
+            start, end = decimal_str(self.breakpoints[0]), decimal_str(self.domain_end)
+            raise ValueError(f"t = {_rat_str(t)} outside domain [{start}, {end})")
         return bisect_right(self.breakpoints, t) - 1
 
     def value(self, t: Rat) -> Fraction:
@@ -110,7 +111,7 @@ class StepFunction:
     def left_limit(self, t: Rat) -> Fraction:
         """f(t-) = value just before t, for domain_start < t <= domain_end."""
         if t <= self.breakpoints[0] or t > self.domain_end:
-            raise ValueError(f"left limit undefined at t = {t}")
+            raise ValueError(f"left limit undefined at t = {_rat_str(t)}")
         return self.values[bisect_left(self.breakpoints, t) - 1]
 
     def is_discontinuous_at(self, t: Rat) -> bool:

@@ -85,13 +85,6 @@ class TestChecks:
         assert abs(chk.bound - 1.69) < 1e-12
         assert abs(chk.slack - 0.01) < 1e-12
 
-    def test_t2_ineligible(self):
-        chk = check_theorem(
-            "T2", {"omega_theta": 1.7, "omega_eta": 1.7, "varpi_psi": 0.99}
-        )
-        assert not chk.applicable
-        assert chk.satisfied is None
-
     def test_t3(self):
         chk = check_theorem(
             "T3", {"omega_theta": 2.62, "omega_eta": 2.60, "varpi_upsilon": 2.0}
@@ -107,13 +100,40 @@ class TestChecks:
         assert abs(chk.bound - ((3 + math.sqrt(5)) / 2 + 1) / 2) < 1e-9
         assert abs(chk.slack) < 1e-3
 
-    def test_t4_ineligible(self):
-        chk = check_theorem("T4", {"omega_lattice": 1.0, "omega_bar_lattice": 0.9})
+    @pytest.mark.parametrize(
+        "which, estimates, gate",
+        [
+            ("T2", {"omega_theta": 1.7, "omega_eta": 1.7, "varpi_psi": 0.99}, "varpi_psi"),
+            ("T3", {"omega_theta": 2.6, "omega_eta": 2.6, "varpi_upsilon": 1.0},
+             "varpi_upsilon"),
+            ("T4", {"omega_lattice": 1.0, "omega_bar_lattice": 0.9}, "omega_bar_lattice"),
+        ],
+        ids=["T2", "T3", "T4"],
+    )
+    def test_ineligible(self, which, estimates, gate):
+        chk = check_theorem(which, {**estimates, "unused": 5.0})
         assert not chk.applicable
+        assert chk.satisfied is None and chk.lhs is None and chk.slack is None
+        assert chk.inputs == estimates
+        assert chk.note == f"{gate} <= 1"
 
-    def test_missing_inputs(self):
-        chk = check_theorem("T2", {"omega_theta": 1.7})
-        assert not chk.applicable
+    @pytest.mark.parametrize("which", ["T1", "T2", "T3", "T4"])
+    def test_missing_inputs(self, which):
+        complete = {"omega_theta": 3.0, "omega_bar_theta": 1.5, "omega_eta": 3.0,
+                    "varpi_psi": 1.5, "varpi_upsilon": 1.5,
+                    "omega_lattice": 2.0, "omega_bar_lattice": 1.5}
+        assert check_theorem(which, complete).applicable
+        # omega_theta or omega_lattice is an input of every check.
+        partial = {k: v for k, v in complete.items() if k not in ("omega_theta", "omega_lattice")}
+        chk = check_theorem(which, partial)
+        assert not chk.applicable and chk.satisfied is None
+        assert chk.inputs == partial
+        assert chk.note == "missing inputs"
+
+    def test_reads_only_its_own_keys(self):
+        estimates = {"omega_theta": 1.70, "omega_eta": 1.71, "varpi_psi": 1.3}
+        chk = check_theorem("T2", {**estimates, "varpi_upsilon": 0.5, "flags": []})
+        assert chk.applicable and chk.inputs == estimates
 
     def test_unknown_theorem(self):
         with pytest.raises(ValueError):

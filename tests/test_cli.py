@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weakapprox.cli as cli
-from weakapprox.bounds import BoundCheck
+from weakapprox.bounds import BoundCheck, check_theorem
 from weakapprox.cf import PartialQuotients, convergents
 from weakapprox.cli import EXIT_INAPPLICABLE, main
-from weakapprox.construct import DIGIT_GUARD_ENV, construct_thm2
+from weakapprox.construct import DIGIT_GUARD_ENV, construct_thm1, construct_thm2, construct_thm3
+from weakapprox.exponents import exponent_report
 from weakapprox.intmath import decimal_str
+from weakapprox.lattice import lattice_exponents, lattice_from_pair
 from weakapprox.measure import StepFunction
 
 
@@ -239,6 +241,36 @@ class TestVerifyCommand:
         assert data["check"]["satisfied"] is True
         assert abs(data["check"]["slack"]) < 0.15
 
+
+    @pytest.mark.parametrize(
+        "theorem, gamma, depth",
+        [("T1", "3/2", 8), ("T2", "13/10", 8), ("T3", "1/2", 7), ("T4", "1", 6)],
+    )
+    def test_artifact_matches_direct_pipeline(self, capsys, theorem, gamma, depth):
+        """The artifact equals the one assembled from the library calls, each
+        theorem on its own construction and with its own estimate keys."""
+        g = Fraction(gamma)
+        if theorem == "T1":
+            report = exponent_report(construct_thm1(g, depth))
+            estimates = {k: report[k] for k in ("omega_theta", "omega_bar_theta")}
+        elif theorem == "T2":
+            report = exponent_report(*construct_thm2(g, depth))
+            estimates = {k: report[k] for k in ("omega_theta", "omega_eta", "varpi_psi")}
+        elif theorem == "T3":
+            report = exponent_report(*construct_thm3(g, depth))
+            estimates = {k: report[k] for k in ("omega_theta", "omega_eta", "varpi_upsilon")}
+        else:
+            pair = construct_thm3(g, depth)
+            ordinary, uniform, info = lattice_exponents(lattice_from_pair(*pair))
+            estimates = {"omega_lattice": ordinary.value, "omega_bar_lattice": uniform.value}
+            report = {"number_side": exponent_report(*pair), "lattice_info": info}
+        check = check_theorem(theorem, estimates)
+        expected = {"theorem": theorem, "gamma": gamma, "depth": depth,
+                    "check": check.to_dict(), "report": report}
+        code, out = run(["verify", "--theorem", theorem, "--gamma", gamma,
+                         "--depth", str(depth)], capsys)
+        assert check.applicable and code == (0 if check.satisfied else 1)
+        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
     @pytest.mark.parametrize("flags", [[], ["omega_theta below 1"]])
     def test_inapplicable_check_is_not_a_pass(self, capsys, monkeypatch, flags):

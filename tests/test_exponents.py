@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from weakapprox.cf import PartialQuotients, qnorm_table
+from weakapprox.construct import construct_thm1, construct_thm2, construct_thm3, growth_rate_thm3
 from weakapprox.exponents import (
     default_window,
     exponent_report,
@@ -144,3 +145,54 @@ class TestReport:
         direct = uniform_exponent(psi_min, "varpi_psi")
         assert abs(report["varpi_psi"] - direct.value) < 1e-12
         assert report["flags"] == []
+
+
+def _thm1_case(gamma, depths):
+    g = float(gamma)
+    return (lambda d: (construct_thm1(gamma, d),), depths,
+            {"omega_theta": 1 / (2 - g), "omega_bar_theta": g})
+
+
+def _thm2_case(gamma, depths):
+    g = float(gamma)
+    return (lambda d: construct_thm2(gamma, d), depths,
+            {"omega_theta": g * g, "omega_eta": g * g, "varpi_psi": g})
+
+
+def _thm3_case(gamma, depths):
+    root = growth_rate_thm3(gamma)
+    return (lambda d: construct_thm3(gamma, d), depths,
+            {"omega_theta": root, "omega_eta": root, "varpi_upsilon": float(gamma) + 1})
+
+
+@pytest.mark.parametrize(
+    "build, depths, limits",
+    [
+        _thm1_case(Fraction(3, 2), range(8, 17)),
+        _thm2_case(Fraction(13, 10), range(6, 15)),
+        _thm2_case(Fraction(3, 2), range(6, 15)),
+        _thm3_case(Fraction(1), range(6, 13)),
+        _thm3_case(Fraction(1, 2), range(6, 13)),
+        pytest.param(
+            *_thm1_case(Fraction(5, 4), range(10, 17)),
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="omega stays 0.0536 above 4/3: the default window keeps "
+                "sample index 3 (1.3869, from a small q) at every depth",
+            ),
+        ),
+    ],
+    ids=["thm1-3/2", "thm2-13/10", "thm2-3/2", "thm3-1", "thm3-1/2", "thm1-5/4"],
+)
+def test_number_exponents_converge_with_depth(build, depths, limits):
+    """|estimate - limit| never grows with the depth of the construction and
+    is below 0.02 at the deepest one.  An estimate can stay on one sample for
+    several depths; deeper quotients move that sample by less than 1e-9."""
+    errors = {key: [] for key in limits}
+    for depth in depths:
+        report = exponent_report(*build(depth))
+        for key, limit in limits.items():
+            errors[key].append(abs(report[key] - limit))
+    for key, errs in errors.items():
+        assert all(a >= b - 1e-9 for a, b in zip(errs, errs[1:])), (key, errs)
+        assert errs[-1] < 0.02, (key, errs)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weakapprox import construct
+from weakapprox.cf import PartialQuotients
 from weakapprox.intmath import (
     decimal_str,
     digits_of,
@@ -22,6 +24,8 @@ from weakapprox.intmath import (
     round_div_root,
     round_root,
 )
+from weakapprox.lattice import Lattice2, psi_lattice
+from weakapprox.measure import StepFunction
 
 
 def test_nth_root_floor_small_cases():
@@ -271,3 +275,46 @@ def test_parse_decimal_long_text_is_ascii_digits_only():
     for text in ("1_000" + "0" * 5000, "\u0661" * 5000):
         with pytest.raises(ValueError):
             parse_decimal(text)
+
+
+_BIG = 10**5000  # past the default 4,300-digit int<->str limit
+
+
+def _interleaving(monkeypatch, quotients, seed_theta, seed_eta):
+    """construct_thm2 with its root rounding replaced by ``quotients``."""
+    steps = iter(quotients)
+    monkeypatch.setattr(construct, "round_div_root", lambda *args, **kwargs: next(steps))
+    construct.construct_thm2(Fraction(3, 2), 3, seed_theta, seed_eta)
+
+
+@pytest.mark.parametrize(
+    "fail, message",
+    [
+        (lambda mp: StepFunction((1, _BIG), (1, Fraction(1, 2)), _BIG + 1).value(10**6000),
+         f"t = {decimal_str(10**6000)} outside domain [1, {decimal_str(_BIG + 1)})"),
+        (lambda mp: StepFunction((1, _BIG), (1, Fraction(1, 2)), _BIG + 1).left_limit(10**6000),
+         f"left limit undefined at t = {decimal_str(10**6000)}"),
+        (lambda mp: _interleaving(mp, [], (0, _BIG), (0, _BIG + 1)),
+         f"interleaving failed at index 1: seeds give s_1 = {decimal_str(_BIG + 1)} "
+         f">= q_1 = {decimal_str(_BIG)}"),
+        (lambda mp: _interleaving(mp, [1], (0, _BIG + 1), (0, _BIG)),
+         f"interleaving failed at index 1: q_1 = {decimal_str(_BIG + 1)} "
+         f">= s_2 = {decimal_str(_BIG + 1)}"),
+        (lambda mp: _interleaving(mp, [2, 1], (0, _BIG + 1), (0, _BIG)),
+         f"interleaving failed at index 2: s_2 = {decimal_str(2 * _BIG + 1)} "
+         f">= q_2 = {decimal_str(_BIG + 2)}"),
+        (lambda mp: psi_lattice(Lattice2(1, 0, 0, 1), Fraction(_BIG + 1, 2 * _BIG)),
+         f"no nonzero lattice point with sup-norm <= "
+         f"{decimal_str(_BIG + 1)}/{decimal_str(2 * _BIG)}"),
+        (lambda mp: PartialQuotients(0, (1, -_BIG)),
+         f"tail entry a2 = {decimal_str(-_BIG)} must be >= 1"),
+    ],
+    ids=["value", "left_limit", "seeds", "q-before-s", "s-before-q", "psi_lattice",
+         "tail-entry"],
+)
+def test_error_messages_print_huge_integers(default_int_limit, monkeypatch, fail, message):
+    """Each message keeps its own text at the default int<->str limit."""
+    with pytest.raises(ValueError) as err:
+        fail(monkeypatch)
+    assert str(err.value) == message
+    assert sys.get_int_max_str_digits() == default_int_limit

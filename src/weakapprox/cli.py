@@ -1,9 +1,10 @@
 """Command-line front end: experiment orchestration and artifact I/O.
 
 Exit codes: 0 all checks passed, 1 a bound or oracle check failed,
-2 usage error, 3 resource guard exceeded, 4 the ``verify`` bound is
-inapplicable to the estimates (for example varpi_psi <= 1 for T2) and no
-consistency flag fired, so nothing was checked.
+2 usage error, 3 resource guard exceeded, 4 nothing was checked: the
+``verify`` bound is inapplicable to the estimates (for example
+varpi_psi <= 1 for T2) and no consistency flag fired, or a well-formed
+input is too short or too degenerate to estimate (``NotEstimable``).
 
 Everything is deterministic for a fixed invocation: one seed drives all
 randomness, JSON is emitted with sorted keys, and the SVG writer formats
@@ -22,7 +23,7 @@ from . import __version__
 from .bounds import CHECK_TOL, check_theorem
 from .cf import PartialQuotients, convergents, qnorm_table, truncation_value
 from .construct import ConstructionSpec, GuardExceeded, InterleavingError, _digit_guard
-from .exponents import ASYMPTOTIC_TOL, exponent_report
+from .exponents import ASYMPTOTIC_TOL, NotEstimable, exponent_report
 from .intmath import decimal_str, fraction_str
 from .lattice import diag_scale, lattice_exponents, lattice_from_pair
 from .lemma import StepPair, check_conditions, find_witnesses, random_step_pair, verify_witness
@@ -349,6 +350,9 @@ def main(argv: list[str] | None = None) -> int:
     except GuardExceeded as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except NotEstimable as exc:
+        print(f"not estimable: {exc}", file=sys.stderr)
+        return EXIT_INAPPLICABLE
     except (InterleavingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

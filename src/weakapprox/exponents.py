@@ -13,13 +13,15 @@ the sample at a stored breakpoint t_k is -log f(t_k-) / log t_k, shifted by
 +1 for the weak kinds (their definitions normalize by t^(c-1)), and the
 estimate is the window minimum.
 
-Samples at denominator 1 are skipped (log 1 = 0), and the default window
-drops early seed-effect samples and the last truncation-affected ones.
+Samples at denominator 1 are skipped (log 1 = 0), and every estimate here
+and in ``lattice`` keeps the samples that ``apply_window`` schedules: those
+whose log t is at least ``_LOG_COVERAGE`` of the last sample's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 from .cf import PartialQuotients, qnorm_table  # noqa: F401 - perfbench looks it up here
 from .intmath import decimal_str, log_fraction, log_int
@@ -30,8 +32,8 @@ __all__ = [
     "ordinary_exponent",
     "uniform_exponent",
     "exponent_report",
-    "default_window",
     "apply_window",
+    "NotEstimable",
 ]
 
 #: Tolerance for exact-arithmetic comparisons in consistency flags.
@@ -39,8 +41,11 @@ EXACT_TOL = 1e-9
 #: Tolerance for asymptotic (finite-depth) comparisons in consistency flags.
 ASYMPTOTIC_TOL = 0.05
 
-_MIN_KINDS = {"omega_bar", "varpi_psi", "varpi_upsilon"}
-#: Kinds whose defining normalization is t^(c-1); their samples get +1.
+#: The default schedule keeps the samples whose log t is at least this
+#: fraction of the last sample's log t.
+_LOG_COVERAGE = 0.35
+#: The uniform kinds and the shift of their samples: +1 for those whose
+#: defining normalization is t^(c-1).
 _WEAK_SHIFT = {"omega_bar": 1.0, "varpi_psi": 0.0, "varpi_upsilon": 1.0}
 
 
@@ -67,43 +72,56 @@ class ExponentEstimate:
         }
 
 
-def default_window(count: int) -> tuple[int, int]:
-    """(front, back) drop counts adapted to how many samples exist.
-
-    With plenty of samples, drop 3 seed-affected ones at the front and the
-    2 nearest the truncation tail; with few, shrink the margins but always
-    keep at least one sample.
-    """
-    if count < 1:
-        raise ValueError("no samples to window")
-    front = min(3, (count - 1) // 2)
-    back = min(2, (count - 1 - front) // 2)
-    return front, back
+class NotEstimable(ValueError):
+    """A well-formed input with too few samples for an estimate."""
 
 
 def apply_window(
-    samples: list[tuple[int, float]],
-    window: tuple[int, int] | None,
-    minimum: int,
+    samples: list[tuple[int, float]], window: tuple[int, int] | None
 ) -> tuple[list[tuple[int, float]], tuple[int, int]]:
-    """The samples inside ``window`` (default: ``default_window``) and its bounds.
+    """The samples inside ``window`` and its bounds (lo, hi).
 
-    An explicit (lo, hi) window is clipped to the sample range; fewer than
-    ``minimum`` samples, or an empty selection, is an error.
+    ``samples`` are (t, value) pairs in increasing t.  The default window
+    keeps the samples with log t >= ``_LOG_COVERAGE`` * log t_last, and at
+    least the last two, and drops nothing at the tail.  On the extremal
+    constructions log q_v grows geometrically, at ratio omega, so this keeps
+    about the last ceil(log_omega(1 / _LOG_COVERAGE)) samples: the last 2 for
+    thm1 gamma=3/2 and about the last 4 for thm1 gamma=5/4, where an early
+    small-q sample would otherwise stay the window maximum at every depth.
+    On bounded quotients log q_v grows linearly, so it keeps the top 65% of
+    the samples.  A fixed count at the front could do neither.
+
+    An explicit (lo, hi) window is clipped to the sample range; an empty
+    selection is an error.
     """
-    if len(samples) < minimum:
-        raise ValueError(f"need at least {minimum} samples, have {len(samples)}")
     if window is None:
-        front, back = default_window(len(samples))
-        lo, hi = front, len(samples) - back
+        lo, hi = 0, len(samples)
+        if hi > 2:
+            threshold = _LOG_COVERAGE * log_int(samples[-1][0])
+            lo = min(hi - 2, sum(log_int(t) < threshold for t, _ in samples))
     else:
-        lo, hi = window
-        lo = max(0, lo)
-        hi = min(len(samples), hi)
+        lo, hi = max(0, window[0]), min(len(samples), window[1])
     picked = samples[lo:hi]
     if not picked:
         raise ValueError(f"window ({lo}, {hi}) selects no samples")
     return picked, (lo, hi)
+
+
+def _estimate(
+    kind: str,
+    samples: list[tuple[int, float]],
+    window: tuple[int, int] | None,
+    minimum: int,
+    take: Callable[[Iterable[float]], float],
+) -> ExponentEstimate:
+    """``take`` (max or min) of the scheduled samples, as an estimate of ``kind``.
+
+    Fewer than ``minimum`` samples raises ``NotEstimable``.
+    """
+    if len(samples) < minimum:
+        raise NotEstimable(f"{kind}: {len(samples)} samples, need at least {minimum}")
+    picked, win = apply_window(samples, window)
+    return ExponentEstimate(kind, take(s for _, s in picked), win, tuple(samples))
 
 
 def ordinary_exponent(
@@ -121,9 +139,7 @@ def ordinary_exponent(
         if q >= 2:
             num, den = an.distance(v)
             samples.append((q, -(log_int(num) - log_int(den)) / log_int(q)))
-    picked, win = apply_window(samples, window, minimum=1)
-    value = max(s for _, s in picked)
-    return ExponentEstimate("omega", value, win, tuple(samples))
+    return _estimate("omega", samples, window, 1, max)
 
 
 def uniform_exponent(
@@ -138,10 +154,11 @@ def uniform_exponent(
     two ordinary functions), "varpi_upsilon" (minimum of two weak functions).
     Samples at left limits of stored breakpoints >= 2 plus the left limit at
     the domain end (the binding point when the function rarely improves);
-    window min.  Fewer than ``minimum_samples`` samples is an error: the
-    default 3 makes one-piece functions unestimable rather than misleading.
+    window min.  Fewer than ``minimum_samples`` samples raises
+    ``NotEstimable``: the default 3 makes one-piece functions unestimable
+    rather than misleading.
     """
-    if kind not in _MIN_KINDS:
+    if kind not in _WEAK_SHIFT:
         raise ValueError(f"unknown uniform kind {kind!r}")
     shift = _WEAK_SHIFT[kind]
     # The left limit at breakpoints[k] is values[k - 1]; at domain_end it is
@@ -150,9 +167,7 @@ def uniform_exponent(
     if f.domain_end >= 2:
         points.append((f.domain_end, f.values[-1]))
     samples = [(t, shift - log_fraction(v) / log_int(t)) for t, v in points]
-    picked, win = apply_window(samples, window, minimum=minimum_samples)
-    value = min(s for _, s in picked)
-    return ExponentEstimate(kind, value, win, tuple(samples))
+    return _estimate(kind, samples, window, minimum_samples, min)
 
 
 def _one_number(

@@ -58,7 +58,7 @@ from math import gcd
 from typing import Iterable, Iterator, Union
 
 from .cf import PartialQuotients, truncation_value
-from .exponents import ExponentEstimate
+from .exponents import ExponentEstimate, _estimate
 from .intmath import _rat_str, fraction_str, log_fraction, parse_fraction, reduced_fraction
 
 __all__ = [
@@ -74,10 +74,6 @@ __all__ = [
 ]
 
 Rat = Union[int, Fraction]
-
-#: The lattice schedule keeps records whose log T exceeds this fraction of
-#: the largest log T.
-_LOG_COVERAGE = 0.35
 
 
 @dataclass(frozen=True)
@@ -416,12 +412,12 @@ def lattice_exponents(
     where the liminf envelope binds) and the uniform sample is
     1 - log Psi(T-) / log T (the left limit, where the limsup envelope
     binds), with log Psi = log(product_sq) / 4.  Ordinary estimate: sample
-    max; uniform: sample min.
+    max; uniform: sample min; both over the samples that
+    ``exponents.apply_window`` schedules, as on the number side.  An input
+    without a sample of each kind raises ``exponents.NotEstimable``.
 
-    The schedule keeps records in the top (1 - ``_LOG_COVERAGE``) fraction
-    of the log-T range, dropping small-scale transients.  The range is capped
-    strictly below the degeneracy radius; a requested t_max at or beyond it
-    is truncated and flagged in the info dict.
+    The range is capped strictly below the degeneracy radius; a requested
+    t_max at or beyond it is truncated and flagged in the info dict.
     """
     radius = degeneracy_radius(lat)
     cap = radius * Fraction(4095, 4096)
@@ -436,45 +432,22 @@ def lattice_exponents(
     info["t_max"] = fraction_str(t_eff)
 
     records = minimum_profile(lat, t_eff)
+    # Every record lies below the degeneracy radius, so its product is nonzero.
     ord_all: list[tuple[int, float]] = []
     uni_all: list[tuple[int, float]] = []
     for k, rec in enumerate(records):
-        if rec.t < 2 or rec.product_sq == 0:
+        if rec.t < 2:
             continue
         log_t = log_fraction(rec.t)
         key = int(rec.t)
         ord_all.append((key, 1.0 - log_fraction(rec.product_sq) / 4.0 / log_t))
-        if k > 0 and records[k - 1].product_sq != 0:
+        if k > 0:
             uni_all.append(
                 (key, 1.0 - log_fraction(records[k - 1].product_sq) / 4.0 / log_t)
             )
-    if not ord_all or not uni_all:
-        raise ValueError("not enough nondegenerate records to sample")
-
-    ord_picked, ord_win = _coverage_schedule(ord_all)
-    uni_picked, uni_win = _coverage_schedule(uni_all)
-
-    ordinary = ExponentEstimate(
-        "omega_lattice", max(s for _, s in ord_picked), ord_win, tuple(ord_all)
-    )
-    uniform = ExponentEstimate(
-        "omega_bar_lattice", min(s for _, s in uni_picked), uni_win, tuple(uni_all)
-    )
     info["records"] = len(records)
-    return ordinary, uniform, info
-
-
-def _coverage_schedule(
-    samples: list[tuple[int, float]],
-) -> tuple[list[tuple[int, float]], tuple[int, int]]:
-    """Keep samples whose log T exceeds ``_LOG_COVERAGE`` * (largest log T),
-    always retaining at least the last two."""
-    t_top = samples[-1][0]
-    threshold = _LOG_COVERAGE * math.log(t_top)
-    lo = 0
-    for k, (t, _) in enumerate(samples):
-        if math.log(t) < threshold:
-            lo = k + 1
-    lo = min(lo, len(samples) - 2) if len(samples) >= 2 else 0
-    picked = samples[lo:]
-    return picked, (lo, len(samples))
+    return (
+        _estimate("omega_lattice", ord_all, None, 1, max),
+        _estimate("omega_bar_lattice", uni_all, None, 1, min),
+        info,
+    )

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import weakapprox.cli as cli
 from weakapprox.bounds import BoundCheck, check_theorem
 from weakapprox.cf import PartialQuotients, convergents
-from weakapprox.cli import EXIT_INAPPLICABLE, main
+from weakapprox.cli import EXIT_INAPPLICABLE, EXIT_USAGE, main
 from weakapprox.construct import DIGIT_GUARD_ENV, construct_thm1, construct_thm2, construct_thm3
 from weakapprox.exponents import exponent_report
 from weakapprox.intmath import decimal_str
@@ -140,6 +140,22 @@ class TestExponentsCommand:
         data = json.loads(out)
         assert data["flags"] == []
         assert "varpi_upsilon" in data
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            # the only interior denominator is q_0 = 1, so omega has no sample
+            (["--theta", "[0;1,1]"], EXIT_INAPPLICABLE, "omega: 0 samples"),
+            (["--theta", "[0;2,2,2,2,2,2]", "--window", "9,12"], EXIT_USAGE,
+             "selects no samples"),
+        ],
+        ids=["unestimable-input", "empty-explicit-window"],
+    )
+    def test_no_samples(self, capsys, argv, code, message):
+        assert main(["exponents", *argv]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestLatticeCommand:

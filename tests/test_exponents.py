@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from weakapprox.bounds import check_theorem
 from weakapprox.cf import PartialQuotients, qnorm_table
 from weakapprox.construct import construct_thm1, construct_thm2, construct_thm3, growth_rate_thm3
 from weakapprox.exponents import (
-    default_window,
+    apply_window,
     exponent_report,
     ordinary_exponent,
     uniform_exponent,
@@ -104,13 +105,29 @@ class TestUniform:
 
 
 class TestWindows:
-    def test_default_window_margins(self):
-        assert default_window(11) == (3, 2)
-        assert default_window(6) == (2, 1)
-        assert default_window(4) == (1, 1)
-        assert default_window(1) == (0, 0)
+    def test_schedule(self):
+        """The default window keeps log t >= 0.35 log t_last and at least the
+        last two; every threshold below is >= 5% away from the nearest log t."""
+        def default(exps):
+            samples = [(2**e, float(e)) for e in exps]
+            picked, win = apply_window(samples, None)
+            assert picked == samples[win[0]:] and win[1] == len(samples)
+            return win[0]
+
+        # geometric log t (ratio phi): only the last 3 clear 0.35 * 144 = 50.4
+        assert default([3, 5, 8, 13, 21, 34, 55, 89, 144]) == 6
+        # linear log t: 13 of 20 (65%) clear 0.35 * 39 = 13.65
+        assert default(range(1, 40, 2)) == 7
+        # only the last clears 0.35 * 1000; the floor keeps two
+        assert default([1, 10, 1000]) == 1
+        assert default([1, 1000]) == 0
+        assert default([7]) == 0
+        # explicit windows are clipped to the sample range, never rescheduled
+        samples = [(2**e, float(e)) for e in range(1, 11)]
+        assert apply_window(samples, (-3, 99)) == (samples, (0, 10))
+        assert apply_window(samples, (2, 4)) == (samples[2:4], (2, 4))
         with pytest.raises(ValueError):
-            default_window(0)
+            apply_window(samples, (10, 12))
 
     def test_monotone_refinement(self):
         pq = PartialQuotients(0, (2, 1, 3, 1, 4, 1, 5, 1, 6, 1, 7, 1))
@@ -150,49 +167,47 @@ class TestReport:
 def _thm1_case(gamma, depths):
     g = float(gamma)
     return (lambda d: (construct_thm1(gamma, d),), depths,
-            {"omega_theta": 1 / (2 - g), "omega_bar_theta": g})
+            {"omega_theta": 1 / (2 - g), "omega_bar_theta": g}, "T1")
 
 
 def _thm2_case(gamma, depths):
     g = float(gamma)
     return (lambda d: construct_thm2(gamma, d), depths,
-            {"omega_theta": g * g, "omega_eta": g * g, "varpi_psi": g})
+            {"omega_theta": g * g, "omega_eta": g * g, "varpi_psi": g}, "T2")
 
 
 def _thm3_case(gamma, depths):
     root = growth_rate_thm3(gamma)
     return (lambda d: construct_thm3(gamma, d), depths,
-            {"omega_theta": root, "omega_eta": root, "varpi_upsilon": float(gamma) + 1})
+            {"omega_theta": root, "omega_eta": root, "varpi_upsilon": float(gamma) + 1},
+            "T3")
 
 
 @pytest.mark.parametrize(
-    "build, depths, limits",
+    "build, depths, limits, theorem",
     [
         _thm1_case(Fraction(3, 2), range(8, 17)),
         _thm2_case(Fraction(13, 10), range(6, 15)),
         _thm2_case(Fraction(3, 2), range(6, 15)),
         _thm3_case(Fraction(1), range(6, 13)),
         _thm3_case(Fraction(1, 2), range(6, 13)),
-        pytest.param(
-            *_thm1_case(Fraction(5, 4), range(10, 17)),
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="omega stays 0.0536 above 4/3: the default window keeps "
-                "sample index 3 (1.3869, from a small q) at every depth",
-            ),
-        ),
+        _thm1_case(Fraction(5, 4), range(10, 17)),
     ],
     ids=["thm1-3/2", "thm2-13/10", "thm2-3/2", "thm3-1", "thm3-1/2", "thm1-5/4"],
 )
-def test_number_exponents_converge_with_depth(build, depths, limits):
-    """|estimate - limit| never grows with the depth of the construction and
-    is below 0.02 at the deepest one.  An estimate can stay on one sample for
-    several depths; deeper quotients move that sample by less than 1e-9."""
+def test_number_exponents_converge_with_depth(build, depths, limits, theorem):
+    """|estimate - limit| and |slack| of the construction's own bound check
+    never grow with the depth of the construction and are below 0.001 at the
+    deepest one: each bound is sharp on its construction.  An estimate can
+    stay on one sample for several depths; deeper quotients move that sample
+    by less than 1e-9."""
     errors = {key: [] for key in limits}
+    slacks = []
     for depth in depths:
         report = exponent_report(*build(depth))
         for key, limit in limits.items():
             errors[key].append(abs(report[key] - limit))
-    for key, errs in errors.items():
+        slacks.append(abs(check_theorem(theorem, report).slack))
+    for key, errs in {**errors, theorem: slacks}.items():
         assert all(a >= b - 1e-9 for a, b in zip(errs, errs[1:])), (key, errs)
-        assert errs[-1] < 0.02, (key, errs)
+        assert errs[-1] < 0.001, (key, errs)

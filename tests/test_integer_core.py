@@ -198,7 +198,7 @@ def fraction_min(f, g):
 def fraction_ordinary(pq):
     rows, _ = fraction_rows(pq)
     samples = [(q, -log_fraction(d) / log_int(q)) for q, d in rows if q >= 2]
-    picked, _ = apply_window(samples, None, minimum=1)
+    picked, _ = apply_window(samples, None)
     return max(s for _, s in picked), samples
 
 
@@ -208,7 +208,7 @@ def fraction_uniform(f, shift):
                for k, t in enumerate(bps) if k >= 1 and t >= 2]
     if end >= 2:
         samples.append((end, shift - log_fraction(vals[-1]) / log_int(end)))
-    picked, _ = apply_window(samples, None, minimum=1)
+    picked, _ = apply_window(samples, None)
     return min(s for _, s in picked), samples
 
 

@@ -17,8 +17,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from weakapprox.bounds import check_theorem
 from weakapprox.cf import PartialQuotients
-from weakapprox.cli import EXIT_USAGE, main
+from weakapprox.cli import EXIT_INAPPLICABLE, main
 from weakapprox.construct import construct_thm3, growth_rate_thm3
 from weakapprox.lattice import (
     Lattice2,
@@ -157,9 +158,9 @@ def test_record_off_the_convergent_branches_api():
 def test_record_off_the_convergent_branches_cli(capsys):
     code = main(["lattice", "--theta", "[26;1,1,3]", "--eta", "[49;2]"])
     captured = capsys.readouterr()
-    assert code == EXIT_USAGE
+    assert code == EXIT_INAPPLICABLE
     assert captured.out == ""
-    assert "not enough nondegenerate records" in captured.err
+    assert "omega_bar_lattice: 0 samples" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -167,13 +168,18 @@ def test_record_off_the_convergent_branches_cli(capsys):
 )
 def test_lattice_exponents_converge_with_depth(gamma, depths):
     """|omega_lattice - (root + 1)/2| and |omega_bar_lattice - (gamma + 2)/2|
-    both fall strictly with the depth of the thm3 pair."""
+    both fall strictly with the depth of the thm3 pair, and |slack| of the
+    T4 check never grows and is below 0.001 at the deepest depth."""
     ordinary_limit = (growth_rate_thm3(gamma) + 1) / 2
     uniform_limit = (float(gamma) + 2) / 2
-    ordinary_err, uniform_err = [], []
+    ordinary_err, uniform_err, slacks = [], [], []
     for depth in depths:
         ordinary, uniform, _ = lattice_exponents(lattice_from_pair(*construct_thm3(gamma, depth)))
         ordinary_err.append(abs(ordinary.value - ordinary_limit))
         uniform_err.append(abs(uniform.value - uniform_limit))
+        estimates = {"omega_lattice": ordinary.value, "omega_bar_lattice": uniform.value}
+        slacks.append(abs(check_theorem("T4", estimates).slack))
     assert all(a > b for a, b in zip(ordinary_err, ordinary_err[1:])), ordinary_err
     assert all(a > b for a, b in zip(uniform_err, uniform_err[1:])), uniform_err
+    assert all(a >= b - 1e-9 for a, b in zip(slacks, slacks[1:])), slacks
+    assert slacks[-1] < 0.001, slacks

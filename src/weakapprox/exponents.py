@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .cf import PartialQuotients, qnorm_table  # noqa: F401 - perfbench looks it up here
-from .intmath import decimal_str, log_fraction, log_int
+from .intmath import decimal_str, log_int, log_ratio
 from .measure import StepFunction, min_step, psi_step, upsilon_step
 
 __all__ = [
@@ -138,7 +138,7 @@ def ordinary_exponent(
         q = an.q[v]
         if q >= 2:
             num, den = an.distance(v)
-            samples.append((q, -(log_int(num) - log_int(den)) / log_int(q)))
+            samples.append((q, -log_ratio(num, den) / log_int(q)))
     return _estimate("omega", samples, window, 1, max)
 
 
@@ -166,7 +166,8 @@ def uniform_exponent(
     points = [(t, v) for t, v in zip(f.breakpoints[1:], f.values) if t >= 2]
     if f.domain_end >= 2:
         points.append((f.domain_end, f.values[-1]))
-    samples = [(t, shift - log_fraction(v) / log_int(t)) for t, v in points]
+    samples = [(t, shift - log_ratio(v.numerator, v.denominator) / log_int(t))
+               for t, v in points]
     return _estimate(kind, samples, window, minimum_samples, min)
 
 

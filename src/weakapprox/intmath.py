@@ -6,6 +6,8 @@ hundreds of thousands of digits, so no kernel here is quadratic in them:
 
 - Logarithms are never taken by converting to float directly: ``log_int``
   splits off the bit length and converts only the top 64 bits.
+  ``log_ratio`` takes one short division (ibid., 1.4) and depends only on
+  the value num/den, so no caller reduces a fraction to take its log.
 - ``nth_root_floor`` doubles its precision (Brent & Zimmermann, *Modern
   Computer Arithmetic*, 1.5): Newton's method starts from the root of a
   number half as long, so one or two of its steps run at full size.  Its
@@ -55,11 +57,27 @@ def log_int(n: int) -> float:
     return math.log(n >> shift) + shift * _LN2
 
 
-def log_fraction(x: Fraction) -> float:
-    """Natural log of a positive rational, safe for huge numerators/denominators."""
-    if x.numerator <= 0:
-        raise ValueError("log_fraction requires a positive rational")
-    return log_int(x.numerator) - log_int(x.denominator)
+def log_ratio(num: int, den: int) -> float:
+    """Natural log of num/den for positive integers of any size.
+
+    Depends only on the value: (a*g, b*g) and (a, b) give the same bits.
+    A ratio below 1 is the negated log of its inverse.  Otherwise
+    e = floor(log2(num/den)) comes exactly from the bit lengths and one
+    comparison, and the one division is CPython's correctly rounded int
+    true division, with a short quotient: log1p((num - den)/den) for
+    e = 0, at full relative precision near 1, else
+    log(num/(den 2**e)) + e ln 2.
+    """
+    if num <= 0 or den <= 0:
+        raise ValueError("log_ratio requires a positive numerator and denominator")
+    if num < den:
+        return -log_ratio(den, num)
+    e = num.bit_length() - den.bit_length()  # 2**(e-1) < num/den < 2**(e+1)
+    if num < den << e:
+        e -= 1
+    if e == 0:
+        return math.log1p((num - den) / den)
+    return math.log(num / (den << e)) + e * _LN2
 
 
 def nth_root_floor(n: int, k: int) -> int:

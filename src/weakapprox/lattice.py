@@ -1,8 +1,8 @@
 """Two-dimensional lattices A*Z^2 and the product minimum Psi(t).
 
 Psi(t) = min |x1 x2|^(1/2) over nonzero lattice points with sup-norm <= t.
-Minima are compared through the exact rational (x1 x2)^2, so no square
-roots are ever taken; logarithms appear only in exponent estimates.
+Minima are compared through the exact product |x1 x2|, so no square roots
+are ever taken; logarithms appear only in exponent estimates.
 
 Rational lattices degenerate at large t: some point hits a coordinate axis
 (the product vanishes) at the *degeneracy radius*, computable exactly from
@@ -46,7 +46,9 @@ have |x2| rising: they form a chain.
 
 ``minimum_profile`` seeds the chain with an exhaustive core around the
 origin, walks it both ways, and keeps the running minima, all on integer
-coordinates over the row denominators; only the records become Fractions.
+coordinates over the row denominators.  The records keep those integers
+unreduced: ``intmath.log_ratio`` depends only on the value of a quotient,
+so the exponent estimates need no gcd, and only the tests build Fractions.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from typing import Iterable, Iterator, Union
 
 from .cf import PartialQuotients, truncation_value
 from .exponents import ExponentEstimate, _estimate
-from .intmath import _rat_str, fraction_str, log_fraction, parse_fraction, reduced_fraction
+from .intmath import _rat_str, fraction_str, log_ratio, parse_fraction
 
 __all__ = [
     "Lattice2",
@@ -143,11 +145,24 @@ class LatticeMinimum:
 
 @dataclass(frozen=True)
 class ProfileRecord:
-    """One running-minimum record: Psi^4 drops to product_sq at sup-norm t."""
+    """One running-minimum record in the profile's unreduced integers: at
+    sup-norm t = sup/sup_den (|x1|/d1 or |x2|/d2), Psi^2 drops to
+    product/product_den (|x1 x2| over d1 d2).  ``t`` and ``product_sq``
+    build the exact Fractions."""
 
-    t: Fraction
+    sup: int
+    sup_den: int
     point: tuple[int, int]
-    product_sq: Fraction
+    product: int
+    product_den: int
+
+    @property
+    def t(self) -> Fraction:
+        return Fraction(self.sup, self.sup_den)
+
+    @property
+    def product_sq(self) -> Fraction:  # (x1 x2)^2 = Psi(t)^4
+        return Fraction(self.product, self.product_den) ** 2
 
 
 def lattice_from_pair(theta_pq: PartialQuotients, eta_pq: PartialQuotients) -> Lattice2:
@@ -375,27 +390,17 @@ def minimum_profile(lat: Lattice2, t_max: Rat) -> list[ProfileRecord]:
         walks = _walk(chain[1], chain[0], 2, x2_max), _walk(chain[-2], chain[-1], 3, x1_max)
         chain += walks[0] + walks[1]
 
+    def keyed(p: _Point) -> tuple:
+        # (sup-norm, product) over d1 d2, the point, and the sup-norm as x / d
+        s1, s2 = abs(p[2]) * d2, abs(p[3]) * d1
+        x, d = (abs(p[2]), d1) if s1 >= s2 else (abs(p[3]), d2)
+        return max(s1, s2), abs(p[2] * p[3]), p, x, d
+
     den = d1 * d2
     records: list[ProfileRecord] = []
-    best = None
-    for sup, prod, p in sorted(
-        (max(abs(p[2]) * d2, abs(p[3]) * d1), abs(p[2] * p[3]), p) for p in chain
-    ):
-        if best is not None and prod >= best:
-            continue
-        best = prod
-        # sup/den is |x1|/d1 or |x2|/d2, reduced by a gcd of that size;
-        # gcd(prod^2, den^2) = gcd(prod, den)^2.
-        x, d = (abs(p[2]), d1) if sup == abs(p[2]) * d2 else (abs(p[3]), d2)
-        g = gcd(x, d)
-        h = gcd(prod, den)
-        records.append(
-            ProfileRecord(
-                reduced_fraction(x // g, d // g),
-                (p[0], p[1]),
-                reduced_fraction((prod // h) ** 2, (den // h) ** 2),
-            )
-        )
+    for _, prod, p, x, d in sorted(map(keyed, chain)):
+        if not records or prod < records[-1].product:
+            records.append(ProfileRecord(x, d, (p[0], p[1]), prod, den))
     return records
 
 
@@ -411,7 +416,9 @@ def lattice_exponents(
     ordinary sample is 1 - log Psi(T) / log T (the newly attained minimum,
     where the liminf envelope binds) and the uniform sample is
     1 - log Psi(T-) / log T (the left limit, where the limsup envelope
-    binds), with log Psi = log(product_sq) / 4.  Ordinary estimate: sample
+    binds), with log Psi = log_ratio(product, product_den) / 2 and
+    log T = log_ratio(sup, sup_den), straight from the unreduced record
+    integers; the sample key is floor(T).  Ordinary estimate: sample
     max; uniform: sample min; both over the samples that
     ``exponents.apply_window`` schedules, as on the number side.  An input
     without a sample of each kind raises ``exponents.NotEstimable``.
@@ -433,18 +440,15 @@ def lattice_exponents(
 
     records = minimum_profile(lat, t_eff)
     # Every record lies below the degeneracy radius, so its product is nonzero.
+    log_psi = [log_ratio(rec.product, rec.product_den) / 2.0 for rec in records]
     ord_all: list[tuple[int, float]] = []
     uni_all: list[tuple[int, float]] = []
     for k, rec in enumerate(records):
-        if rec.t < 2:
-            continue
-        log_t = log_fraction(rec.t)
-        key = int(rec.t)
-        ord_all.append((key, 1.0 - log_fraction(rec.product_sq) / 4.0 / log_t))
-        if k > 0:
-            uni_all.append(
-                (key, 1.0 - log_fraction(records[k - 1].product_sq) / 4.0 / log_t)
-            )
+        if rec.sup >= 2 * rec.sup_den:
+            key, log_t = rec.sup // rec.sup_den, log_ratio(rec.sup, rec.sup_den)
+            ord_all.append((key, 1.0 - log_psi[k] / log_t))
+            if k > 0:
+                uni_all.append((key, 1.0 - log_psi[k - 1] / log_t))
     info["records"] = len(records)
     return (
         _estimate("omega_lattice", ord_all, None, 1, max),

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intmath import log_fraction, log_int
+from .intmath import log_int, log_ratio
 from .measure import StepFunction
 
 __all__ = ["PlotStyle", "plot_steps"]
@@ -35,7 +35,7 @@ def _fmt(x: float) -> str:
 
 
 def _log10_frac(x: Fraction) -> float:
-    return log_fraction(x) / math.log(10.0)
+    return log_ratio(x.numerator, x.denominator) / math.log(10.0)
 
 
 def _log10_int(t: int) -> float:

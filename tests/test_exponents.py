@@ -12,7 +12,7 @@ from weakapprox.exponents import (
     ordinary_exponent,
     uniform_exponent,
 )
-from weakapprox.intmath import log_fraction, log_int
+from weakapprox.intmath import log_int, log_ratio
 from weakapprox.measure import StepFunction, min_step, psi_step, upsilon_step
 
 
@@ -27,7 +27,7 @@ class TestOrdinary:
         rows = {r.q: r.value for r in qnorm_table(pq) if r.index <= pq.depth - 2 and r.q >= 2}
         assert len(est.samples) == len(rows)
         for q, s in est.samples:
-            expect = -log_fraction(rows[q]) / log_int(q)
+            expect = -log_ratio(rows[q].numerator, rows[q].denominator) / log_int(q)
             assert abs(s - expect) < 1e-12
         assert est.value == max(s for _, s in est.samples)
 

@@ -24,7 +24,7 @@ from weakapprox.exponents import (
     apply_window,
     exponent_report,
 )
-from weakapprox.intmath import decimal_str, dist_to_int, log_fraction, log_int
+from weakapprox.intmath import decimal_str, dist_to_int, log_int, log_ratio
 from weakapprox.measure import _less, brute_measure, psi_step, upsilon_step
 
 core_settings = settings(
@@ -195,19 +195,23 @@ def fraction_min(f, g):
                             for t in cuts], end)
 
 
+def fraction_log(x):
+    return log_ratio(x.numerator, x.denominator)
+
+
 def fraction_ordinary(pq):
     rows, _ = fraction_rows(pq)
-    samples = [(q, -log_fraction(d) / log_int(q)) for q, d in rows if q >= 2]
+    samples = [(q, -fraction_log(d) / log_int(q)) for q, d in rows if q >= 2]
     picked, _ = apply_window(samples, None)
     return max(s for _, s in picked), samples
 
 
 def fraction_uniform(f, shift):
     bps, vals, end = f
-    samples = [(t, shift - log_fraction(vals[k - 1]) / log_int(t))
+    samples = [(t, shift - fraction_log(vals[k - 1]) / log_int(t))
                for k, t in enumerate(bps) if k >= 1 and t >= 2]
     if end >= 2:
-        samples.append((end, shift - log_fraction(vals[-1]) / log_int(end)))
+        samples.append((end, shift - fraction_log(vals[-1]) / log_int(end)))
     picked, _ = apply_window(samples, None)
     return min(s for _, s in picked), samples
 

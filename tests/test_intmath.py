@@ -1,4 +1,5 @@
 import contextlib
+import decimal
 import math
 import random
 import sys
@@ -16,8 +17,8 @@ from weakapprox.intmath import (
     dist_to_int,
     floor_div_root,
     fraction_str,
-    log_fraction,
     log_int,
+    log_ratio,
     nth_root_floor,
     parse_decimal,
     parse_fraction,
@@ -133,7 +134,7 @@ def test_log_int_matches_math_log():
 def test_log_int_huge():
     n = 10**5000
     assert abs(log_int(n) - 5000 * math.log(10)) < 1e-9 * log_int(n)
-    assert abs(log_fraction(Fraction(10**5000, 7**6000)) -
+    assert abs(log_ratio(10**5000, 7**6000) -
                (5000 * math.log(10) - 6000 * math.log(7))) < 1e-6
 
 
@@ -141,7 +142,73 @@ def test_log_rejects_nonpositive():
     with pytest.raises(ValueError):
         log_int(0)
     with pytest.raises(ValueError):
-        log_fraction(Fraction(-1, 3))
+        log_ratio(-1, 3)
+
+
+#: A common factor of 10^4 digits.
+HUGE_FACTOR = 3**20959 + 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**300), st.integers(1, 2**300),
+       st.one_of(st.integers(1, 2**200), st.just(HUGE_FACTOR)))
+@example(1, 1, HUGE_FACTOR)
+@example(2**64 + 1, 2**64, HUGE_FACTOR)
+@example(1, 7**6000, HUGE_FACTOR)
+def test_log_ratio_depends_only_on_the_value(a, b, g):
+    assert log_ratio(a * g, b * g) == log_ratio(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.integers(1, 2**200), st.just(HUGE_FACTOR)))
+def test_log_ratio_of_one_is_zero(n):
+    got = log_ratio(n, n)
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
+def decimal_ln(num: int, den: int) -> decimal.Decimal:
+    """ln(num/den) to 60 significant digits: the quotient keeps 60 digits
+    past the leading ones of 1 + (num - den)/den when num/den is near 1."""
+    near_one = len(str(max(num, den))) - len(str(abs(num - den) or 1))
+    ctx = decimal.Context(prec=60 + max(0, near_one))
+    return ctx.ln(ctx.divide(decimal.Decimal(num), decimal.Decimal(den)))
+
+
+def assert_close_to_decimal(num: int, den: int) -> None:
+    exact = decimal_ln(num, den)
+    error = abs(decimal.Decimal(log_ratio(num, den)) - exact)
+    assert error <= abs(exact) * decimal.Decimal("1e-15")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**1000), st.integers(1, 2**1000))
+@example(3, 2)
+@example(2, 1)
+@example(2**1000, 1)
+@example(1, 2**1000)
+@example(2**53 + 1, 2**54)
+@example(2**148 + 1, 2**148)
+def test_log_ratio_matches_decimal_ln(num, den):
+    if num == den:
+        assert log_ratio(num, den) == 0.0
+    else:
+        assert_close_to_decimal(num, den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(10**20, 10**40), st.integers(-10**8, 10**8).filter(bool))
+@example(10**20, 1)
+@example(10**20, -1)
+@example(10**12, 1)
+def test_log_ratio_near_one_matches_decimal_ln(den, step):
+    # |num/den - 1| <= 1e-12
+    assert_close_to_decimal(den + step, den)
+
+
+@pytest.mark.parametrize("num, den", [(0, 1), (1, 0), (-3, 2), (3, -2), (0, 0)])
+def test_log_ratio_rejects_nonpositive(num, den):
+    with pytest.raises(ValueError):
+        log_ratio(num, den)
 
 
 def test_dist_to_int():

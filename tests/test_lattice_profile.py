@@ -21,9 +21,11 @@ from weakapprox.bounds import check_theorem
 from weakapprox.cf import PartialQuotients
 from weakapprox.cli import EXIT_INAPPLICABLE, main
 from weakapprox.construct import construct_thm3, growth_rate_thm3
+from weakapprox.intmath import log_ratio, parse_fraction
 from weakapprox.lattice import (
     Lattice2,
     degeneracy_radius,
+    diag_scale,
     lattice_exponents,
     lattice_from_pair,
     minimum_profile,
@@ -140,6 +142,33 @@ def test_degenerate_chains_match_oracle(entries):
     lat = Lattice2(*map(Fraction, entries))
     for t in (Fraction(1, 2), 1, 2, degeneracy_radius(lat), 6):
         assert_matches_oracle(lat, Fraction(t))
+
+
+@pytest.mark.parametrize("scale", [(1, 1), (2, 3)])
+def test_exponent_samples_depend_only_on_record_values(scale):
+    """The estimates read the unreduced record integers; recomputing every
+    sample from the reduced Fractions of the same records gives the same
+    bits."""
+    theta, eta = construct_thm3(Fraction(1), 6)
+    lat = diag_scale(lattice_from_pair(theta, eta), *scale)
+    ordinary, uniform, info = lattice_exponents(lat)
+    records = minimum_profile(lat, parse_fraction(info["t_max"]))
+    # Some records are not in lowest terms, so reducing them changes the pairs.
+    assert any(math.gcd(r.product, r.product_den) > 1 for r in records)
+    assert any(math.gcd(r.sup, r.sup_den) > 1 for r in records)
+
+    def log(x: Fraction) -> float:
+        return log_ratio(x.numerator, x.denominator)
+
+    log_psi = [log(Fraction(r.product, r.product_den)) / 2.0 for r in records]
+    ord_samples, uni_samples = [], []
+    for k, rec in enumerate(records):
+        if rec.t >= 2:
+            ord_samples.append((int(rec.t), 1.0 - log_psi[k] / log(rec.t)))
+            if k > 0:
+                uni_samples.append((int(rec.t), 1.0 - log_psi[k - 1] / log(rec.t)))
+    assert ordinary.samples == tuple(ord_samples)
+    assert uniform.samples == tuple(uni_samples)
 
 
 def roadmap_pair() -> Lattice2:

@@ -68,7 +68,6 @@ __all__ = [
     "convergents",
     "truncation_value",
     "qnorm_table",
-    "denominator_sequence",
 ]
 
 
@@ -197,21 +196,6 @@ def convergents(pq: PartialQuotients) -> list[Convergent]:
 def truncation_value(pq: PartialQuotients) -> Fraction:
     """The exact rational value of the prefix (equals the last convergent)."""
     return convergents(pq)[-1].value
-
-
-def denominator_sequence(pq: PartialQuotients) -> list[tuple[int, int]]:
-    """(index, q) pairs with duplicates removed, strictly increasing in q.
-
-    When a1 = 1 the recurrence gives q0 = q1 = 1; the later index wins, since
-    its convergent is the better approximation at that denominator.
-    """
-    out: list[tuple[int, int]] = []
-    for c in convergents(pq):
-        if out and out[-1][1] == c.q:
-            out[-1] = (c.index, c.q)
-        else:
-            out.append((c.index, c.q))
-    return out
 
 
 @dataclass(frozen=True)

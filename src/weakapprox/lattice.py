@@ -25,10 +25,21 @@ have |x2| rising: they form a chain.
     at most x's.  So Psi(t) is the least product over the minima with
     sup-norm <= t, and the records of Psi are the strict running minima of
     the product over the minima in order of sup-norm.
-(2) The minima with sup-norm <= R are one contiguous stretch of the chain,
-    the meet of its |x1| <= R end and its |x2| <= R end.  Whatever dominates
-    a point of the box [-R, R]^2 lies in it, so the undominated points of an
-    exhaustive scan of the box are exactly these minima: consecutive ones.
+(2) The chain ends at its axis points.  Write row i of the matrix as
+    (Ai, Bi)/di in integers, D = A1 B2 - B1 A2 and gi = gcd(Ai, Bi).  The
+    primitive point with x2 = 0 is e, with (m, n) = (B2, -A2)/g2 and
+    x1 = D/(g2 d1).  Every point with x2 = 0 is a multiple of e, so nothing
+    dominates e, and e dominates every point with |x1| >= |e1| off the
+    axis: e ends the chain.  Complete e to a basis e, f with f = (u, v):
+    v = m^-1 mod |n| and u = (m v - 1)/n, so that m v - n u = 1, or
+    f = (0, m) when n = 0 (then m = +-1).  Every point is a e + b f, with
+    x2 = b f2, so every nonzero point with |x1| < |e1| has b != 0 and
+    |x2| >= |f2|, with equality only at b = +-1.  Among those,
+    r = f - round(f1/e1) e has the least |x1|, at most |e1|/2.  So nothing
+    dominates r, and no point has |y1| < |e1| and |y2| < |r2|: r is the
+    minimum next to e.  The same holds with the coordinates swapped, so
+    the least sup-norm of a zero-product point, the degeneracy radius, is
+    |D| / max(g1 d2, g2 d1).
 (3) Let p, q be consecutive, |p1| > |q1|, oriented so that p1, q1 > 0.  No
     nonzero lattice point has |y1| < p1 and |y2| < |q2|: the minimum that
     (1) finds for it would lie strictly between p and q.  So p, q is a basis
@@ -38,17 +49,17 @@ have |x2| rising: they form a chain.
     as q, r is a basis too.  |p1 - a q1| < q1 leaves a = floor(p1/q1) or
     a + 1, and |p2 - a q2| = |p2| + a |q2| picks a = floor(p1/q1).  So
     r = p - floor(p1/q1) q with 0 <= r1 < q1: the continued-fraction
-    algorithm on p1/q1, ending at an axis point, r1 = 0.  Swapping the
-    coordinates walks the other way.
-(4) Along a walk the falling coordinate stays below the seed's and the
-    growing one rises strictly, so the walk may stop at its first point
-    outside the box: every later minimum lies outside too.
+    algorithm on p1/q1, ending at the other axis point, r1 = 0.
+(4) Walked from e, r by (3), the chain comes by |x1| falling and |x2|
+    rising strictly.  The minima with sup-norm <= R are those with
+    |x2| <= R, a first stretch of the walk, that also have |x1| <= R; so
+    the walk may stop at its first point with |x2| > R.
 
-``minimum_profile`` seeds the chain with an exhaustive core around the
-origin, walks it both ways, and keeps the running minima, all on integer
-coordinates over the row denominators.  The records keep those integers
-unreduced: ``intmath.log_ratio`` depends only on the value of a quotient,
-so the exponent estimates need no gcd, and only the tests build Fractions.
+``minimum_profile`` seeds the chain at its x2 = 0 end, walks it once and
+keeps the running minima, all on integer coordinates over the row
+denominators.  The records keep those integers unreduced:
+``intmath.log_ratio`` depends only on the value of a quotient, so the
+exponent estimates need no gcd, and only the tests build Fractions.
 """
 
 from __future__ import annotations
@@ -57,7 +68,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Union
+from typing import Union
 
 from .cf import PartialQuotients, truncation_value
 from .exponents import ExponentEstimate, _estimate
@@ -182,41 +193,24 @@ def diag_scale(lat: Lattice2, d1: Rat, d2: Rat) -> Lattice2:
     return Lattice2(d1 * lat.a11, d1 * lat.a12, d2 * lat.a21, d2 * lat.a22)
 
 
-def _primitive_kernel(c1: Fraction, c2: Fraction) -> tuple[int, int] | None:
-    """Primitive integer (m, n) with c1*m + c2*n = 0, or None if only (0,0)."""
-    if c1 == 0 and c2 == 0:
-        return None
-    if c1 == 0:
-        return (1, 0)
-    if c2 == 0:
-        return (0, 1)
-    num = -(c2.numerator * c1.denominator)
-    den = c2.denominator * c1.numerator
-    g = gcd(abs(num), abs(den))
-    return (num // g, den // g)
+def _integer_rows(lat: Lattice2) -> tuple[int, int, int, int, int, int]:
+    """(A1, B1, d1, A2, B2, d2) with row i of the matrix equal to (Ai, Bi) / di."""
+    out: list[int] = []
+    for a, b in ((lat.a11, lat.a12), (lat.a21, lat.a22)):
+        d = math.lcm(a.denominator, b.denominator)
+        out += (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d)
+    return tuple(out)
 
 
 def degeneracy_radius(lat: Lattice2) -> Fraction:
-    """Smallest sup-norm of a nonzero lattice point with zero product.
+    """Smallest sup-norm of a nonzero lattice point with zero product,
+    |D| / max(g1 d2, g2 d1) by fact (2) of the module docstring.
 
     Beyond this radius Psi is identically zero for a rational matrix, so
     exponent sampling there measures only the truncation.
     """
-    radii: list[Fraction] = []
-    for c1, c2, o1, o2 in (
-        (lat.a11, lat.a12, lat.a21, lat.a22),
-        (lat.a21, lat.a22, lat.a11, lat.a12),
-    ):
-        kern = _primitive_kernel(c1, c2)
-        if kern is None:
-            continue
-        m, n = kern
-        other = abs(o1 * m + o2 * n)
-        if other != 0:
-            radii.append(other)
-    if not radii:
-        raise ValueError("lattice has no zero-product point")
-    return min(radii)
+    A1, B1, d1, A2, B2, d2 = _integer_rows(lat)
+    return Fraction(abs(A1 * B2 - B1 * A2), max(gcd(A1, B1) * d2, gcd(A2, B2) * d1))
 
 
 def _box_ranges(lat: Lattice2, t: Fraction) -> tuple[int, int]:
@@ -290,71 +284,35 @@ def _better(a: LatticeMinimum, b: LatticeMinimum) -> bool:
     return a.point < b.point
 
 
-#: Sup-norm radius of the first exhaustive core in ``minimum_profile``.
-_CORE_RADIUS = 8
-
 #: A lattice point as (m, n, x1, x2), with x1, x2 its coordinates scaled to
 #: integers by the row denominators.
 _Point = tuple[int, int, int, int]
 
 
-def _integer_rows(lat: Lattice2) -> tuple[int, int, int, int, int, int]:
-    """(A1, B1, d1, A2, B2, d2) with row i of the matrix equal to (Ai, Bi) / di."""
-    out: list[int] = []
-    for a, b in ((lat.a11, lat.a12), (lat.a21, lat.a22)):
-        d = math.lcm(a.denominator, b.denominator)
-        out += (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d)
-    return tuple(out)
+def _axis_seed(A1: int, B1: int, A2: int, B2: int) -> tuple[_Point, _Point]:
+    """The minimum e on the x2 = 0 axis and the minimum r next to it; fact (2)."""
+    g = gcd(A2, B2)
+    m, n = B2 // g, -A2 // g
+    e = (m, n, A1 * m + B1 * n, 0)
+    v = pow(m, -1, abs(n)) if n else m
+    u = (m * v - 1) // n if n else 0
+    f1 = A1 * u + B1 * v  # and f2 = A2 u + B2 v = g (m v - n u) = g
+    a = (2 * f1 + e[2]) // (2 * e[2])  # round(f1 / e1)
+    return e, (u - a * m, v - a * n, f1 - a * e[2], g)
 
 
-def _core_points(
-    rows: tuple[int, int, int, int], x1_max: int, x2_max: int
-) -> Iterator[_Point]:
-    """Every nonzero lattice point with |x1| <= x1_max and |x2| <= x2_max."""
-    A1, B1, A2, B2 = rows
-    n_max = (abs(A1) * x2_max + abs(A2) * x1_max) // abs(A1 * B2 - B1 * A2)
-    for n in range(-n_max, n_max + 1):
-        lo, hi = -math.inf, math.inf
-        for a, b, lim in ((A1, B1, x1_max), (A2, B2, x2_max)):
-            c = b * n
-            if a < 0:
-                a, c = -a, -c
-            if a:  # -lim <= a m + c <= lim
-                lo = max(lo, -((lim + c) // a))
-                hi = min(hi, (lim - c) // a)
-            elif abs(c) > lim:
-                hi = -math.inf
-        for m in range(lo, hi + 1) if lo <= hi else ():
-            if m or n:
-                yield (m, n, A1 * m + B1 * n, A2 * m + B2 * n)
-
-
-def _relative_minima(points: Iterable[_Point]) -> list[_Point]:
-    """The points that no other point dominates, one for each absolute
-    vector, by |x1| rising (and so |x2| falling)."""
-    minima: list[_Point] = []
-    for p in points:
-        a1, a2 = abs(p[2]), abs(p[3])
-        if not any(abs(q[2]) <= a1 and abs(q[3]) <= a2 for q in minima):
-            minima = [q for q in minima if not (a1 <= abs(q[2]) and a2 <= abs(q[3]))]
-            minima.append(p)
-    return sorted(minima, key=lambda p: abs(p[2]))
-
-
-def _walk(p: _Point, q: _Point, i: int, limit: int) -> list[_Point]:
-    """The relative minima beyond the consecutive minima p, q on the side
-    where coordinate i of the point tuple falls (i = 2 for x1, 3 for x2),
-    up to the first whose other coordinate exceeds ``limit``; fact (3)."""
-    j = 5 - i  # the growing coordinate
-    if p[i] < 0:
+def _walk(p: _Point, q: _Point, x2_max: int) -> list[_Point]:
+    """The relative minima beyond the consecutive minima p, q, |p1| > |q1|,
+    by |x1| falling, up to the first with |x2| > x2_max; fact (3)."""
+    if p[2] < 0:
         p = (-p[0], -p[1], -p[2], -p[3])
-    if q[i] < 0:
+    if q[2] < 0:
         q = (-q[0], -q[1], -q[2], -q[3])
     walked: list[_Point] = []
-    while 0 < q[i] < p[i]:  # the falling coordinate falls strictly, so this ends
-        a = p[i] // q[i]
+    while 0 < q[2] < p[2]:  # x1 falls strictly, so this ends
+        a = p[2] // q[2]
         r = (p[0] - a * q[0], p[1] - a * q[1], p[2] - a * q[2], p[3] - a * q[3])
-        if abs(r[j]) > limit:
+        if abs(r[3]) > x2_max:
             break
         walked.append(r)
         p, q = q, r
@@ -364,31 +322,19 @@ def _walk(p: _Point, q: _Point, i: int, limit: int) -> list[_Point]:
 def minimum_profile(lat: Lattice2, t_max: Rat) -> list[ProfileRecord]:
     """All running-minimum records of the product up to sup-norm t_max.
 
-    The candidates are the relative minima with sup-norm <= t_max: those of
-    an exhaustive core, whose radius starts at ``_CORE_RADIUS`` and doubles
-    until it holds two minima or reaches t_max, and those of the two walks
-    from the ends of the core (see the module docstring).
+    The candidates are the relative minima with sup-norm <= t_max, walked
+    once from the x2 = 0 end of the chain (see the module docstring).
     """
     t_max = Fraction(t_max)
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     A1, B1, d1, A2, B2, d2 = _integer_rows(lat)
-
-    def limits(t: Fraction) -> tuple[int, int]:
-        # sup-norm <= t  iff  |x1| <= t d1 and |x2| <= t d2
-        return t.numerator * d1 // t.denominator, t.numerator * d2 // t.denominator
-
-    radius = Fraction(_CORE_RADIUS)
-    while True:
-        core_t = min(radius, t_max)
-        chain = _relative_minima(_core_points((A1, B1, A2, B2), *limits(core_t)))
-        if len(chain) >= 2 or core_t == t_max:
-            break
-        radius *= 2
-    x1_max, x2_max = limits(t_max)
-    if len(chain) >= 2:
-        walks = _walk(chain[1], chain[0], 2, x2_max), _walk(chain[-2], chain[-1], 3, x1_max)
-        chain += walks[0] + walks[1]
+    # sup-norm <= t_max  iff  |x1| <= t_max d1 and |x2| <= t_max d2
+    x1_max, x2_max = (t_max.numerator * d // t_max.denominator for d in (d1, d2))
+    e, r = _axis_seed(A1, B1, A2, B2)
+    chain = [
+        p for p in (e, r, *_walk(e, r, x2_max)) if abs(p[2]) <= x1_max and abs(p[3]) <= x2_max
+    ]
 
     def keyed(p: _Point) -> tuple:
         # (sup-norm, product) over d1 d2, the point, and the sup-norm as x / d

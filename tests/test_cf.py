@@ -6,7 +6,6 @@ import pytest
 from weakapprox.cf import (
     PartialQuotients,
     convergents,
-    denominator_sequence,
     evaluate_nested,
     qnorm_table,
     truncation_value,
@@ -63,15 +62,6 @@ def test_continuant_identity():
         for k in range(1, len(conv)):
             det = conv[k].p * conv[k - 1].q - conv[k - 1].p * conv[k].q
             assert det == (-1) ** (k - 1)
-
-
-def test_q_strictly_increasing_after_dedup():
-    rng = random.Random(7)
-    for _ in range(200):
-        pq = random_prefix(rng, max_depth=20)
-        qs = [q for _, q in denominator_sequence(pq)]
-        assert qs[0] == 1
-        assert all(a < b for a, b in zip(qs, qs[1:]))
 
 
 def test_qnorm_values_example():

@@ -6,8 +6,10 @@ down completely, given that Psi is non-increasing in t: each record equals
 Psi at its radius, Psi just below each record equals the previous record
 (or there is no lattice point yet), and Psi at t_max equals the last
 record.  They are checked here on random rational matrices, then on a pair
-whose only record lies off the old convergent branches, and the lattice
-exponent estimates are checked to converge with depth.
+whose only record lies off the old convergent branches.  The closed-form
+degeneracy radius is checked against the oracle, deep profiles against
+their own capped profile, and the lattice exponent estimates are checked
+to converge with depth.
 """
 
 import math
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from weakapprox.bounds import check_theorem
 from weakapprox.cf import PartialQuotients
 from weakapprox.cli import EXIT_INAPPLICABLE, main
-from weakapprox.construct import construct_thm3, growth_rate_thm3
+from weakapprox.construct import construct_thm2, construct_thm3, growth_rate_thm3
 from weakapprox.intmath import log_ratio, parse_fraction
 from weakapprox.lattice import (
     Lattice2,
@@ -136,12 +138,52 @@ def test_general_profile_matches_oracle(case):
         (1, 1, 1, -1),
         # a12 = 0: the axis point (0, a22) ends the chain at once.
         (Fraction(3, 7), 0, Fraction(-5, 2), Fraction(2, 9)),
+        # a21 = 0: the x2 = 0 axis point is (m, n) = (1, 0), completed to a
+        # basis by (0, 1) without a modular inverse.
+        (Fraction(2, 3), Fraction(-7, 5), 0, Fraction(3, 4)),
+        # a11 = 0: the x1 = 0 end of the chain is (m, n) = (1, 0).
+        (0, Fraction(5, 3), Fraction(-2, 7), Fraction(9, 4)),
     ],
 )
 def test_degenerate_chains_match_oracle(entries):
     lat = Lattice2(*map(Fraction, entries))
     for t in (Fraction(1, 2), 1, 2, degeneracy_radius(lat), 6):
         assert_matches_oracle(lat, Fraction(t))
+
+
+SMALL_ENTRIES = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@profile_settings
+@given(st.lists(SMALL_ENTRIES, min_size=4, max_size=4))
+def test_degeneracy_radius_matches_oracle(entries):
+    """The closed form |D| / max(g1 d2, g2 d1): the box of radius r holds a
+    zero-product point, the box just inside it none."""
+    assume(entries[0] * entries[3] != entries[1] * entries[2])
+    lat = Lattice2(*entries)
+    radius = degeneracy_radius(lat)
+    assume(radius <= oracle_cap(lat))
+    assert psi_lattice(lat, radius).degenerate
+    assert psi_or_none(lat, radius * Fraction(4095, 4096)) != 0
+
+
+@pytest.mark.parametrize(
+    "pair, scale",
+    [
+        (construct_thm3(Fraction(1), 10), (1, 1)),
+        (construct_thm3(Fraction(1), 10), (2, 3)),
+        (construct_thm2(Fraction(13, 10), 10), (1, 1)),
+    ],
+)
+def test_deep_profiles_are_prefixes_of_the_capped_profile(pair, scale):
+    """On chains far beyond the oracle's reach, the profile at t is the
+    capped profile's records up to t: the walk from the x2 = 0 axis point
+    passes the minima outside the box of radius t and keeps those inside."""
+    lat = diag_scale(lattice_from_pair(*pair), *scale)
+    cap = degeneracy_radius(lat) * Fraction(4095, 4096)
+    full = minimum_profile(lat, cap)
+    for t in (1, 3, 1000, 10**20, cap):
+        assert minimum_profile(lat, t) == [rec for rec in full if rec.t <= t]
 
 
 @pytest.mark.parametrize("scale", [(1, 1), (2, 3)])

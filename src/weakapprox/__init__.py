@@ -31,13 +31,11 @@ from .exponents import (
 )
 from .lattice import (
     Lattice2,
-    LatticeMinimum,
     degeneracy_radius,
     diag_scale,
     lattice_exponents,
     lattice_from_pair,
     minimum_profile,
-    psi_lattice,
 )
 from .lemma import (
     StepPair,
@@ -47,7 +45,7 @@ from .lemma import (
     random_step_pair,
     verify_witness,
 )
-from .measure import StepFunction, brute_measure, min_step, psi_step, upsilon_step
+from .measure import StepFunction, min_step, psi_step, upsilon_step
 
 __version__ = "0.1.0"
 
@@ -61,12 +59,10 @@ __all__ = [
     "GuardExceeded",
     "InterleavingError",
     "Lattice2",
-    "LatticeMinimum",
     "PartialQuotients",
     "StepFunction",
     "StepPair",
     "Witness",
-    "brute_measure",
     "check_conditions",
     "check_theorem",
     "construct_thm1",
@@ -84,7 +80,6 @@ __all__ = [
     "min_step",
     "minimum_profile",
     "ordinary_exponent",
-    "psi_lattice",
     "psi_step",
     "qnorm_table",
     "random_step_pair",

@@ -274,11 +274,3 @@ def qnorm_table(pq: PartialQuotients) -> list[ExactDistance]:
         )
         for v, q in enumerate(an.q)
     ]
-
-
-def evaluate_nested(pq: PartialQuotients) -> Fraction:
-    """Bottom-up evaluation of the nested fraction; an oracle for truncation_value."""
-    x = Fraction(pq.tail[-1])
-    for a in reversed(pq.tail[:-1]):
-        x = a + 1 / x
-    return pq.a0 + 1 / x

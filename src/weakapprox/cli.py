@@ -166,7 +166,10 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_lemma1(args) -> int:
-    if args.u_csv and args.v_csv:
+    csv_mode = [a is not None for a in (args.u_csv, args.v_csv, args.u_end, args.v_end)]
+    if any(csv_mode) and not all(csv_mode):
+        raise ValueError("CSV mode needs all of --u-csv, --v-csv, --u-end and --v-end")
+    if all(csv_mode):
         u = StepFunction.from_csv(Path(args.u_csv).read_text(encoding="utf-8"),
                                   domain_end=args.u_end)
         v = StepFunction.from_csv(Path(args.v_csv).read_text(encoding="utf-8"),

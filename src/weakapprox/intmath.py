@@ -173,12 +173,6 @@ def reduced_fraction(num: int, den: int) -> Fraction:
     return x
 
 
-def dist_to_int(x: Fraction) -> Fraction:
-    """Distance from a rational to the nearest integer, ||x||, in [0, 1/2]."""
-    r = x - math.floor(x)
-    return min(r, 1 - r)
-
-
 def digits_of(n: int) -> int:
     """Approximate decimal digit count of |n| (exact enough for guards)."""
     if n == 0:

@@ -8,10 +8,10 @@ Rational lattices degenerate at large t: some point hits a coordinate axis
 (the product vanishes) at the *degeneracy radius*, computable exactly from
 the matrix entries.  All exponent sampling stays strictly below it.
 
-``psi_lattice`` scans the whole box: exact for any nonsingular rational
-matrix, cost growing with the box area, and the oracle of the tests.
-``minimum_profile`` walks the chain of relative minima instead (Voronoi
-1896; Cassels, *An Introduction to the Geometry of Numbers*, ch. V).
+``minimum_profile`` reads Psi off the chain of relative minima (Voronoi
+1896; Cassels, *An Introduction to the Geometry of Numbers*, ch. V); the
+facts below prove it complete, and the tests check it against an
+exhaustive scan of the box.
 
 Say y dominates x if |y1| <= |x1|, |y2| <= |x2| and (|y1|, |y2|) differs
 from (|x1|, |x2|).  A nonzero lattice point no lattice point dominates is a
@@ -72,16 +72,14 @@ from typing import Union
 
 from .cf import PartialQuotients, truncation_value
 from .exponents import ExponentEstimate, _estimate
-from .intmath import _rat_str, fraction_str, log_ratio, parse_fraction
+from .intmath import fraction_str, log_ratio
 
 __all__ = [
     "Lattice2",
-    "LatticeMinimum",
     "ProfileRecord",
     "lattice_from_pair",
     "diag_scale",
     "degeneracy_radius",
-    "psi_lattice",
     "minimum_profile",
     "lattice_exponents",
 ]
@@ -108,24 +106,6 @@ class Lattice2:
     def det(self) -> Fraction:
         return self.a11 * self.a22 - self.a12 * self.a21
 
-    @property
-    def theta(self) -> Fraction:
-        """Row ratio a12/a11 (requires a11 != 0)."""
-        if self.a11 == 0:
-            raise ValueError("theta undefined: a11 = 0")
-        return self.a12 / self.a11
-
-    @property
-    def eta(self) -> Fraction:
-        """Row ratio a21/a22 (requires a22 != 0)."""
-        if self.a22 == 0:
-            raise ValueError("eta undefined: a22 = 0")
-        return self.a21 / self.a22
-
-    def image(self, m: int, n: int) -> tuple[Fraction, Fraction]:
-        """Coordinates of the lattice point for integer (m, n)."""
-        return (self.a11 * m + self.a12 * n, self.a21 * m + self.a22 * n)
-
     def to_dict(self) -> dict:
         return {
             "a11": fraction_str(self.a11),
@@ -133,25 +113,6 @@ class Lattice2:
             "a21": fraction_str(self.a21),
             "a22": fraction_str(self.a22),
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "Lattice2":
-        return Lattice2(*(parse_fraction(data[k]) for k in ("a11", "a12", "a21", "a22")))
-
-
-@dataclass(frozen=True)
-class LatticeMinimum:
-    """Minimizer of the coordinate product within the box of radius t.
-
-    ``product_sq`` stores (x1 x2)^2 exactly, so Psi(t) = product_sq^(1/4);
-    ``degenerate`` marks a vanishing product.
-    """
-
-    t: Fraction
-    point: tuple[int, int]
-    image: tuple[Fraction, Fraction]
-    product_sq: Fraction
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -178,15 +139,11 @@ class ProfileRecord:
 
 def lattice_from_pair(theta_pq: PartialQuotients, eta_pq: PartialQuotients) -> Lattice2:
     """Unit-diagonal lattice [[1, theta], [eta, 1]] from two prefixes."""
-    th = truncation_value(theta_pq)
-    et = truncation_value(eta_pq)
-    if th * et == 1:
-        raise ValueError("theta * eta = 1 gives a singular matrix")
-    return Lattice2(Fraction(1), th, et, Fraction(1))
+    return Lattice2(1, truncation_value(theta_pq), truncation_value(eta_pq), 1)
 
 
 def diag_scale(lat: Lattice2, d1: Rat, d2: Rat) -> Lattice2:
-    """Row scaling diag(d1, d2) * A; the ratios theta, eta are unchanged."""
+    """Row scaling diag(d1, d2) * A; the row ratios a12/a11, a21/a22 are unchanged."""
     d1, d2 = Fraction(d1), Fraction(d2)
     if d1 == 0 or d2 == 0:
         raise ValueError("scale factors must be nonzero")
@@ -211,77 +168,6 @@ def degeneracy_radius(lat: Lattice2) -> Fraction:
     """
     A1, B1, d1, A2, B2, d2 = _integer_rows(lat)
     return Fraction(abs(A1 * B2 - B1 * A2), max(gcd(A1, B1) * d2, gcd(A2, B2) * d1))
-
-
-def _box_ranges(lat: Lattice2, t: Fraction) -> tuple[int, int]:
-    """Bounds M, N with |m| <= M, |n| <= N for all points in the box [-t, t]^2."""
-    det = abs(lat.det)
-    m_bound = (abs(lat.a22) + abs(lat.a12)) * t / det
-    n_bound = (abs(lat.a21) + abs(lat.a11)) * t / det
-    return int(m_bound) + 1, int(n_bound) + 1
-
-
-def _m_interval(lat: Lattice2, n: int, t: Fraction) -> tuple[int, int]:
-    """Integer m-range with both |a11 m + a12 n| <= t and |a21 m + a22 n| <= t."""
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-    for c_m, c_n in ((lat.a11, lat.a12), (lat.a21, lat.a22)):
-        if c_m == 0:
-            if abs(c_n * n) > t:
-                return 1, 0  # empty
-            continue
-        a = (-t - c_n * n) / c_m
-        b = (t - c_n * n) / c_m
-        if a > b:
-            a, b = b, a
-        lo = a if lo is None else max(lo, a)
-        hi = b if hi is None else min(hi, b)
-    if lo is None or hi is None:
-        raise AssertionError("unreachable for a nonsingular matrix")
-    return math.ceil(lo), math.floor(hi)
-
-
-def psi_lattice(lat: Lattice2, t: Rat) -> LatticeMinimum:
-    """Exact product minimum over the box of radius t, by exhaustive scan.
-
-    Iterates n over its preimage range and intersects the two exact
-    m-intervals given by |x1| <= t and |x2| <= t, so only points inside the
-    box are visited.  A zero-product point inside the box wins outright and
-    is returned with the degenerate flag.
-    """
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    _, n_bound = _box_ranges(lat, t)
-
-    best: LatticeMinimum | None = None
-    for n in range(-n_bound, n_bound + 1):
-        lo, hi = _m_interval(lat, n, t)
-        for m in range(lo, hi + 1):
-            if m == 0 and n == 0:
-                continue
-            x1, x2 = lat.image(m, n)
-            sup = max(abs(x1), abs(x2))
-            if sup > t or sup == 0:
-                continue
-            prod_sq = (x1 * x2) ** 2
-            cand = LatticeMinimum(t, (m, n), (x1, x2), prod_sq, prod_sq == 0)
-            if best is None or _better(cand, best):
-                best = cand
-    if best is None:
-        raise ValueError(f"no nonzero lattice point with sup-norm <= {_rat_str(t)}")
-    return best
-
-
-def _better(a: LatticeMinimum, b: LatticeMinimum) -> bool:
-    """Smaller product wins; ties prefer smaller sup-norm, then the point order."""
-    if a.product_sq != b.product_sq:
-        return a.product_sq < b.product_sq
-    sa = max(abs(a.image[0]), abs(a.image[1]))
-    sb = max(abs(b.image[0]), abs(b.image[1]))
-    if sa != sb:
-        return sa < sb
-    return a.point < b.point
 
 
 #: A lattice point as (m, n, x1, x2), with x1, x2 its coordinates scaled to

@@ -44,14 +44,13 @@ from math import gcd
 from typing import Iterable, Union
 
 from .cf import PartialQuotients, qnorm_table  # noqa: F401 - perfbench looks it up here
-from .intmath import _rat_str, decimal_str, dist_to_int, parse_decimal, reduced_fraction
+from .intmath import _rat_str, decimal_str, parse_decimal, reduced_fraction
 
 __all__ = [
     "StepFunction",
     "psi_step",
     "upsilon_step",
     "min_step",
-    "brute_measure",
 ]
 
 Rat = Union[int, Fraction]
@@ -251,23 +250,3 @@ def min_step(f: StepFunction, g: StepFunction) -> StepFunction:
         if ng == t:
             j += 1
     return _merged(points, end)
-
-
-def brute_measure(x: Fraction, t: int, kind: str = "ordinary") -> Fraction:
-    """Direct definition: min over q = 1..t of ||q x|| (or q ||q x||).
-
-    Exhaustive scan; the independent oracle for psi_step / upsilon_step.
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if kind not in ("ordinary", "weak"):
-        raise ValueError("kind must be 'ordinary' or 'weak'")
-    x = Fraction(x)
-    best: Fraction | None = None
-    for q in range(1, t + 1):
-        d = dist_to_int(q * x)
-        cand = q * d if kind == "weak" else d
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best

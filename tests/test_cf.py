@@ -3,13 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from weakapprox.cf import (
-    PartialQuotients,
-    convergents,
-    evaluate_nested,
-    qnorm_table,
-    truncation_value,
-)
+from weakapprox.cf import PartialQuotients, convergents, qnorm_table, truncation_value
+from oracles import evaluate_nested
 
 
 def random_prefix(rng, max_depth=50, max_quot=9):

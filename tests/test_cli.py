@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -176,6 +177,27 @@ class TestLatticeCommand:
         assert data["flags"] == []
         assert 1.0 < data["omega_bar_lattice"]["value"] < data["omega_lattice"]["value"] + 0.05
 
+    def test_singular_pair_is_a_usage_error(self, capsys):
+        # theta * eta = (1/2) * 2 = 1 makes [[1, theta], [eta, 1]] singular.
+        code = main(["lattice", "--theta", "[0;2]", "--eta", "[1;1]"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == "error: matrix must be nonsingular\n"
+
+
+@pytest.fixture
+def csv_options(tmp_path):
+    """The four CSV-mode options of lemma1, for a pair with one witness at margin 0."""
+    (tmp_path / "u.csv").write_text("t,value_num,value_den\n1,1,1\n4,3,10\n10,1,10\n")
+    (tmp_path / "v.csv").write_text("t,value_num,value_den\n2,1,2\n6,1,5\n15,1,20\n")
+    return {"--u-csv": str(tmp_path / "u.csv"), "--v-csv": str(tmp_path / "v.csv"),
+            "--u-end": "20", "--v-end": "20"}
+
+
+def flat(options):
+    return [word for item in options.items() for word in item]
+
 
 class TestLemmaCommand:
     def test_seeded_run(self, capsys):
@@ -184,14 +206,8 @@ class TestLemmaCommand:
         data = json.loads(out)
         assert data["failures"] == 0
 
-    def test_csv_pair(self, tmp_path, capsys):
-        (tmp_path / "u.csv").write_text("t,value_num,value_den\n1,1,1\n4,3,10\n10,1,10\n")
-        (tmp_path / "v.csv").write_text("t,value_num,value_den\n2,1,2\n6,1,5\n15,1,20\n")
-        code, out = run(
-            ["lemma1", "--u-csv", str(tmp_path / "u.csv"), "--v-csv", str(tmp_path / "v.csv"),
-             "--u-end", "20", "--v-end", "20", "--margin", "0"],
-            capsys,
-        )
+    def test_csv_pair(self, csv_options, capsys):
+        code, out = run(["lemma1", *flat(csv_options), "--margin", "0"], capsys)
         assert code == 0
         data = json.loads(out)
         assert data["a_holds"] and data["b_holds"]
@@ -220,14 +236,20 @@ class TestLemmaCommand:
         assert data["failures"] == 3
         assert [row["witnesses"] for row in data["pairs"]] == [5, 5, 5]
 
-    def test_negative_margin_is_a_usage_error(self, tmp_path, capsys):
-        (tmp_path / "u.csv").write_text("t,value_num,value_den\n1,1,1\n4,3,10\n10,1,10\n")
-        (tmp_path / "v.csv").write_text("t,value_num,value_den\n2,1,2\n6,1,5\n15,1,20\n")
-        csv_args = ["--u-csv", str(tmp_path / "u.csv"), "--v-csv", str(tmp_path / "v.csv"),
-                    "--u-end", "20", "--v-end", "20"]
-        for extra in (["--seed", "0", "--pairs", "2"], csv_args):
+    def test_negative_margin_is_a_usage_error(self, csv_options, capsys):
+        for extra in (["--seed", "0", "--pairs", "2"], flat(csv_options)):
             code, out = run(["lemma1", "--margin", "-1", *extra], capsys)
             assert code == 2 and out == ""
+
+    def test_csv_mode_needs_all_four_options(self, csv_options, capsys):
+        for k in range(1, 4):
+            for names in itertools.combinations(csv_options, k):
+                code = main(["lemma1", *flat({name: csv_options[name] for name in names})])
+                captured = capsys.readouterr()
+                assert (code, captured.out) == (EXIT_USAGE, ""), names
+                assert captured.err == (
+                    "error: CSV mode needs all of --u-csv, --v-csv, --u-end and --v-end\n"
+                )
 
 
 class TestVerifyCommand:

@@ -3,9 +3,9 @@
 The core (``cf.PrefixAnalysis``, the measure functions built from it, the
 screened comparison and the estimators that sample it) works on integers
 over the common denominator q_N.  Every property here is checked against
-plain ``Fraction`` arithmetic: ``dist_to_int``, ``brute_measure``,
-``Fraction.__lt__`` and, for whole reports, the Fraction-only algorithm
-kept below as ``fraction_report``.
+plain ``Fraction`` arithmetic: the scans of ``oracles`` (``evaluate_nested``,
+``dist_to_int``, ``brute_measure``), ``Fraction.__lt__`` and, for whole
+reports, the Fraction-only algorithm kept below as ``fraction_report``.
 """
 
 import math
@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import weakapprox.cf as cf
-from weakapprox.cf import PartialQuotients, convergents, evaluate_nested, qnorm_table
+from weakapprox.cf import PartialQuotients, convergents, qnorm_table
 from weakapprox.construct import construct_thm1, construct_thm2, construct_thm3
 from weakapprox.exponents import (
     ASYMPTOTIC_TOL,
@@ -24,8 +24,9 @@ from weakapprox.exponents import (
     apply_window,
     exponent_report,
 )
-from weakapprox.intmath import decimal_str, dist_to_int, log_int, log_ratio
-from weakapprox.measure import _less, brute_measure, psi_step, upsilon_step
+from weakapprox.intmath import decimal_str, log_int, log_ratio
+from weakapprox.measure import _less, psi_step, upsilon_step
+from oracles import brute_measure, dist_to_int, evaluate_nested
 
 core_settings = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]

@@ -14,7 +14,6 @@ from weakapprox.cf import PartialQuotients
 from weakapprox.intmath import (
     decimal_str,
     digits_of,
-    dist_to_int,
     floor_div_root,
     fraction_str,
     log_int,
@@ -25,8 +24,8 @@ from weakapprox.intmath import (
     round_div_root,
     round_root,
 )
-from weakapprox.lattice import Lattice2, psi_lattice
 from weakapprox.measure import StepFunction
+from oracles import dist_to_int
 
 
 def test_nth_root_floor_small_cases():
@@ -370,14 +369,10 @@ def _interleaving(monkeypatch, quotients, seed_theta, seed_eta):
         (lambda mp: _interleaving(mp, [2, 1], (0, _BIG + 1), (0, _BIG)),
          f"interleaving failed at index 2: s_2 = {decimal_str(2 * _BIG + 1)} "
          f">= q_2 = {decimal_str(_BIG + 2)}"),
-        (lambda mp: psi_lattice(Lattice2(1, 0, 0, 1), Fraction(_BIG + 1, 2 * _BIG)),
-         f"no nonzero lattice point with sup-norm <= "
-         f"{decimal_str(_BIG + 1)}/{decimal_str(2 * _BIG)}"),
         (lambda mp: PartialQuotients(0, (1, -_BIG)),
          f"tail entry a2 = {decimal_str(-_BIG)} must be >= 1"),
     ],
-    ids=["value", "left_limit", "seeds", "q-before-s", "s-before-q", "psi_lattice",
-         "tail-entry"],
+    ids=["value", "left_limit", "seeds", "q-before-s", "s-before-q", "tail-entry"],
 )
 def test_error_messages_print_huge_integers(default_int_limit, monkeypatch, fail, message):
     """Each message keeps its own text at the default int<->str limit."""

@@ -1,4 +1,4 @@
-"""The lattice record profile against the exhaustive oracle ``psi_lattice``.
+"""The lattice record profile against the exhaustive oracle ``oracles.psi_lattice``.
 
 ``minimum_profile`` lists the records of Psi from the chain of relative
 minima (see the ``lattice`` module docstring).  Three facts pin a profile
@@ -31,8 +31,8 @@ from weakapprox.lattice import (
     lattice_exponents,
     lattice_from_pair,
     minimum_profile,
-    psi_lattice,
 )
+from oracles import psi_lattice
 
 profile_settings = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -90,16 +90,6 @@ def general(draw):
     return lat, draw(radii(lat))
 
 
-def psi_or_none(lat: Lattice2, t: Fraction):
-    """The oracle's product minimum at t, or None when the box holds no point."""
-    if t <= 0:
-        return None
-    try:
-        return psi_lattice(lat, t).product_sq
-    except ValueError:
-        return None
-
-
 def assert_matches_oracle(lat: Lattice2, t_max: Fraction) -> None:
     records = minimum_profile(lat, t_max)
     # Sup-norms are multiples of 1/(d1 d2), so t - below is above every
@@ -109,13 +99,14 @@ def assert_matches_oracle(lat: Lattice2, t_max: Fraction) -> None:
     previous = None
     for rec in records:
         assert rec.t <= t_max
-        x1, x2 = lat.image(*rec.point)
+        m, n = rec.point
+        x1, x2 = lat.a11 * m + lat.a12 * n, lat.a21 * m + lat.a22 * n
         assert max(abs(x1), abs(x2)) == rec.t
         assert (x1 * x2) ** 2 == rec.product_sq
-        assert psi_lattice(lat, rec.t).product_sq == rec.product_sq
-        assert psi_or_none(lat, rec.t - below) == previous
+        assert psi_lattice(lat, rec.t) == rec.product_sq
+        assert psi_lattice(lat, rec.t - below) == previous
         previous = rec.product_sq
-    assert psi_or_none(lat, t_max) == previous
+    assert psi_lattice(lat, t_max) == previous
 
 
 @profile_settings
@@ -163,8 +154,8 @@ def test_degeneracy_radius_matches_oracle(entries):
     lat = Lattice2(*entries)
     radius = degeneracy_radius(lat)
     assume(radius <= oracle_cap(lat))
-    assert psi_lattice(lat, radius).degenerate
-    assert psi_or_none(lat, radius * Fraction(4095, 4096)) != 0
+    assert psi_lattice(lat, radius) == 0
+    assert psi_lattice(lat, radius * Fraction(4095, 4096)) != 0
 
 
 @pytest.mark.parametrize(

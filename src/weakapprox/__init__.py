@@ -15,7 +15,6 @@ from .cf import (
     truncation_value,
 )
 from .construct import (
-    ConstructionSpec,
     GuardExceeded,
     InterleavingError,
     construct_thm1,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundCheck",
     "Convergent",
-    "ConstructionSpec",
     "ExactDistance",
     "ExponentEstimate",
     "G_frak",

@@ -22,13 +22,15 @@ from pathlib import Path
 from . import __version__
 from .bounds import CHECK_TOL, check_theorem
 from .cf import PartialQuotients, convergents, qnorm_table, truncation_value
-from .construct import ConstructionSpec, GuardExceeded, InterleavingError, _digit_guard
+from .construct import (GuardExceeded, InterleavingError, _digit_guard,
+                        construct_thm1, construct_thm2, construct_thm3)
 from .exponents import ASYMPTOTIC_TOL, NotEstimable, exponent_report
 from .intmath import decimal_str, fraction_str
 from .lattice import diag_scale, lattice_exponents, lattice_from_pair
-from .lemma import StepPair, check_conditions, find_witnesses, random_step_pair, verify_witness
+from .lemma import (BOUNDARY_MARGIN, StepPair, check_conditions, find_witnesses,
+                    random_step_pair, verify_witness)
 from .measure import StepFunction, min_step, psi_step, upsilon_step
-from .svgplot import PlotStyle, plot_steps
+from .svgplot import plot_steps
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -67,7 +69,7 @@ def _load_prefix(arg: str) -> PartialQuotients:
         pq = PartialQuotients.from_json(text)
     else:
         pq = PartialQuotients.parse(text)
-    digits, guard = pq.min_q_digits(), _digit_guard(None)
+    digits, guard = pq.min_q_digits(), _digit_guard()
     if digits > guard:
         raise GuardExceeded(f"prefix q_N has at least {digits} digits (guard {guard})")
     return pq
@@ -75,6 +77,17 @@ def _load_prefix(arg: str) -> PartialQuotients:
 
 def _seed_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
+
+
+def _build(scheme: str, gamma: Fraction, depth: int,
+           seeds: dict[str, tuple[int, ...]]) -> tuple[PartialQuotients, ...]:
+    """The prefix (thm1) or the (theta, eta) pair (thm2, thm3) of one scheme."""
+    if scheme == "thm1":
+        if "seed_eta" in seeds:
+            raise ValueError("--seed-eta applies only to the pair schemes thm2 and thm3")
+        return (construct_thm1(gamma, depth, seeds.get("seed_theta", (0, 1))),)
+    builder = construct_thm2 if scheme == "thm2" else construct_thm3
+    return builder(gamma, depth, **seeds)
 
 
 def cmd_cf(args) -> int:
@@ -105,16 +118,14 @@ def cmd_cf(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    spec = ConstructionSpec(
-        args.scheme,
-        Fraction(args.gamma),
-        args.depth,
-        seed_theta=_seed_tuple(args.seed_theta) if args.seed_theta else (),
-        seed_eta=_seed_tuple(args.seed_eta) if args.seed_eta else (),
-    )
-    built = spec.build()
-    if args.scheme == "thm1":
-        _emit(built.to_json() + "\n", args.output)
+    seeds = {
+        name: _seed_tuple(text)
+        for name, text in (("seed_theta", args.seed_theta), ("seed_eta", args.seed_eta))
+        if text
+    }
+    built = _build(args.scheme, Fraction(args.gamma), args.depth, seeds)
+    if len(built) == 1:
+        _emit(built[0].to_json() + "\n", args.output)
         return EXIT_OK
     theta, eta = built
     out = {
@@ -215,8 +226,7 @@ def cmd_lemma1(args) -> int:
 
 def cmd_verify(args) -> int:
     gamma = Fraction(args.gamma)
-    built = ConstructionSpec(_SCHEME_OF[args.theorem], gamma, args.depth).build()
-    pair = built if isinstance(built, tuple) else (built,)
+    pair = _build(_SCHEME_OF[args.theorem], gamma, args.depth, {})
     report = exponent_report(*pair)
     flags = report["flags"]
     estimates = report
@@ -254,13 +264,9 @@ def cmd_plot(args) -> int:
         functions.append(("psi", psi))
         functions.append(("upsilon", ups))
     if not functions:
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError("plot needs --csv or --prefix")
     annotations = [int(a) for a in args.annotate.split(",")] if args.annotate else []
-    svg = plot_steps(
-        functions,
-        annotations,
-        PlotStyle(log_axes=not args.linear, title=args.title),
-    )
+    svg = plot_steps(functions, annotations, log_axes=not args.linear, title=args.title)
     _emit(svg, args.output)
     return EXIT_OK
 
@@ -319,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-csv", help="CSV for the second function")
     p.add_argument("--u-end", type=int, help="domain end for the first CSV")
     p.add_argument("--v-end", type=int, help="domain end for the second CSV")
-    p.add_argument("--margin", type=int, default=2,
+    p.add_argument("--margin", type=int, default=BOUNDARY_MARGIN,
                    help="breakpoints at each window edge left out of the witness scan")
     p.add_argument("--output")
     p.set_defaults(func=cmd_lemma1)

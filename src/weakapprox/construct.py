@@ -23,14 +23,12 @@ Three schemes, each taking a rational parameter gamma = u/v so that every
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cf import PartialQuotients
 from .intmath import decimal_str, digits_of, round_div_root, round_root
 
 __all__ = [
-    "ConstructionSpec",
     "GuardExceeded",
     "InterleavingError",
     "construct_thm1",
@@ -57,9 +55,7 @@ class InterleavingError(ValueError):
         self.index = index
 
 
-def _digit_guard(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
+def _digit_guard() -> int:
     env = os.environ.get(DIGIT_GUARD_ENV)
     return int(env) if env else DEFAULT_DIGIT_GUARD
 
@@ -70,9 +66,7 @@ def _check_guard(q: int, guard: int) -> None:
 
 
 def _checked(scheme: str, gamma, depth: int) -> Fraction:
-    """gamma as a Fraction, once scheme, gamma and depth are all valid."""
-    if scheme not in ("thm1", "thm2", "thm3"):
-        raise ValueError(f"unknown scheme {scheme!r}")
+    """gamma as a Fraction, once gamma and depth are valid for the scheme."""
     gamma = Fraction(gamma)
     in_domain, domain = {
         "thm1": (1 < gamma < 2, "1 < gamma < 2"),
@@ -86,33 +80,10 @@ def _checked(scheme: str, gamma, depth: int) -> Fraction:
     return gamma
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
-    """Parameters of one construction run, validated at creation."""
-
-    scheme: str
-    gamma: Fraction
-    depth: int
-    seed_theta: tuple[int, ...] = ()
-    seed_eta: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        _checked(self.scheme, self.gamma, self.depth)
-
-    def build(self):
-        """Run the scheme: one prefix for thm1, a (theta, eta) pair otherwise."""
-        if self.scheme == "thm1":
-            return construct_thm1(self.gamma, self.depth, self.seed_theta or (0, 1))
-        builder = construct_thm2 if self.scheme == "thm2" else construct_thm3
-        seeds = {"seed_theta": self.seed_theta, "seed_eta": self.seed_eta}
-        return builder(self.gamma, self.depth, **{k: v for k, v in seeds.items() if v})
-
-
 def construct_thm1(
     gamma: Fraction,
     depth: int,
     seed: tuple[int, ...] = (0, 1),
-    digit_guard: int | None = None,
 ) -> PartialQuotients:
     """Single-number scheme: a_{v+1} = max(1, round(q_v^e)), e = (gamma-1)/(2-gamma).
 
@@ -122,7 +93,7 @@ def construct_thm1(
     gamma = _checked("thm1", gamma, depth)
     if len(seed) < 2:
         raise ValueError("seed must provide a0 and at least a1")
-    guard = _digit_guard(digit_guard)
+    guard = _digit_guard()
     e = (gamma - 1) / (2 - gamma)
     a0, tail = seed[0], list(seed[1:depth + 1])
     q_prev, q = 0, 1
@@ -142,7 +113,6 @@ def _interleaved_pair(
     seed_theta: tuple[int, ...],
     seed_eta: tuple[int, ...],
     coupled: bool,
-    digit_guard: int | None,
 ) -> tuple[PartialQuotients, PartialQuotients]:
     """Common driver for the two pair schemes.
 
@@ -156,7 +126,7 @@ def _interleaved_pair(
 
     Both enforce the strict interleaving s_1 < q_1 < s_2 < q_2 < ...
     """
-    guard = _digit_guard(digit_guard)
+    guard = _digit_guard()
     u, v = gamma.numerator, gamma.denominator
 
     a0, a_tail = seed_theta[0], list(seed_theta[1:])
@@ -206,11 +176,10 @@ def construct_thm2(
     depth: int,
     seed_theta: tuple[int, ...] = (0, 3),
     seed_eta: tuple[int, ...] = (0, 2),
-    digit_guard: int | None = None,
 ) -> tuple[PartialQuotients, PartialQuotients]:
     """Pair scheme with q_v ~ s_v^gamma and s_{v+1} ~ q_v^gamma, gamma > 1."""
     gamma = _checked("thm2", gamma, depth)
-    return _interleaved_pair(gamma, depth, seed_theta, seed_eta, False, digit_guard)
+    return _interleaved_pair(gamma, depth, seed_theta, seed_eta, False)
 
 
 def construct_thm3(
@@ -218,11 +187,10 @@ def construct_thm3(
     depth: int,
     seed_theta: tuple[int, ...] = (0, 3),
     seed_eta: tuple[int, ...] = (0, 2),
-    digit_guard: int | None = None,
 ) -> tuple[PartialQuotients, PartialQuotients]:
     """Pair scheme with s_{v+1} ~ q_v^gamma s_v and q_{v+1} ~ s_{v+1}^gamma q_v."""
     gamma = _checked("thm3", gamma, depth)
-    return _interleaved_pair(gamma, depth, seed_theta, seed_eta, True, digit_guard)
+    return _interleaved_pair(gamma, depth, seed_theta, seed_eta, True)
 
 
 def growth_rate_thm3(gamma: Fraction | float) -> float:

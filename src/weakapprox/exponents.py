@@ -73,7 +73,7 @@ class ExponentEstimate:
 
 
 class NotEstimable(ValueError):
-    """A well-formed input with too few samples for an estimate."""
+    """A well-formed input without a sample for an estimate."""
 
 
 def apply_window(
@@ -111,15 +111,14 @@ def _estimate(
     kind: str,
     samples: list[tuple[int, float]],
     window: tuple[int, int] | None,
-    minimum: int,
     take: Callable[[Iterable[float]], float],
 ) -> ExponentEstimate:
     """``take`` (max or min) of the scheduled samples, as an estimate of ``kind``.
 
-    Fewer than ``minimum`` samples raises ``NotEstimable``.
+    No sample at all raises ``NotEstimable``.
     """
-    if len(samples) < minimum:
-        raise NotEstimable(f"{kind}: {len(samples)} samples, need at least {minimum}")
+    if not samples:
+        raise NotEstimable(f"{kind}: 0 samples, need at least 1")
     picked, win = apply_window(samples, window)
     return ExponentEstimate(kind, take(s for _, s in picked), win, tuple(samples))
 
@@ -139,14 +138,13 @@ def ordinary_exponent(
         if q >= 2:
             num, den = an.distance(v)
             samples.append((q, -log_ratio(num, den) / log_int(q)))
-    return _estimate("omega", samples, window, 1, max)
+    return _estimate("omega", samples, window, max)
 
 
 def uniform_exponent(
     f: StepFunction,
     kind: str,
     window: tuple[int, int] | None = None,
-    minimum_samples: int = 3,
 ) -> ExponentEstimate:
     """Estimate a uniform (limsup-type) exponent from a merged step function.
 
@@ -154,9 +152,7 @@ def uniform_exponent(
     two ordinary functions), "varpi_upsilon" (minimum of two weak functions).
     Samples at left limits of stored breakpoints >= 2 plus the left limit at
     the domain end (the binding point when the function rarely improves);
-    window min.  Fewer than ``minimum_samples`` samples raises
-    ``NotEstimable``: the default 3 makes one-piece functions unestimable
-    rather than misleading.
+    window min.  A function without a sample raises ``NotEstimable``.
     """
     if kind not in _WEAK_SHIFT:
         raise ValueError(f"unknown uniform kind {kind!r}")
@@ -168,7 +164,7 @@ def uniform_exponent(
         points.append((f.domain_end, f.values[-1]))
     samples = [(t, shift - log_ratio(v.numerator, v.denominator) / log_int(t))
                for t, v in points]
-    return _estimate(kind, samples, window, minimum_samples, min)
+    return _estimate(kind, samples, window, min)
 
 
 def _one_number(
@@ -178,7 +174,7 @@ def _one_number(
     prefix's two ordering flags to ``flags``."""
     omega = ordinary_exponent(pq, window)
     ups = upsilon_step(pq)
-    omega_bar = uniform_exponent(ups, "omega_bar", window, minimum_samples=1)
+    omega_bar = uniform_exponent(ups, "omega_bar", window)
     if not omega.value >= 1 - EXACT_TOL:
         flags.append(f"omega_{name} below 1")
     if not omega.value >= omega_bar.value - ASYMPTOTIC_TOL:
@@ -195,10 +191,7 @@ def exponent_report(
 
     Flags report violations of the ordering relations
     omega >= omega_bar, 1 <= varpi_psi <= varpi_upsilon, omega >= 1;
-    they must never fire on valid data.  Unlike the bare estimator ops, the
-    report tolerates sparse uniform sample sets (bounded-quotient numbers
-    can leave the weak running minimum with a single piece), falling back to
-    the domain-end envelope sample.
+    they must never fire on valid data.
     """
     flags: list[str] = []
     omega_t, omega_bar_t, ups_t = _one_number(theta, "theta", window, flags)
@@ -213,9 +206,8 @@ def exponent_report(
     if eta is not None:
         omega_e, omega_bar_e, ups_e = _one_number(eta, "eta", window, flags)
         psi_min = min_step(psi_step(theta), psi_step(eta))
-        varpi_psi = uniform_exponent(psi_min, "varpi_psi", window, minimum_samples=1)
-        varpi_ups = uniform_exponent(min_step(ups_t, ups_e), "varpi_upsilon", window,
-                                     minimum_samples=1)
+        varpi_psi = uniform_exponent(psi_min, "varpi_psi", window)
+        varpi_ups = uniform_exponent(min_step(ups_t, ups_e), "varpi_upsilon", window)
         report.update(
             {
                 "omega_eta": omega_e.value,

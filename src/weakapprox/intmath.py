@@ -130,24 +130,14 @@ def round_root(n: int, num: int, den: int) -> int:
     return round_div_root(n, num, den, 0, 1)
 
 
-def floor_div_root(base: int, num: int, den: int, c: int, s: int) -> int:
-    """floor((base**(num/den) - c) / s) for base, s >= 1.
-
-    Exact with r = floor(R), R = base**(num/den): m = (r - c) // s gives
-    c + m*s <= r <= R, and the integer c + (m+1)*s exceeds r, so it is at
-    least r + 1 > R.
-    """
-    if base < 1 or s < 1 or num < 1 or den < 1:
-        raise ValueError("root helpers require positive base, s, num, den")
-    return (nth_root_floor(base**num, den) - c) // s
-
-
 def round_div_root(base: int, num: int, den: int, c: int, s: int) -> int:
     """Nearest integer to (base**(num/den) - c) / s, exact, ties up.
 
-    With m the floor (``floor_div_root``), the answer is m + 1 iff
-    base**(num/den) >= c + (m + 1/2)*s, i.e. iff v = 2c + (2m+1)s is at
-    most 0 or v**den <= 2**den * base**num; all comparisons are integer.
+    m = (r - c) // s with r = floor(R), R = base**(num/den), is the floor of
+    (R - c) / s: c + m*s <= r <= R, and the integer c + (m+1)*s exceeds r,
+    so it is at least r + 1 > R.  The answer is m + 1 iff
+    R >= c + (m + 1/2)*s, i.e. iff v = 2c + (2m+1)s is at most 0 or
+    v**den <= 2**den * base**num; all comparisons are integer.
     """
     if base < 1 or s < 1 or num < 1 or den < 1:
         raise ValueError("root helpers require positive base, s, num, den")
@@ -256,12 +246,3 @@ def _rat_str(x) -> str:
     if isinstance(x, Fraction):
         return fraction_str(x) if x.denominator != 1 else decimal_str(x.numerator)
     return decimal_str(x) if isinstance(x, int) else str(x)
-
-
-def parse_fraction(text: str) -> Fraction:
-    """Parse 'num/den' or a plain integer string of any length."""
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return Fraction(parse_decimal(num), parse_decimal(den))
-    return Fraction(parse_decimal(text))

@@ -67,6 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Union
 
@@ -99,12 +100,24 @@ class Lattice2:
     def __post_init__(self) -> None:
         for name in ("a11", "a12", "a21", "a22"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.det == 0:
+        if self.integer_form[6] == 0:  # D
             raise ValueError("matrix must be nonsingular")
 
     @property
     def det(self) -> Fraction:
         return self.a11 * self.a22 - self.a12 * self.a21
+
+    @cached_property
+    def integer_form(self) -> tuple[int, int, int, int, int, int, int, int, int]:
+        """(A1, B1, d1, A2, B2, d2, D, g1, g2), made on first use and kept:
+        row i of the matrix is (Ai, Bi) / di in integers, D = A1 B2 - B1 A2
+        and gi = gcd(Ai, Bi), as in fact (2) of the module docstring."""
+        rows: list[int] = []
+        for a, b in ((self.a11, self.a12), (self.a21, self.a22)):
+            d = math.lcm(a.denominator, b.denominator)
+            rows += (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d)
+        A1, B1, _, A2, B2, _ = rows
+        return (*rows, A1 * B2 - B1 * A2, gcd(A1, B1), gcd(A2, B2))
 
     def to_dict(self) -> dict:
         return {
@@ -150,15 +163,6 @@ def diag_scale(lat: Lattice2, d1: Rat, d2: Rat) -> Lattice2:
     return Lattice2(d1 * lat.a11, d1 * lat.a12, d2 * lat.a21, d2 * lat.a22)
 
 
-def _integer_rows(lat: Lattice2) -> tuple[int, int, int, int, int, int]:
-    """(A1, B1, d1, A2, B2, d2) with row i of the matrix equal to (Ai, Bi) / di."""
-    out: list[int] = []
-    for a, b in ((lat.a11, lat.a12), (lat.a21, lat.a22)):
-        d = math.lcm(a.denominator, b.denominator)
-        out += (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d)
-    return tuple(out)
-
-
 def degeneracy_radius(lat: Lattice2) -> Fraction:
     """Smallest sup-norm of a nonzero lattice point with zero product,
     |D| / max(g1 d2, g2 d1) by fact (2) of the module docstring.
@@ -166,8 +170,8 @@ def degeneracy_radius(lat: Lattice2) -> Fraction:
     Beyond this radius Psi is identically zero for a rational matrix, so
     exponent sampling there measures only the truncation.
     """
-    A1, B1, d1, A2, B2, d2 = _integer_rows(lat)
-    return Fraction(abs(A1 * B2 - B1 * A2), max(gcd(A1, B1) * d2, gcd(A2, B2) * d1))
+    _, _, d1, _, _, d2, D, g1, g2 = lat.integer_form
+    return Fraction(abs(D), max(g1 * d2, g2 * d1))
 
 
 #: A lattice point as (m, n, x1, x2), with x1, x2 its coordinates scaled to
@@ -175,11 +179,11 @@ def degeneracy_radius(lat: Lattice2) -> Fraction:
 _Point = tuple[int, int, int, int]
 
 
-def _axis_seed(A1: int, B1: int, A2: int, B2: int) -> tuple[_Point, _Point]:
-    """The minimum e on the x2 = 0 axis and the minimum r next to it; fact (2)."""
-    g = gcd(A2, B2)
+def _axis_seed(A1: int, B1: int, A2: int, B2: int, D: int, g: int) -> tuple[_Point, _Point]:
+    """The minimum e on the x2 = 0 axis and the minimum r next to it; fact (2),
+    with D and g = gcd(A2, B2) from ``Lattice2.integer_form``."""
     m, n = B2 // g, -A2 // g
-    e = (m, n, A1 * m + B1 * n, 0)
+    e = (m, n, D // g, 0)
     v = pow(m, -1, abs(n)) if n else m
     u = (m * v - 1) // n if n else 0
     f1 = A1 * u + B1 * v  # and f2 = A2 u + B2 v = g (m v - n u) = g
@@ -214,10 +218,10 @@ def minimum_profile(lat: Lattice2, t_max: Rat) -> list[ProfileRecord]:
     t_max = Fraction(t_max)
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    A1, B1, d1, A2, B2, d2 = _integer_rows(lat)
+    A1, B1, d1, A2, B2, d2, D, _, g2 = lat.integer_form
     # sup-norm <= t_max  iff  |x1| <= t_max d1 and |x2| <= t_max d2
     x1_max, x2_max = (t_max.numerator * d // t_max.denominator for d in (d1, d2))
-    e, r = _axis_seed(A1, B1, A2, B2)
+    e, r = _axis_seed(A1, B1, A2, B2, D, g2)
     chain = [
         p for p in (e, r, *_walk(e, r, x2_max)) if abs(p[2]) <= x1_max and abs(p[3]) <= x2_max
     ]
@@ -283,7 +287,7 @@ def lattice_exponents(
                 uni_all.append((key, 1.0 - log_psi[k - 1] / log_t))
     info["records"] = len(records)
     return (
-        _estimate("omega_lattice", ord_all, None, 1, max),
-        _estimate("omega_bar_lattice", uni_all, None, 1, min),
+        _estimate("omega_lattice", ord_all, None, max),
+        _estimate("omega_bar_lattice", uni_all, None, min),
         info,
     )

@@ -66,6 +66,12 @@ __all__ = [
 #: truncated boundary pieces can spuriously satisfy or break the clauses.
 BOUNDARY_MARGIN = 2
 
+#: ``random_step_pair`` multiplies each value by ``_DECAY`` times a random
+#: factor in [0.2, 0.9], plus 1/100, and draws each breakpoint gap from
+#: 1 to ``_GAP``.
+_DECAY = Fraction(1, 2)
+_GAP = 6
+
 
 @dataclass(frozen=True)
 class StepPair:
@@ -252,17 +258,10 @@ class GeneratedPair:
     """Output of the seeded generator, with the designed outcome attached."""
 
     pair: StepPair
-    alternating: bool
     expected_failure: str | None  # None, "a", or "b"
 
 
-def random_step_pair(
-    seed: int,
-    pieces: int = 8,
-    value_decay: Fraction = Fraction(1, 2),
-    max_gap: int = 6,
-    alternation: bool = True,
-) -> GeneratedPair:
+def random_step_pair(seed: int, pieces: int = 8, alternation: bool = True) -> GeneratedPair:
     """Deterministic random pair whose minimum alternates (or not).
 
     With alternation on, breakpoints interleave q_1 < s_1 < q_2 < s_2 < ...
@@ -273,10 +272,6 @@ def random_step_pair(
     """
     if pieces < 5:
         raise ValueError("need at least 5 pieces per side")
-    if not (0 < value_decay < 1):
-        raise ValueError("value_decay must be in (0, 1)")
-    if max_gap < 1:
-        raise ValueError("max_gap must be >= 1")
     rng = random.Random(seed)
 
     q_bps: list[int] = []
@@ -284,10 +279,10 @@ def random_step_pair(
     t = rng.randint(1, 3)
     for _ in range(pieces):
         q_bps.append(t)
-        t += rng.randint(1, max_gap)
+        t += rng.randint(1, _GAP)
         s_bps.append(t)
-        t += rng.randint(1, max_gap)
-    domain_end = t + rng.randint(1, max_gap)
+        t += rng.randint(1, _GAP)
+    domain_end = t + rng.randint(1, _GAP)
 
     # Strictly interleaved decreasing values u_k > v_k > u_{k+1} > ...
     levels: list[Fraction] = []
@@ -295,29 +290,21 @@ def random_step_pair(
     for _ in range(2 * pieces):
         levels.append(val)
         # keep each drop strict but irregular
-        val *= value_decay * Fraction(rng.randint(2, 9), 10) + Fraction(1, 100)
+        val *= _DECAY * Fraction(rng.randint(2, 9), 10) + Fraction(1, 100)
     u_vals = levels[0::2]
     v_vals = levels[1::2]
 
+    expected = None
     if not alternation:
-        # Push v above u everywhere: v can never be strictly below u, so (b)
-        # fails; u stays strictly below v, so (a) holds (or vice versa).
-        side = rng.choice(("a", "b"))
-        if side == "a":
-            # u >= v everywhere breaks (a): raise u above v's start value.
-            u_vals = [v_vals[0] * 2 + v for v in u_vals]
-            expected = "a"
+        # Raise one function above the other's start value: then it is never
+        # strictly below the other, so exactly one hypothesis fails.
+        expected = rng.choice(("a", "b"))
+        if expected == "a":
+            u_vals = [v_vals[0] * 2 + v for v in u_vals]  # u >= v everywhere breaks (a)
         else:
-            v_vals = [u_vals[0] * 2 + u for u in v_vals]
-            expected = "b"
-        pair = StepPair(
-            StepFunction(tuple(q_bps), tuple(u_vals), domain_end),
-            StepFunction(tuple(s_bps), tuple(v_vals), domain_end),
-        )
-        return GeneratedPair(pair, False, expected)
-
+            v_vals = [u_vals[0] * 2 + u for u in v_vals]  # v >= u everywhere breaks (b)
     pair = StepPair(
         StepFunction(tuple(q_bps), tuple(u_vals), domain_end),
         StepFunction(tuple(s_bps), tuple(v_vals), domain_end),
     )
-    return GeneratedPair(pair, True, None)
+    return GeneratedPair(pair, expected)

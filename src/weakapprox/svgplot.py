@@ -10,24 +10,18 @@ default since both coordinates span many orders of magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from html import escape
 
 from .intmath import log_int, log_ratio
 from .measure import StepFunction
 
-__all__ = ["PlotStyle", "plot_steps"]
+__all__ = ["plot_steps"]
 
 _PALETTE = ("#c0392b", "#2457a0", "#1e8449", "#8e44ad", "#b7950b", "#5d6d7e")
 
-
-@dataclass(frozen=True)
-class PlotStyle:
-    width: int = 720
-    height: int = 480
-    margin: int = 56
-    log_axes: bool = True
-    title: str = ""
+#: Canvas width and height and the margin around the axes box, in pixels.
+_WIDTH, _HEIGHT, _MARGIN = 720, 480, 56
 
 
 def _fmt(x: float) -> str:
@@ -45,12 +39,14 @@ def _log10_int(t: int) -> float:
 def plot_steps(
     functions: list[tuple[str, StepFunction]],
     annotations: list[int] | None = None,
-    style: PlotStyle = PlotStyle(),
+    log_axes: bool = True,
+    title: str = "",
 ) -> str:
     """Render labelled step functions (and vertical marker lines) to SVG text.
 
     ``annotations`` are x-positions (typically witness breakpoints) drawn as
-    dashed vertical lines.  Functions must have overlapping domains.
+    dashed vertical lines.  Functions must have overlapping domains.  The
+    title and the labels are escaped as XML text (``&``, ``<``, ``>``).
     """
     if not functions:
         raise ValueError("nothing to plot")
@@ -62,12 +58,12 @@ def plot_steps(
         raise ValueError("domains do not overlap")
 
     def tx(t) -> float:
-        if style.log_axes:
+        if log_axes:
             return _log10_int(t) if isinstance(t, int) else _log10_frac(Fraction(t))
         return float(t)
 
     def ty(v: Fraction) -> float:
-        return _log10_frac(v) if style.log_axes else float(v)
+        return _log10_frac(v) if log_axes else float(v)
 
     xs: list[float] = []
     ys: list[float] = []
@@ -87,8 +83,7 @@ def plot_steps(
     if y1 - y0 < 1e-9:
         y1 = y0 + 1.0
 
-    m = style.margin
-    w, h = style.width, style.height
+    m, w, h = _MARGIN, _WIDTH, _HEIGHT
 
     def px(x: float) -> float:
         return m + (x - x0) * (w - 2 * m) / (x1 - x0)
@@ -102,17 +97,17 @@ def plot_steps(
         f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">'
     )
     out.append(f'<rect width="{w}" height="{h}" fill="#ffffff"/>')
-    if style.title:
+    if title:
         out.append(
             f'<text x="{w // 2}" y="{m // 2}" text-anchor="middle" '
-            f'font-family="monospace" font-size="14">{style.title}</text>'
+            f'font-family="monospace" font-size="14">{escape(title, quote=False)}</text>'
         )
     # Axes box.
     out.append(
         f'<rect x="{m}" y="{m}" width="{w - 2 * m}" height="{h - 2 * m}" '
         f'fill="none" stroke="#333333" stroke-width="1"/>'
     )
-    axis_label = "log10 t" if style.log_axes else "t"
+    axis_label = "log10 t" if log_axes else "t"
     out.append(
         f'<text x="{w // 2}" y="{h - m // 3}" text-anchor="middle" '
         f'font-family="monospace" font-size="12">{axis_label}</text>'
@@ -152,7 +147,8 @@ def plot_steps(
             )
         out.append(
             f'<text x="{w - m - 4}" y="{m + 16 + 14 * idx}" text-anchor="end" '
-            f'font-family="monospace" font-size="12" fill="{color}">{label}</text>'
+            f'font-family="monospace" font-size="12" fill="{color}">'
+            f'{escape(label, quote=False)}</text>'
         )
 
     out.append("</svg>")

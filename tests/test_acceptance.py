@@ -352,13 +352,9 @@ def test_criterion_8_ordering_invariants(thm1_data, thm2_data, thm3_data):
     datasets["golden"] = {
         "omega_theta": ordinary_exponent(golden_theta).value,
         "omega_eta": ordinary_exponent(golden_eta).value,
-        "omega_bar_theta": uniform_exponent(
-            upsilon_step(golden_theta), "omega_bar", minimum_samples=1
-        ).value,
-        "varpi_psi": uniform_exponent(psi_min, "varpi_psi", minimum_samples=1).value,
-        "varpi_upsilon": uniform_exponent(
-            ups_min, "varpi_upsilon", minimum_samples=1
-        ).value,
+        "omega_bar_theta": uniform_exponent(upsilon_step(golden_theta), "omega_bar").value,
+        "varpi_psi": uniform_exponent(psi_min, "varpi_psi").value,
+        "varpi_upsilon": uniform_exponent(ups_min, "varpi_upsilon").value,
     }
 
     problems = []

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
 
@@ -87,6 +88,19 @@ class TestConstruct:
             main(["construct", "--scheme", "bogus", "--gamma", "1", "--depth", "5"])
         assert err.value.code == 2
 
+    def test_eta_seed_of_the_single_scheme_is_a_usage_error(self, capsys):
+        code = main(["construct", "--scheme", "thm1", "--gamma", "3/2", "--depth", "5",
+                     "--seed-eta", "0,5"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert "--seed-eta" in captured.err
+
+    def test_theta_seed_of_the_single_scheme(self, capsys):
+        code, out = run(["construct", "--scheme", "thm1", "--gamma", "3/2", "--depth", "5",
+                         "--seed-theta", "0,2"], capsys)
+        assert code == 0
+        assert json.loads(out) == json.loads(construct_thm1(Fraction(3, 2), 5, (0, 2)).to_json())
+
 
 class TestMeasureAndPlot:
     def test_csv_artifact(self, tmp_path, capsys):
@@ -119,6 +133,21 @@ class TestMeasureAndPlot:
         assert svg.startswith("<svg")
         assert svg.rstrip().endswith("</svg>")
         assert svg.count("<circle") >= 8  # closed and open endpoints per piece
+
+    def test_plot_without_input_names_the_options(self, capsys):
+        assert main(["plot"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "--csv" in captured.err and "--prefix" in captured.err
+
+    def test_plot_escapes_title_and_labels(self, tmp_path, capsys):
+        psi_path = tmp_path / "psi.csv"
+        run(["measure", "--prefix", "[0;2,2,2]", "--output", str(psi_path)], capsys)
+        code, out = run(["plot", "--prefix", "[0;2,2,2,2,2,2]", "--title", "a<b & c",
+                         "--csv", str(psi_path), "--label", "<psi>"], capsys)
+        assert code == 0
+        texts = [el.text for el in ET.fromstring(out).iter("{http://www.w3.org/2000/svg}text")]
+        assert "a<b & c" in texts and "<psi>" in texts
 
     def test_plot_deterministic(self, tmp_path, capsys):
         psi_path = tmp_path / "psi.csv"

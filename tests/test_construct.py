@@ -5,7 +5,7 @@ import pytest
 
 from weakapprox.cf import convergents
 from weakapprox.construct import (
-    ConstructionSpec,
+    DIGIT_GUARD_ENV,
     GuardExceeded,
     InterleavingError,
     construct_thm1,
@@ -21,24 +21,17 @@ def q_sequence(pq):
 
 
 class TestSpec:
-    def test_build_dispatch(self):
-        single = ConstructionSpec("thm1", Fraction(3, 2), 5).build()
-        assert q_sequence(single)[1:] == [1, 2, 5, 27, 734]
-        pair = ConstructionSpec("thm3", Fraction(1), 4).build()
-        assert pair == construct_thm3(Fraction(1), 4)
-
     def test_parameter_domains(self):
-        ConstructionSpec("thm1", Fraction(3, 2), 5)
-        with pytest.raises(ValueError):
-            ConstructionSpec("thm1", Fraction(2), 5)
-        with pytest.raises(ValueError):
-            ConstructionSpec("thm2", Fraction(1), 5)
-        with pytest.raises(ValueError):
-            ConstructionSpec("thm3", Fraction(0), 5)
-        with pytest.raises(ValueError):
-            ConstructionSpec("thm3", Fraction(1), 2)
-        with pytest.raises(ValueError):
-            ConstructionSpec("other", Fraction(1), 5)
+        """Each builder checks its gamma domain and depth >= 3."""
+        construct_thm1(Fraction(3, 2), 5)
+        for build, gamma, depth in (
+            (construct_thm1, Fraction(2), 5),
+            (construct_thm2, Fraction(1), 5),
+            (construct_thm3, Fraction(0), 5),
+            (construct_thm3, Fraction(1), 2),
+        ):
+            with pytest.raises(ValueError):
+                build(gamma, depth)
 
 
 class TestThm1:
@@ -70,9 +63,10 @@ class TestThm1:
             ratio = log_int(qs[v + 1]) / log_int(qs[v])
             assert abs(ratio - target) / target < 0.05
 
-    def test_digit_guard(self):
+    def test_digit_guard(self, monkeypatch):
+        monkeypatch.setenv(DIGIT_GUARD_ENV, "100")
         with pytest.raises(GuardExceeded):
-            construct_thm1(Fraction(3, 2), 14, digit_guard=100)
+            construct_thm1(Fraction(3, 2), 14)
 
 
 class TestThm2:

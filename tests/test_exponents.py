@@ -86,10 +86,12 @@ class TestUniform:
             assert abs(b - (a + 1.0)) < 1e-12
             assert abs(c - (a + 1.0)) < 1e-12
 
-    def test_requires_three_samples(self):
+    def test_two_samples_are_estimable(self):
+        # left limits 1/2 at t = 4 and 1/4 at t = 8: 1 + 1/2 and 1 + 2/3
         f = StepFunction((2, 4), (Fraction(1, 2), Fraction(1, 4)), 8)
-        with pytest.raises(ValueError):
-            uniform_exponent(f, "omega_bar")
+        est = uniform_exponent(f, "omega_bar")
+        assert [t for t, _ in est.samples] == [4, 8]
+        assert est.value == pytest.approx(1.5, abs=1e-12)
 
     def test_unknown_kind_rejected(self):
         f = StepFunction((2, 4, 8, 16), tuple(Fraction(1, t) for t in (2, 4, 8, 16)), 32)

@@ -23,7 +23,7 @@ from weakapprox.bounds import check_theorem
 from weakapprox.cf import PartialQuotients
 from weakapprox.cli import EXIT_INAPPLICABLE, main
 from weakapprox.construct import construct_thm2, construct_thm3, growth_rate_thm3
-from weakapprox.intmath import log_ratio, parse_fraction
+from weakapprox.intmath import log_ratio, parse_decimal
 from weakapprox.lattice import (
     Lattice2,
     degeneracy_radius,
@@ -185,7 +185,8 @@ def test_exponent_samples_depend_only_on_record_values(scale):
     theta, eta = construct_thm3(Fraction(1), 6)
     lat = diag_scale(lattice_from_pair(theta, eta), *scale)
     ordinary, uniform, info = lattice_exponents(lat)
-    records = minimum_profile(lat, parse_fraction(info["t_max"]))
+    num, _, den = info["t_max"].partition("/")
+    records = minimum_profile(lat, Fraction(parse_decimal(num), parse_decimal(den)))
     # Some records are not in lowest terms, so reducing them changes the pairs.
     assert any(math.gcd(r.product, r.product_den) > 1 for r in records)
     assert any(math.gcd(r.sup, r.sup_den) > 1 for r in records)

@@ -4,7 +4,7 @@ import pytest
 
 from weakapprox.cf import PartialQuotients
 from weakapprox.measure import StepFunction, psi_step, upsilon_step
-from weakapprox.svgplot import PlotStyle, plot_steps
+from weakapprox.svgplot import plot_steps
 
 
 def hand_functions():
@@ -49,5 +49,5 @@ def test_rejects_empty_and_disjoint():
 
 
 def test_linear_axes_variant():
-    svg = plot_steps(hand_functions(), style=PlotStyle(log_axes=False, title="steps"))
+    svg = plot_steps(hand_functions(), log_axes=False, title="steps")
     assert ">t<" in svg or "steps" in svg

@@ -31,7 +31,6 @@ from .exponents import (
 from .lattice import (
     Lattice2,
     degeneracy_radius,
-    diag_scale,
     lattice_exponents,
     lattice_from_pair,
     minimum_profile,
@@ -68,7 +67,6 @@ __all__ = [
     "construct_thm3",
     "convergents",
     "degeneracy_radius",
-    "diag_scale",
     "exponent_report",
     "find_witnesses",
     "g_frak",

@@ -126,6 +126,8 @@ class PartialQuotients:
         # parse_int=str: a quotient written as a JSON number is parsed like
         # a string one, by parse_decimal, whatever its length.
         data = json.loads(text, parse_int=str)
+        if not (isinstance(data, dict) and "a0" in data and isinstance(data.get("tail"), list)):
+            raise ValueError("a prefix artifact needs 'a0' and a list 'tail'")
         return PartialQuotients(
             parse_decimal(str(data["a0"])),
             tuple(parse_decimal(str(a)) for a in data["tail"]),

@@ -1,10 +1,11 @@
 """Command-line front end: experiment orchestration and artifact I/O.
 
-Exit codes: 0 all checks passed, 1 a bound or oracle check failed,
-2 usage error, 3 resource guard exceeded, 4 nothing was checked: the
-``verify`` bound is inapplicable to the estimates (for example
-varpi_psi <= 1 for T2) and no consistency flag fired, or a well-formed
-input is too short or too degenerate to estimate (``NotEstimable``).
+Exit codes: 0 all checks passed, 1 a bound or oracle check failed, 2 usage
+error or a file that cannot be read or written, 3 resource guard exceeded,
+4 nothing was checked: the ``verify`` bound is inapplicable to the
+estimates (for example varpi_psi <= 1 for T2) and no consistency flag
+fired, or a well-formed input is too short or too degenerate to estimate
+(``NotEstimable``).
 
 Everything is deterministic for a fixed invocation: one seed drives all
 randomness, JSON is emitted with sorted keys, and the SVG writer formats
@@ -21,12 +22,12 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import CHECK_TOL, check_theorem
-from .cf import PartialQuotients, convergents, qnorm_table, truncation_value
+from .cf import PartialQuotients, convergents, qnorm_table
 from .construct import (GuardExceeded, InterleavingError, _digit_guard,
                         construct_thm1, construct_thm2, construct_thm3)
 from .exponents import ASYMPTOTIC_TOL, NotEstimable, exponent_report
 from .intmath import decimal_str, fraction_str
-from .lattice import diag_scale, lattice_exponents, lattice_from_pair
+from .lattice import lattice_exponents, lattice_from_pair
 from .lemma import (BOUNDARY_MARGIN, StepPair, check_conditions, find_witnesses,
                     random_step_pair, verify_witness)
 from .measure import StepFunction, min_step, psi_step, upsilon_step
@@ -75,6 +76,14 @@ def _load_prefix(arg: str) -> PartialQuotients:
     return pq
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type of a rational option such as 3/2; a bad one exits 2."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational: {text!r}") from None
+
+
 def _seed_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
@@ -93,11 +102,10 @@ def _build(scheme: str, gamma: Fraction, depth: int,
 def cmd_cf(args) -> int:
     pq = _load_prefix(args.prefix)
     conv = convergents(pq)
-    value = truncation_value(pq)
     table = qnorm_table(pq) if pq.depth >= 2 else []
     out = {
         "prefix": {"a0": decimal_str(pq.a0), "tail": [decimal_str(a) for a in pq.tail]},
-        "value": fraction_str(value),
+        "value": fraction_str(conv[-1].value),
         "convergents": [
             {"index": c.index, "p": decimal_str(c.p), "q": decimal_str(c.q)}
             for c in conv
@@ -123,7 +131,7 @@ def cmd_construct(args) -> int:
         for name, text in (("seed_theta", args.seed_theta), ("seed_eta", args.seed_eta))
         if text
     }
-    built = _build(args.scheme, Fraction(args.gamma), args.depth, seeds)
+    built = _build(args.scheme, args.gamma, args.depth, seeds)
     if len(built) == 1:
         _emit(built[0].to_json() + "\n", args.output)
         return EXIT_OK
@@ -158,11 +166,8 @@ def cmd_exponents(args) -> int:
 def cmd_lattice(args) -> int:
     theta = _load_prefix(args.theta)
     eta = _load_prefix(args.eta)
-    lat = lattice_from_pair(theta, eta)
-    if args.d1 != "1" or args.d2 != "1":
-        lat = diag_scale(lat, Fraction(args.d1), Fraction(args.d2))
-    t_max = Fraction(args.t_max) if args.t_max else None
-    ordinary, uniform, info = lattice_exponents(lat, t_max)
+    lat = lattice_from_pair(theta, eta, args.d1, args.d2)
+    ordinary, uniform, info = lattice_exponents(lat, args.t_max)
     out = {
         "lattice": lat.to_dict(),
         "omega_lattice": ordinary.to_dict(),
@@ -225,8 +230,9 @@ def cmd_lemma1(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    gamma = Fraction(args.gamma)
-    pair = _build(_SCHEME_OF[args.theorem], gamma, args.depth, {})
+    if not 0 <= args.tolerance < float("inf"):  # also false for nan
+        raise ValueError("--tolerance must be finite and >= 0")
+    pair = _build(_SCHEME_OF[args.theorem], args.gamma, args.depth, {})
     report = exponent_report(*pair)
     flags = report["flags"]
     estimates = report
@@ -238,7 +244,7 @@ def cmd_verify(args) -> int:
 
     out = {
         "theorem": args.theorem,
-        "gamma": str(gamma),
+        "gamma": str(args.gamma),
         "depth": args.depth,
         "check": check.to_dict(),
         "report": report,
@@ -288,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="generate an extremal prefix or pair")
     p.add_argument("--scheme", required=True, choices=("thm1", "thm2", "thm3"))
-    p.add_argument("--gamma", required=True, help="rational, e.g. 3/2")
+    p.add_argument("--gamma", type=_rational, required=True, help="rational, e.g. 3/2")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--seed-theta", help="comma-separated a0,a1,...")
     p.add_argument("--seed-eta", help="comma-separated b0,b1,...")
@@ -311,9 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lattice", help="lattice exponent estimates for a pair")
     p.add_argument("--theta", required=True)
     p.add_argument("--eta", required=True)
-    p.add_argument("--t-max", help="rational cap; defaults to the degeneracy radius")
-    p.add_argument("--d1", default="1", help="diagonal row scale for the first row")
-    p.add_argument("--d2", default="1", help="diagonal row scale for the second row")
+    p.add_argument("--t-max", type=_rational,
+                   help="rational cap; defaults to the degeneracy radius")
+    p.add_argument("--d1", type=_rational, default=1, help="diagonal row scale for the first row")
+    p.add_argument("--d2", type=_rational, default=1, help="diagonal row scale for the second row")
     p.add_argument("--output")
     p.set_defaults(func=cmd_lattice)
 
@@ -332,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="build a construction and check its bound")
     p.add_argument("--theorem", required=True, choices=("T1", "T2", "T3", "T4"))
-    p.add_argument("--gamma", required=True)
+    p.add_argument("--gamma", type=_rational, required=True)
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--tolerance", type=float, default=CHECK_TOL)
     p.add_argument("--output")
@@ -362,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     except NotEstimable as exc:
         print(f"not estimable: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except (InterleavingError, ValueError) as exc:
+    except (InterleavingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

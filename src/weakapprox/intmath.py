@@ -8,6 +8,8 @@ hundreds of thousands of digits, so no kernel here is quadratic in them:
   splits off the bit length and converts only the top 64 bits.
   ``log_ratio`` takes one short division (ibid., 1.4) and depends only on
   the value num/den, so no caller reduces a fraction to take its log.
+- ``ratio_less`` orders two ratios on their bit lengths and multiplies
+  only on a near tie.
 - ``nth_root_floor`` doubles its precision (Brent & Zimmermann, *Modern
   Computer Arithmetic*, 1.5): Newton's method starts from the root of a
   number half as long, so one or two of its steps run at full size.  Its
@@ -78,6 +80,21 @@ def log_ratio(num: int, den: int) -> float:
     if e == 0:
         return math.log1p((num - den) / den)
     return math.log(num / (den << e)) + e * _LN2
+
+
+def ratio_less(a: int, b: int, c: int, d: int) -> bool:
+    """a/b < c/d for a, c >= 0 and b, d > 0; cross-multiplies only on a near tie.
+
+    A zero numerator decides at once: the answer is a < c.  Otherwise
+    2^(k-1) <= n < 2^k for each k-bit factor, so with bl the bit length
+    2^(L-2) <= a d < 2^L for L = bl(a) + bl(d), and likewise c b for
+    R = bl(c) + bl(b).  When L and R differ by 2 or more, the larger sum
+    belongs to the larger product; only a near tie multiplies.
+    """
+    if not a or not c:
+        return a < c
+    gap = c.bit_length() + b.bit_length() - a.bit_length() - d.bit_length()  # R - L
+    return gap > 1 or gap > -2 and a * d < c * b
 
 
 def nth_root_floor(n: int, k: int) -> int:

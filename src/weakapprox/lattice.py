@@ -54,32 +54,35 @@ have |x2| rising: they form a chain.
     rising strictly.  The minima with sup-norm <= R are those with
     |x2| <= R, a first stretch of the walk, that also have |x1| <= R; so
     the walk may stop at its first point with |x2| > R.
+(5) Along the walk |x1|/d1 falls and |x2|/d2 rises, so the sup-norm falls
+    while |x1|/d1 >= |x2|/d2 and rises after.  Read backwards the first
+    stretch is in sup-norm order, and so is the rest: merging the two
+    orders the minima by sup-norm, the smaller product first at a tie.
 
-``minimum_profile`` seeds the chain at its x2 = 0 end, walks it once and
-keeps the running minima, all on integer coordinates over the row
-denominators.  The records keep those integers unreduced:
-``intmath.log_ratio`` depends only on the value of a quotient, so the
-exponent estimates need no gcd, and only the tests build Fractions.
+``minimum_profile`` seeds the chain at its x2 = 0 end, walks it once,
+merges it by (5) and keeps the running minima, on the integer rows of
+``Lattice2``: the box test and the merge are ``intmath.ratio_less``
+comparisons, and each minimum costs one product |x1 x2|.  The records
+keep those integers unreduced: ``intmath.log_ratio`` depends only on the
+value of a quotient, so the exponent estimates need no gcd, and only the
+tests build Fractions.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from typing import Union
 
-from .cf import PartialQuotients, truncation_value
+from .cf import PartialQuotients, convergents
 from .exponents import ExponentEstimate, _estimate
-from .intmath import fraction_str, log_ratio
+from .intmath import fraction_str, log_ratio, ratio_less
 
 __all__ = [
     "Lattice2",
     "ProfileRecord",
     "lattice_from_pair",
-    "diag_scale",
     "degeneracy_radius",
     "minimum_profile",
     "lattice_exponents",
@@ -90,42 +93,31 @@ Rat = Union[int, Fraction]
 
 @dataclass(frozen=True)
 class Lattice2:
-    """Lattice A*Z^2 given by a nonsingular 2x2 rational matrix."""
+    """Lattice A*Z^2 of a nonsingular rational 2x2 matrix A, held as integer
+    rows: row i of A is (Ai, Bi)/di with di > 0.  Construction also keeps
+    D = A1 B2 - B1 A2 and gi = gcd(Ai, Bi) of fact (2) of the module
+    docstring, as the attributes ``D``, ``g1`` and ``g2``."""
 
-    a11: Fraction
-    a12: Fraction
-    a21: Fraction
-    a22: Fraction
+    A1: int
+    B1: int
+    d1: int
+    A2: int
+    B2: int
+    d2: int
 
     def __post_init__(self) -> None:
-        for name in ("a11", "a12", "a21", "a22"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.integer_form[6] == 0:  # D
+        if self.d1 <= 0 or self.d2 <= 0:
+            raise ValueError("row denominators must be positive")
+        object.__setattr__(self, "D", self.A1 * self.B2 - self.B1 * self.A2)
+        if self.D == 0:
             raise ValueError("matrix must be nonsingular")
-
-    @property
-    def det(self) -> Fraction:
-        return self.a11 * self.a22 - self.a12 * self.a21
-
-    @cached_property
-    def integer_form(self) -> tuple[int, int, int, int, int, int, int, int, int]:
-        """(A1, B1, d1, A2, B2, d2, D, g1, g2), made on first use and kept:
-        row i of the matrix is (Ai, Bi) / di in integers, D = A1 B2 - B1 A2
-        and gi = gcd(Ai, Bi), as in fact (2) of the module docstring."""
-        rows: list[int] = []
-        for a, b in ((self.a11, self.a12), (self.a21, self.a22)):
-            d = math.lcm(a.denominator, b.denominator)
-            rows += (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d)
-        A1, B1, _, A2, B2, _ = rows
-        return (*rows, A1 * B2 - B1 * A2, gcd(A1, B1), gcd(A2, B2))
+        object.__setattr__(self, "g1", gcd(self.A1, self.B1))
+        object.__setattr__(self, "g2", gcd(self.A2, self.B2))
 
     def to_dict(self) -> dict:
-        return {
-            "a11": fraction_str(self.a11),
-            "a12": fraction_str(self.a12),
-            "a21": fraction_str(self.a21),
-            "a22": fraction_str(self.a22),
-        }
+        entries = (self.A1, self.d1), (self.B1, self.d1), (self.A2, self.d2), (self.B2, self.d2)
+        return {name: fraction_str(Fraction(*entry))
+                for name, entry in zip(("a11", "a12", "a21", "a22"), entries)}
 
 
 @dataclass(frozen=True)
@@ -150,17 +142,15 @@ class ProfileRecord:
         return Fraction(self.product, self.product_den) ** 2
 
 
-def lattice_from_pair(theta_pq: PartialQuotients, eta_pq: PartialQuotients) -> Lattice2:
-    """Unit-diagonal lattice [[1, theta], [eta, 1]] from two prefixes."""
-    return Lattice2(1, truncation_value(theta_pq), truncation_value(eta_pq), 1)
-
-
-def diag_scale(lat: Lattice2, d1: Rat, d2: Rat) -> Lattice2:
-    """Row scaling diag(d1, d2) * A; the row ratios a12/a11, a21/a22 are unchanged."""
+def lattice_from_pair(
+    theta_pq: PartialQuotients, eta_pq: PartialQuotients, d1: Rat = 1, d2: Rat = 1
+) -> Lattice2:
+    """The lattice diag(d1, d2) [[1, theta], [eta, 1]] of two prefixes whose
+    last convergents are p/q and r/s: rows d1 (q, p)/q and d2 (r, s)/s."""
+    theta, eta = convergents(theta_pq)[-1], convergents(eta_pq)[-1]
     d1, d2 = Fraction(d1), Fraction(d2)
-    if d1 == 0 or d2 == 0:
-        raise ValueError("scale factors must be nonzero")
-    return Lattice2(d1 * lat.a11, d1 * lat.a12, d2 * lat.a21, d2 * lat.a22)
+    return Lattice2(d1.numerator * theta.q, d1.numerator * theta.p, d1.denominator * theta.q,
+                    d2.numerator * eta.p, d2.numerator * eta.q, d2.denominator * eta.q)
 
 
 def degeneracy_radius(lat: Lattice2) -> Fraction:
@@ -170,8 +160,7 @@ def degeneracy_radius(lat: Lattice2) -> Fraction:
     Beyond this radius Psi is identically zero for a rational matrix, so
     exponent sampling there measures only the truncation.
     """
-    _, _, d1, _, _, d2, D, g1, g2 = lat.integer_form
-    return Fraction(abs(D), max(g1 * d2, g2 * d1))
+    return Fraction(abs(lat.D), max(lat.g1 * lat.d2, lat.g2 * lat.d1))
 
 
 #: A lattice point as (m, n, x1, x2), with x1, x2 its coordinates scaled to
@@ -179,21 +168,21 @@ def degeneracy_radius(lat: Lattice2) -> Fraction:
 _Point = tuple[int, int, int, int]
 
 
-def _axis_seed(A1: int, B1: int, A2: int, B2: int, D: int, g: int) -> tuple[_Point, _Point]:
-    """The minimum e on the x2 = 0 axis and the minimum r next to it; fact (2),
-    with D and g = gcd(A2, B2) from ``Lattice2.integer_form``."""
-    m, n = B2 // g, -A2 // g
-    e = (m, n, D // g, 0)
+def _axis_seed(lat: Lattice2) -> tuple[_Point, _Point]:
+    """The minimum e on the x2 = 0 axis and the minimum r next to it; fact (2)."""
+    g = lat.g2
+    m, n = lat.B2 // g, -lat.A2 // g
+    e = (m, n, lat.D // g, 0)
     v = pow(m, -1, abs(n)) if n else m
     u = (m * v - 1) // n if n else 0
-    f1 = A1 * u + B1 * v  # and f2 = A2 u + B2 v = g (m v - n u) = g
+    f1 = lat.A1 * u + lat.B1 * v  # and f2 = A2 u + B2 v = g (m v - n u) = g
     a = (2 * f1 + e[2]) // (2 * e[2])  # round(f1 / e1)
     return e, (u - a * m, v - a * n, f1 - a * e[2], g)
 
 
-def _walk(p: _Point, q: _Point, x2_max: int) -> list[_Point]:
+def _walk(p: _Point, q: _Point, t_num: int, t_den: int, d2: int) -> list[_Point]:
     """The relative minima beyond the consecutive minima p, q, |p1| > |q1|,
-    by |x1| falling, up to the first with |x2| > x2_max; fact (3)."""
+    by |x1| falling, up to the first with |x2|/d2 > t_num/t_den; fact (3)."""
     if p[2] < 0:
         p = (-p[0], -p[1], -p[2], -p[3])
     if q[2] < 0:
@@ -202,7 +191,7 @@ def _walk(p: _Point, q: _Point, x2_max: int) -> list[_Point]:
     while 0 < q[2] < p[2]:  # x1 falls strictly, so this ends
         a = p[2] // q[2]
         r = (p[0] - a * q[0], p[1] - a * q[1], p[2] - a * q[2], p[3] - a * q[3])
-        if abs(r[3]) > x2_max:
+        if ratio_less(t_num, t_den, abs(r[3]), d2):
             break
         walked.append(r)
         p, q = q, r
@@ -213,28 +202,34 @@ def minimum_profile(lat: Lattice2, t_max: Rat) -> list[ProfileRecord]:
     """All running-minimum records of the product up to sup-norm t_max.
 
     The candidates are the relative minima with sup-norm <= t_max, walked
-    once from the x2 = 0 end of the chain (see the module docstring).
+    once from the x2 = 0 end of the chain and merged into sup-norm order
+    (see the module docstring).
     """
     t_max = Fraction(t_max)
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    A1, B1, d1, A2, B2, d2, D, _, g2 = lat.integer_form
-    # sup-norm <= t_max  iff  |x1| <= t_max d1 and |x2| <= t_max d2
-    x1_max, x2_max = (t_max.numerator * d // t_max.denominator for d in (d1, d2))
-    e, r = _axis_seed(A1, B1, A2, B2, D, g2)
+    tn, td, d1, d2 = t_max.numerator, t_max.denominator, lat.d1, lat.d2
+    e, r = _axis_seed(lat)
+    # sup-norm <= t_max  iff  |x1|/d1 <= t_max and |x2|/d2 <= t_max
     chain = [
-        p for p in (e, r, *_walk(e, r, x2_max)) if abs(p[2]) <= x1_max and abs(p[3]) <= x2_max
+        p for p in (e, r, *_walk(e, r, tn, td, d2))
+        if not ratio_less(tn, td, abs(p[2]), d1) and not ratio_less(tn, td, abs(p[3]), d2)
     ]
-
-    def keyed(p: _Point) -> tuple:
-        # (sup-norm, product) over d1 d2, the point, and the sup-norm as x / d
-        s1, s2 = abs(p[2]) * d2, abs(p[3]) * d1
-        x, d = (abs(p[2]), d1) if s1 >= s2 else (abs(p[3]), d2)
-        return max(s1, s2), abs(p[2] * p[3]), p, x, d
-
+    # Fact (5): the sup-norm is |x1|/d1 on the first k points and |x2|/d2
+    # after; each stretch goes on a stack whose top has the least sup-norm.
+    k = 0
+    while k < len(chain) and not ratio_less(abs(chain[k][2]), d1, abs(chain[k][3]), d2):
+        k += 1
+    falling = [(abs(p[2]), d1, abs(p[2] * p[3]), p) for p in chain[:k]]
+    rising = [(abs(p[3]), d2, abs(p[2] * p[3]), p) for p in reversed(chain[k:])]
     den = d1 * d2
     records: list[ProfileRecord] = []
-    for _, prod, p, x, d in sorted(map(keyed, chain)):
+    while falling or rising:
+        first = bool(falling)
+        if falling and rising:  # by sup-norm x/d, then product, then point
+            (xa, da, *ka), (xb, db, *kb) = falling[-1], rising[-1]
+            first = ratio_less(xa, da, xb, db) or not ratio_less(xb, db, xa, da) and ka < kb
+        x, d, prod, p = (falling if first else rising).pop()
         if not records or prod < records[-1].product:
             records.append(ProfileRecord(x, d, (p[0], p[1]), prod, den))
     return records
@@ -263,16 +258,10 @@ def lattice_exponents(
     t_max at or beyond it is truncated and flagged in the info dict.
     """
     radius = degeneracy_radius(lat)
-    cap = radius * Fraction(4095, 4096)
-    info: dict = {"degeneracy_radius": fraction_str(radius), "truncated": False}
-    if t_max is None:
-        t_eff = cap
-    else:
-        t_eff = Fraction(t_max)
-        if t_eff >= radius:
-            t_eff = cap
-            info["truncated"] = True
-    info["t_max"] = fraction_str(t_eff)
+    truncated = t_max is not None and t_max >= radius
+    t_eff = radius * Fraction(4095, 4096) if t_max is None or truncated else Fraction(t_max)
+    info: dict = {"degeneracy_radius": fraction_str(radius), "truncated": truncated,
+                  "t_max": fraction_str(t_eff)}
 
     records = minimum_profile(lat, t_eff)
     # Every record lies below the degeneracy radius, so its product is nonzero.

@@ -48,8 +48,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intmath import decimal_str, fraction_str
-from .measure import StepFunction, _less
+from .intmath import decimal_str, fraction_str, ratio_less
+from .measure import StepFunction
 
 __all__ = [
     "StepPair",
@@ -153,7 +153,8 @@ def _interval_checks(
     failures: list[int] = []
     for k in range(bisect_right(lbp, lo) - 1, bisect_right(lbp, hi) - 1):
         j = bisect_left(ubp, lbp[k + 1]) - 1
-        if _less(upper.values[j], lower.values[k]):
+        a, b = upper.values[j], lower.values[k]
+        if ratio_less(a.numerator, a.denominator, b.numerator, b.denominator):
             witnesses.append((k, max(lbp[k], lo, ubp[j])))
         else:
             failures.append(k)
@@ -213,8 +214,9 @@ def find_witnesses(pair: StepPair, margin: int = BOUNDARY_MARGIN) -> list[Witnes
         if (
             q[nu] < s[mu]
             and q[nu + 1] < s[mu + 1]
-            and _less(u_nu, v_before_s)
-            and _less(v_mu, u_nu)
+            and ratio_less(u_nu.numerator, u_nu.denominator,
+                           v_before_s.numerator, v_before_s.denominator)
+            and ratio_less(v_mu.numerator, v_mu.denominator, u_nu.numerator, u_nu.denominator)
         ):
             out.append(
                 Witness(

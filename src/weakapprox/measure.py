@@ -26,12 +26,6 @@ Dividing numerator and denominator by c = gcd(g_v, num, den) removes common
 primes without creating new ones, and every prime still common divides the
 previous c; so repeating with c = gcd(c, num, den) until c = 1 leaves the
 pair in lowest terms, with every gcd taken against the small g_v.
-
-Comparisons between values with different denominators (``min_step``, the
-strict-decrease check of ``StepFunction``) are exact: for positive a/b and
-c/d, if bl(a) + bl(d) and bl(c) + bl(b) (bl = bit length) differ by 2 or
-more the larger sum belongs to the larger cross product, because
-2^(k-1) <= n < 2^k for a k-bit n; only a near-tie cross-multiplies.
 """
 
 from __future__ import annotations
@@ -44,7 +38,7 @@ from math import gcd
 from typing import Iterable, Union
 
 from .cf import PartialQuotients, qnorm_table  # noqa: F401 - perfbench looks it up here
-from .intmath import _rat_str, decimal_str, parse_decimal, reduced_fraction
+from .intmath import _rat_str, decimal_str, parse_decimal, ratio_less, reduced_fraction
 
 __all__ = [
     "StepFunction",
@@ -83,11 +77,11 @@ class StepFunction:
         for a, b in zip(bps, bps[1:]):
             if b <= a:
                 raise ValueError("breakpoints must be strictly increasing")
-        # Positivity first: the screened comparison assumes it.
+        # Positivity first: the screened comparison needs numerators >= 0.
         if any(v.numerator <= 0 for v in vals):
             raise ValueError("values must be positive")
         for v, w in zip(vals, vals[1:]):
-            if not _less(w, v):
+            if not ratio_less(w.numerator, w.denominator, v.numerator, v.denominator):
                 raise ValueError("values must strictly decrease at stored breakpoints")
         if self.domain_end <= bps[-1]:
             raise ValueError("domain_end must exceed the last breakpoint")
@@ -155,24 +149,13 @@ class StepFunction:
         return StepFunction(tuple(bps), tuple(vals), domain_end)
 
 
-def _less(a: Fraction, b: Fraction) -> bool:
-    """a < b for positive rationals; cross-multiplies only on a near-tie."""
-    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-    left = an.bit_length() + bd.bit_length()
-    right = bn.bit_length() + ad.bit_length()
-    if left + 1 < right:
-        return True
-    if right + 1 < left:
-        return False
-    return an * bd < bn * ad
-
-
 def _merged(points: list[tuple[int, Fraction]], domain_end: int) -> StepFunction:
     """Build a StepFunction keeping only strict drops."""
     bps: list[int] = []
     vals: list[Fraction] = []
     for t, v in points:
-        if not vals or _less(v, vals[-1]):
+        if not vals or ratio_less(v.numerator, v.denominator,
+                                  vals[-1].numerator, vals[-1].denominator):
             bps.append(t)
             vals.append(v)
     return StepFunction(tuple(bps), tuple(vals), domain_end)
@@ -241,7 +224,8 @@ def min_step(f: StepFunction, g: StepFunction) -> StepFunction:
     t = start
     while t < end:
         a, b = f.values[i], g.values[j]
-        points.append((t, b if _less(b, a) else a))
+        points.append((t, b if ratio_less(b.numerator, b.denominator,
+                                          a.numerator, a.denominator) else a))
         nf = f.breakpoints[i + 1] if i + 1 < len(f.breakpoints) else end
         ng = g.breakpoints[j + 1] if j + 1 < len(g.breakpoints) else end
         t = min(nf, ng)

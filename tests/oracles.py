@@ -2,10 +2,14 @@
 
 The library reads these quantities off continued fractions and the chain of
 relative minima; the tests compare its answers with the scans here.
+``from_entries`` and ``matrix_of`` convert between a rational matrix and the
+integer rows of a ``Lattice2``.
 """
 
 import math
 from fractions import Fraction
+
+from weakapprox.lattice import Lattice2
 
 
 def evaluate_nested(pq) -> Fraction:
@@ -28,6 +32,23 @@ def brute_measure(x: Fraction, t: int, kind: str = "ordinary") -> Fraction:
     return min((q if kind == "weak" else 1) * dist_to_int(q * x) for q in range(1, t + 1))
 
 
+def from_entries(a11, a12, a21, a22) -> Lattice2:
+    """The lattice of the rational matrix [[a11, a12], [a21, a22]], each row
+    over the least common denominator of its entries."""
+    rows = []
+    for a, b in ((a11, a12), (a21, a22)):
+        a, b = Fraction(a), Fraction(b)
+        d = math.lcm(a.denominator, b.denominator)
+        rows += (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d)
+    return Lattice2(*rows)
+
+
+def matrix_of(lat: Lattice2) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """The entries (a11, a12, a21, a22) of a lattice's matrix."""
+    return (Fraction(lat.A1, lat.d1), Fraction(lat.B1, lat.d1),
+            Fraction(lat.A2, lat.d2), Fraction(lat.B2, lat.d2))
+
+
 def psi_lattice(lat, t):
     """The least (x1 x2)^2 over the nonzero points x = (a11 m + a12 n,
     a21 m + a22 n) of the lattice with sup-norm <= t, or None when the box
@@ -38,8 +59,9 @@ def psi_lattice(lat, t):
     and the scan visits the integers in their intersection.
     """
     t = Fraction(t)
-    rows = ((lat.a11, lat.a12), (lat.a21, lat.a22))
-    n_max = math.floor((abs(lat.a11) + abs(lat.a21)) * t / abs(lat.det))
+    a11, a12, a21, a22 = matrix_of(lat)
+    rows = ((a11, a12), (a21, a22))
+    n_max = math.floor((abs(a11) + abs(a21)) * t / abs(a11 * a22 - a12 * a21))
     best = None
     for n in range(-n_max, n_max + 1):
         ends = [sorted(((-t - b * n) / a, (t - b * n) / a)) for a, b in rows if a]

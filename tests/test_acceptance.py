@@ -24,7 +24,6 @@ from weakapprox.construct import construct_thm1, construct_thm2, construct_thm3
 from weakapprox.exponents import ordinary_exponent, uniform_exponent
 from weakapprox.lattice import (
     degeneracy_radius,
-    diag_scale,
     lattice_exponents,
     lattice_from_pair,
 )
@@ -235,7 +234,7 @@ def test_criterion_5_lattice_consistency(lattice_pair):
     target_ord = (om_max + 1) / 2
     target_uni = (vu + 1) / 2
 
-    o2, u2, _ = lattice_exponents(diag_scale(lat, 2, 3))
+    o2, u2, _ = lattice_exponents(lattice_from_pair(theta, eta, 2, 3))
     elapsed = time.time() - start
 
     checks = {

@@ -23,6 +23,10 @@ from weakapprox.lattice import lattice_exponents, lattice_from_pair
 from weakapprox.measure import StepFunction
 
 
+#: A small thm3-like pair with a nonsingular lattice.
+PAIR_THETA, PAIR_ETA = "[0;3,7,156]", "[0;2,3,22]"
+
+
 def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
@@ -83,10 +87,36 @@ class TestConstruct:
         )
         assert code == 3
 
-    def test_usage_error_exit_code(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["construct", "--scheme", "bogus", "--gamma", "1", "--depth", "5"])
-        assert err.value.code == 2
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["construct", "--scheme", "bogus", "--gamma", "1", "--depth", "5"],
+                     id="bad-scheme"),
+        pytest.param(["construct", "--scheme", "thm1", "--gamma", "1/0", "--depth", "5"],
+                     id="gamma-zero-denominator"),
+        pytest.param(["lattice", "--theta", PAIR_THETA, "--eta", PAIR_ETA, "--t-max", "1/0"],
+                     id="t-max-zero-denominator"),
+        pytest.param(["lattice", "--theta", PAIR_THETA, "--eta", PAIR_ETA, "--d1", "1/0"],
+                     id="d1-zero-denominator"),
+        pytest.param(["lattice", "--theta", PAIR_THETA, "--eta", PAIR_ETA, "--d1", "0"],
+                     id="d1-zero"),
+        pytest.param(["verify", "--theorem", "T1", "--gamma", "3/2", "--tolerance", "nan"],
+                     id="tolerance-nan"),
+        pytest.param(["verify", "--theorem", "T1", "--gamma", "3/2", "--tolerance", "inf"],
+                     id="tolerance-inf"),
+        pytest.param(["verify", "--theorem", "T1", "--gamma", "3/2", "--tolerance", "-0.5"],
+                     id="tolerance-negative"),
+        pytest.param(["cf", "--prefix", '{"a0": 0}'], id="prefix-without-tail"),
+        pytest.param(["cf", "--prefix", '{"tail": [1, 2]}'], id="prefix-without-a0"),
+        pytest.param(["cf", "--prefix", '{"a0": 0, "tail": 5}'], id="prefix-tail-not-a-list"),
+        pytest.param(["plot", "--csv", "no-such-dir/missing.csv"], id="missing-csv"),
+    ])
+    def test_usage_error_exit_code(self, argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err.strip() and "Traceback" not in captured.err
 
     def test_eta_seed_of_the_single_scheme_is_a_usage_error(self, capsys):
         code = main(["construct", "--scheme", "thm1", "--gamma", "3/2", "--depth", "5",

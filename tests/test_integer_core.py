@@ -24,8 +24,8 @@ from weakapprox.exponents import (
     apply_window,
     exponent_report,
 )
-from weakapprox.intmath import decimal_str, log_int, log_ratio
-from weakapprox.measure import _less, psi_step, upsilon_step
+from weakapprox.intmath import decimal_str, log_int, log_ratio, ratio_less
+from weakapprox.measure import psi_step, upsilon_step
 from oracles import brute_measure, dist_to_int, evaluate_nested
 
 core_settings = settings(
@@ -114,14 +114,45 @@ def test_measure_functions_match_brute_scan_everywhere(pq):
 # screened comparison
 
 positive = st.integers(1, 2**200)
+nonnegative = st.integers(0, 2**200)
 
 
 @core_settings
-@given(positive, positive, positive, positive)
+@given(nonnegative, positive, nonnegative, positive)
 def test_screened_less_agrees_with_fraction_order(an, ad, bn, bd):
     a, b = Fraction(an, ad), Fraction(bn, bd)
-    assert _less(a, b) == (a < b)
-    assert _less(b, a) == (b < a)
+    assert ratio_less(an, ad, bn, bd) == (a < b)
+    assert ratio_less(bn, bd, an, ad) == (b < a)
+
+
+def with_bits(bits: int, low: int) -> int:
+    """An integer of exactly ``bits`` bits, its low bits taken from ``low``."""
+    return (1 << (bits - 1)) | (low % (1 << (bits - 1)))
+
+
+@core_settings
+@given(positive, positive, st.integers(0, 2), nonnegative, nonnegative, nonnegative)
+def test_screened_less_at_each_bit_length_gap(a, d, gap, split, low_b, low_c):
+    """b and c are drawn so that bl(c) + bl(b) exceeds bl(a) + bl(d) by
+    exactly 0, 1 or 2: the sums the screen passes on to a multiplication,
+    and the nearest it decides on bit lengths alone."""
+    total = a.bit_length() + d.bit_length() + gap
+    b_bits = 1 + split % (total - 1)
+    b, c = with_bits(b_bits, low_b), with_bits(total - b_bits, low_c)
+    assert b.bit_length() + c.bit_length() - a.bit_length() - d.bit_length() == gap
+    assert ratio_less(a, b, c, d) == (Fraction(a, b) < Fraction(c, d))
+    assert ratio_less(c, d, a, b) == (Fraction(c, d) < Fraction(a, b))
+
+
+@core_settings
+@given(nonnegative, positive, positive, positive)
+def test_screened_less_on_zero_numerators_and_exact_ties(a, b, d, k):
+    """A zero numerator against any ratio, on both sides and with
+    denominators of any length, and a ratio against itself scaled by k."""
+    assert ratio_less(0, b, a, d) == (a > 0)
+    assert not ratio_less(a, b, 0, d)
+    assert not ratio_less(a, b, a * k, b * k)
+    assert not ratio_less(a * k, b * k, a, b)
 
 
 @core_settings
@@ -134,7 +165,8 @@ def test_screened_less_on_near_ties(num, den, scale, nudge):
         bits = (left.numerator.bit_length() + right.denominator.bit_length(),
                 right.numerator.bit_length() + left.denominator.bit_length())
         assert abs(bits[0] - bits[1]) <= 2
-        assert _less(left, right) == (left < right)
+        assert ratio_less(left.numerator, left.denominator,
+                          right.numerator, right.denominator) == (left < right)
 
 
 # ---------------------------------------------------------------------------

@@ -9,19 +9,19 @@ from weakapprox.exponents import ordinary_exponent, uniform_exponent
 from weakapprox.lattice import (
     Lattice2,
     degeneracy_radius,
-    diag_scale,
     lattice_exponents,
     lattice_from_pair,
     minimum_profile,
 )
 from weakapprox.measure import min_step, upsilon_step
-from oracles import psi_lattice
+from oracles import from_entries, matrix_of, psi_lattice
 
 
 def brute_bound(lat, t):
-    det = abs(lat.det)
+    a11, a12, a21, a22 = matrix_of(lat)
+    det = abs(a11 * a22 - a12 * a21)
     bound = 0
-    for row in ((lat.a22, lat.a12), (lat.a21, lat.a11)):
+    for row in ((a22, a12), (a21, a11)):
         bound = max(bound, int((abs(row[0]) + abs(row[1])) * Fraction(t) / det) + 1)
     return bound
 
@@ -33,10 +33,7 @@ def brute_minimum(lat, t):
     without changing the enumeration logic under test.
     """
     bound = brute_bound(lat, t)
-    d1 = lat.a11.denominator * lat.a12.denominator
-    d2 = lat.a21.denominator * lat.a22.denominator
-    a1, b1 = int(lat.a11 * d1), int(lat.a12 * d1)
-    a2, b2 = int(lat.a21 * d2), int(lat.a22 * d2)
+    a1, b1, d1, a2, b2, d2 = lat.A1, lat.B1, lat.d1, lat.A2, lat.B2, lat.d2
     t1 = Fraction(t) * d1
     t2 = Fraction(t) * d2
     best = None
@@ -56,17 +53,18 @@ def brute_minimum(lat, t):
     return best
 
 
-def pair_512():
+def pair_512(d1=1, d2=1):
     theta = PartialQuotients(0, (2, 2, 2))  # 5/12
     eta = PartialQuotients(0, (2, 2, 2))
-    return lattice_from_pair(theta, eta)
+    return lattice_from_pair(theta, eta, d1, d2)
 
 
 class TestLattice2:
     def test_from_pair(self):
         lat = pair_512()
-        assert lat.a12 == Fraction(5, 12) and lat.a21 == Fraction(5, 12)
-        assert lat.det == Fraction(119, 144)
+        _, a12, a21, _ = matrix_of(lat)
+        assert a12 == Fraction(5, 12) and a21 == Fraction(5, 12)
+        assert Fraction(lat.D, lat.d1 * lat.d2) == Fraction(119, 144)
 
     def test_singular_pair_rejected(self):
         half = PartialQuotients(0, (2,))     # 1/2
@@ -74,40 +72,42 @@ class TestLattice2:
         with pytest.raises(ValueError):
             lattice_from_pair(half, two)
         with pytest.raises(ValueError):
-            Lattice2(Fraction(1), Fraction(2), Fraction(2), Fraction(4))
+            from_entries(1, 2, 2, 4)
+        with pytest.raises(ValueError):  # row denominators must be positive
+            Lattice2(1, 0, -1, 0, 1, 1)
 
     def test_zero_ratio_allowed_but_degenerate_early(self):
         # a vanishing off-diagonal entry is legal (det != 0) but the derived
         # ratio is rational zero and an axis point appears at sup-norm 1
-        lat = Lattice2(Fraction(1), Fraction(0), Fraction(5, 12), Fraction(1))
+        lat = from_entries(1, 0, Fraction(5, 12), 1)
         assert degeneracy_radius(lat) <= 1
         assert psi_lattice(lat, 1) == 0
 
     def test_json_roundtrip(self):
-        lat = diag_scale(pair_512(), 3, Fraction(1, 2))
+        lat = pair_512(3, Fraction(1, 2))
         assert lat.to_dict() == {"a11": "3/1", "a12": "5/4", "a21": "5/24", "a22": "1/2"}
 
-    def test_diag_scale_preserves_ratios(self):
-        lat = pair_512()
-        scaled = diag_scale(lat, 3, Fraction(1, 2))
-        assert scaled.a12 / scaled.a11 == lat.a12 / lat.a11
-        assert scaled.a21 / scaled.a22 == lat.a21 / lat.a22
-        with pytest.raises(ValueError):
-            diag_scale(lat, 0, 1)
+    def test_row_scales_preserve_ratios(self):
+        a11, a12, a21, a22 = matrix_of(pair_512())
+        s11, s12, s21, s22 = matrix_of(pair_512(3, Fraction(1, 2)))
+        assert s12 / s11 == a12 / a11
+        assert s21 / s22 == a21 / a22
+        with pytest.raises(ValueError, match="nonsingular"):
+            pair_512(0, 1)
 
     def test_unit_scale_identity(self):
-        lat = pair_512()
-        assert diag_scale(lat, 1, 1) == lat
+        assert pair_512(Fraction(1), Fraction(1)) == from_entries(1, Fraction(5, 12),
+                                                                   Fraction(5, 12), 1)
 
 
 class TestPsiLattice:
     def test_integer_lattice_degenerates_immediately(self):
-        lat = Lattice2(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+        lat = from_entries(1, 0, 0, 1)
         assert psi_lattice(lat, 1) == 0
 
     def test_sign_scale_invariance(self):
         lat = pair_512()
-        flipped = diag_scale(lat, -1, 1)
+        flipped = pair_512(-1, 1)
         for t in (1, 3, 7):
             assert psi_lattice(lat, t) == psi_lattice(flipped, t)
 
@@ -124,7 +124,7 @@ class TestPsiLattice:
                 Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(4)
             ]
             try:
-                lat = Lattice2(*entries)
+                lat = from_entries(*entries)
             except ValueError:
                 continue
             t = rng.randint(2, 200)
@@ -179,7 +179,7 @@ class TestMinimumProfile:
 
     def test_matches_exhaustive_scan_scaled(self):
         theta, eta = construct_thm3(Fraction(1), 4)
-        lat = diag_scale(lattice_from_pair(theta, eta), 2, 3)
+        lat = lattice_from_pair(theta, eta, 2, 3)
         records = minimum_profile(lat, 500)
         for rec in records:
             assert psi_lattice(lat, rec.t) == rec.product_sq
@@ -215,6 +215,6 @@ class TestLatticeExponents:
         theta, eta = pair6
         lat = lattice_from_pair(theta, eta)
         o1, u1, _ = lattice_exponents(lat)
-        o2, u2, _ = lattice_exponents(diag_scale(lat, 2, 3))
+        o2, u2, _ = lattice_exponents(lattice_from_pair(theta, eta, 2, 3))
         assert abs(o1.value - o2.value) < 0.1
         assert abs(u1.value - u2.value) < 0.1

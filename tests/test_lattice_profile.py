@@ -27,12 +27,11 @@ from weakapprox.intmath import log_ratio, parse_decimal
 from weakapprox.lattice import (
     Lattice2,
     degeneracy_radius,
-    diag_scale,
     lattice_exponents,
     lattice_from_pair,
     minimum_profile,
 )
-from oracles import psi_lattice
+from oracles import from_entries, matrix_of, psi_lattice
 
 profile_settings = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -48,8 +47,9 @@ def oracle_cap(lat: Lattice2) -> Fraction:
     """Largest t (in 16ths) at which one ``psi_lattice`` call visits at most
     about ORACLE_POINTS n-values and box points: the box holds about
     4 t^2 / |det| points over 2 (|a11| + |a21|) t / |det| + 3 values of n."""
-    det = float(abs(lat.det))
-    s = float(abs(lat.a11) + abs(lat.a21))
+    a11, a12, a21, a22 = matrix_of(lat)
+    det = float(abs(a11 * a22 - a12 * a21))
+    s = float(abs(a11) + abs(a21))
     # 4 t^2 / det + 2 s t / det + 3 <= ORACLE_POINTS
     a, b, c = 4 / det, 2 * s / det, 3 - ORACLE_POINTS
     root = (-b + math.sqrt(b * b - 4 * a * c)) / (2 * a)
@@ -78,7 +78,7 @@ def radii(draw, lat: Lattice2) -> Fraction:
 def unit_diagonal(draw):
     theta, eta = draw(ENTRIES), draw(ENTRIES)
     assume(theta * eta != 1)
-    lat = Lattice2(Fraction(1), theta, eta, Fraction(1))
+    lat = from_entries(1, theta, eta, 1)
     return lat, draw(radii(lat))
 
 
@@ -86,7 +86,7 @@ def unit_diagonal(draw):
 def general(draw):
     entries = [draw(ENTRIES) for _ in range(4)]
     assume(entries[0] * entries[3] != entries[1] * entries[2])
-    lat = Lattice2(*entries)
+    lat = from_entries(*entries)
     return lat, draw(radii(lat))
 
 
@@ -94,13 +94,14 @@ def assert_matches_oracle(lat: Lattice2, t_max: Fraction) -> None:
     records = minimum_profile(lat, t_max)
     # Sup-norms are multiples of 1/(d1 d2), so t - below is above every
     # sup-norm less than t.
-    den = math.prod(x.denominator for x in (lat.a11, lat.a12, lat.a21, lat.a22))
+    a11, a12, a21, a22 = matrix_of(lat)
+    den = math.prod(x.denominator for x in (a11, a12, a21, a22))
     below = Fraction(1, 2 * den)
     previous = None
     for rec in records:
         assert rec.t <= t_max
         m, n = rec.point
-        x1, x2 = lat.a11 * m + lat.a12 * n, lat.a21 * m + lat.a22 * n
+        x1, x2 = a11 * m + a12 * n, a21 * m + a22 * n
         assert max(abs(x1), abs(x2)) == rec.t
         assert (x1 * x2) ** 2 == rec.product_sq
         assert psi_lattice(lat, rec.t) == rec.product_sq
@@ -134,10 +135,14 @@ def test_general_profile_matches_oracle(case):
         (Fraction(2, 3), Fraction(-7, 5), 0, Fraction(3, 4)),
         # a11 = 0: the x1 = 0 end of the chain is (m, n) = (1, 0).
         (0, Fraction(5, 3), Fraction(-2, 7), Fraction(9, 4)),
+        # A sup-norm tie across the two stretches of the walk: at t = 2 a
+        # point of each has sup-norm 2, with products 2/5 and 2, so the merge
+        # must take the smaller product first.
+        (1, -3, 2, Fraction(-9, 5)),
     ],
 )
 def test_degenerate_chains_match_oracle(entries):
-    lat = Lattice2(*map(Fraction, entries))
+    lat = from_entries(*entries)
     for t in (Fraction(1, 2), 1, 2, degeneracy_radius(lat), 6):
         assert_matches_oracle(lat, Fraction(t))
 
@@ -151,7 +156,7 @@ def test_degeneracy_radius_matches_oracle(entries):
     """The closed form |D| / max(g1 d2, g2 d1): the box of radius r holds a
     zero-product point, the box just inside it none."""
     assume(entries[0] * entries[3] != entries[1] * entries[2])
-    lat = Lattice2(*entries)
+    lat = from_entries(*entries)
     radius = degeneracy_radius(lat)
     assume(radius <= oracle_cap(lat))
     assert psi_lattice(lat, radius) == 0
@@ -169,11 +174,12 @@ def test_degeneracy_radius_matches_oracle(entries):
 def test_deep_profiles_are_prefixes_of_the_capped_profile(pair, scale):
     """On chains far beyond the oracle's reach, the profile at t is the
     capped profile's records up to t: the walk from the x2 = 0 axis point
-    passes the minima outside the box of radius t and keeps those inside."""
-    lat = diag_scale(lattice_from_pair(*pair), *scale)
+    passes the minima outside the box of radius t and keeps those inside.
+    Each record's own t is a radius too, where the box test is a tie."""
+    lat = lattice_from_pair(*pair, *scale)
     cap = degeneracy_radius(lat) * Fraction(4095, 4096)
     full = minimum_profile(lat, cap)
-    for t in (1, 3, 1000, 10**20, cap):
+    for t in (1, 3, 1000, 10**20, cap, *(rec.t for rec in full)):
         assert minimum_profile(lat, t) == [rec for rec in full if rec.t <= t]
 
 
@@ -183,7 +189,7 @@ def test_exponent_samples_depend_only_on_record_values(scale):
     sample from the reduced Fractions of the same records gives the same
     bits."""
     theta, eta = construct_thm3(Fraction(1), 6)
-    lat = diag_scale(lattice_from_pair(theta, eta), *scale)
+    lat = lattice_from_pair(theta, eta, *scale)
     ordinary, uniform, info = lattice_exponents(lat)
     num, _, den = info["t_max"].partition("/")
     records = minimum_profile(lat, Fraction(parse_decimal(num), parse_decimal(den)))

@@ -8,12 +8,17 @@ hundreds of thousands of digits, so no kernel here is quadratic in them:
   splits off the bit length and converts only the top 64 bits.
   ``log_ratio`` takes one short division (ibid., 1.4) and depends only on
   the value num/den, so no caller reduces a fraction to take its log.
-- ``ratio_less`` orders two ratios on their bit lengths and multiplies
-  only on a near tie.
+- ``ratio_less`` orders two ratios on their bit lengths, then a near tie
+  of long products on the 64-bit heads of its four factors, and
+  multiplies only when those heads leave the order open.
 - ``nth_root_floor`` doubles its precision (Brent & Zimmermann, *Modern
   Computer Arithmetic*, 1.5): Newton's method starts from the root of a
   number half as long, so one or two of its steps run at full size.  Its
   docstring proves the result exact.
+- ``round_div_root`` works at the precision of its answer: it takes the
+  root of a base cut to the answer's bits plus 64 guard bits, and the
+  full root only when that short root's bracket holds a rounding
+  boundary.  Its docstring proves both paths exact.
 - ``decimal_str`` and ``parse_decimal`` convert by divide and conquer
   (ibid., 1.7): ``decimal_str`` recombines binary halves in the C
   ``decimal`` module in a context that raises on any rounding, and
@@ -31,6 +36,15 @@ from fractions import Fraction
 
 #: Bits of the mantissa used when taking logs of huge integers.
 _LOG_MANTISSA_BITS = 64
+
+#: Bits of each factor's head in ``ratio_less``'s screen of a near tie.
+_HEAD_BITS = 64
+
+#: Products up to this many bits ``ratio_less`` multiplies without a screen.
+_SCREEN_BITS = 256
+
+#: Guard bits of the truncated root in ``round_div_root``.
+_GUARD_BITS = 64
 
 _LN2 = math.log(2.0)
 
@@ -89,12 +103,46 @@ def ratio_less(a: int, b: int, c: int, d: int) -> bool:
     2^(k-1) <= n < 2^k for each k-bit factor, so with bl the bit length
     2^(L-2) <= a d < 2^L for L = bl(a) + bl(d), and likewise c b for
     R = bl(c) + bl(b).  When L and R differ by 2 or more, the larger sum
-    belongs to the larger product; only a near tie multiplies.
+    belongs to the larger product; only a near tie goes on.
+
+    A near tie of products above ``_SCREEN_BITS`` bits is screened on the
+    ``_HEAD_BITS``-bit heads of its factors.  For each factor x, with
+    e = max(bl(x) - _HEAD_BITS, 0) and x_h = x >> e,
+    x_h 2^e <= x < (x_h + 1) 2^e, so a d lies in [lo1, hi1) with
+    lo1 = a_h d_h 2^(ea+ed) and hi1 = (a_h+1)(d_h+1) 2^(ea+ed), and c b in
+    [lo2, hi2) likewise.  hi1 <= lo2 proves a d < c b, and hi2 <= lo1
+    proves c b < a d; only overlapping brackets multiply.  An exact tie
+    a d = c b lies in both brackets, so they overlap and it multiplies.
     """
     if not a or not c:
         return a < c
-    gap = c.bit_length() + b.bit_length() - a.bit_length() - d.bit_length()  # R - L
-    return gap > 1 or gap > -2 and a * d < c * b
+    left = a.bit_length() + d.bit_length()
+    gap = c.bit_length() + b.bit_length() - left  # R - L
+    if gap > 1 or gap < -1:
+        return gap > 1
+    if left > _SCREEN_BITS:
+        ah, ea = _head(a)
+        dh, ed = _head(d)
+        ch, ec = _head(c)
+        bh, eb = _head(b)
+        shift = ea + ed - ec - eb
+        lo1, hi1 = ah * dh, (ah + 1) * (dh + 1)
+        lo2, hi2 = ch * bh, (ch + 1) * (bh + 1)
+        if shift >= 0:
+            lo1, hi1 = lo1 << shift, hi1 << shift
+        else:
+            lo2, hi2 = lo2 << -shift, hi2 << -shift
+        if hi1 <= lo2:
+            return True
+        if hi2 <= lo1:
+            return False
+    return a * d < c * b
+
+
+def _head(x: int) -> tuple[int, int]:
+    """(x >> e, e) with e = max(bl(x) - _HEAD_BITS, 0): the top bits of x."""
+    e = max(x.bit_length() - _HEAD_BITS, 0)
+    return x >> e, e
 
 
 def nth_root_floor(n: int, k: int) -> int:
@@ -150,14 +198,45 @@ def round_root(n: int, num: int, den: int) -> int:
 def round_div_root(base: int, num: int, den: int, c: int, s: int) -> int:
     """Nearest integer to (base**(num/den) - c) / s, exact, ties up.
 
-    m = (r - c) // s with r = floor(R), R = base**(num/den), is the floor of
+    With R = base**(num/den) the answer is f(R) for
+    f(x) = floor((2x - 2c + s) / (2s)), which never falls as x grows.
+
+    Exact path: m = (r - c) // s with r = floor(R) is the floor of
     (R - c) / s: c + m*s <= r <= R, and the integer c + (m+1)*s exceeds r,
     so it is at least r + 1 > R.  The answer is m + 1 iff
     R >= c + (m + 1/2)*s, i.e. iff v = 2c + (2m+1)s is at most 0 or
     v**den <= 2**den * base**num; all comparisons are integer.
+
+    Truncated path, tried first.  With bl the bit length and B = bl(base),
+    R / s < 2**a for a = ceil(B num/den) - bl(s) + 1, so the answer needs
+    R to about a + _GUARD_BITS bits only.  Take the largest k with
+    bl(h) >= max(a, 0) + _GUARD_BITS for h = base >> (den k) and with
+    t = num k <= bl(s) - 1 - _GUARD_BITS; if k < 1 (every ``round_root``,
+    as s = 1) the exact path runs.  As h 2^(den k) <= base < (h+1) 2^(den k),
+    r0 2^t <= R < (h+1)**p 2^t for p = num/den and r0 = floor(h**p).
+    Here h >= 2^63 > bl(s) (no integer in memory has 2^63 bits) and
+    bl(s) > t >= num >= p, so y = p/h <= 1, and
+    (1 + 1/h)**p <= e^y <= 1 + 2y, as e^y is convex on [0, 1]; hence
+    (h+1)**p < (r0 + 1)(1 + 2 num/h) <= U = r0 + 2 + 2 num (r0 + 1) // h.
+    So L = r0 2^t <= R < U 2^t, and f(L) = f(U 2^t) is the answer.  With
+    (f(L), rho) = divmod(2L - 2c + s, 2s), that equality is
+    rho + 2 (U - r0) 2^t < 2s; otherwise the exact path decides.  As
+    2^t <= 2^-_GUARD_BITS s and R / h < 2^(1 - _GUARD_BITS) s, the bracket
+    is about (1 + 2 num) 2^(1 - _GUARD_BITS) s wide, so only an answer that
+    close to a rounding boundary falls through.
     """
     if base < 1 or s < 1 or num < 1 or den < 1:
         raise ValueError("root helpers require positive base, s, num, den")
+    bits, s_bits = base.bit_length(), s.bit_length()
+    answer_bits = max(-(-bits * num // den) - s_bits + 1, 0)
+    k = min((bits - answer_bits - _GUARD_BITS) // den, (s_bits - 1 - _GUARD_BITS) // num)
+    if k > 0:
+        h, t = base >> (den * k), num * k
+        r0 = nth_root_floor(h**num, den)
+        upper = r0 + 2 + 2 * num * (r0 + 1) // h
+        m, rho = divmod(2 * ((r0 << t) - c) + s, 2 * s)
+        if rho + ((upper - r0) << (t + 1)) < 2 * s:
+            return m
     power = base**num
     m = (nth_root_floor(power, den) - c) // s
     v = 2 * c + (2 * m + 1) * s

@@ -62,10 +62,11 @@ have |x2| rising: they form a chain.
 ``minimum_profile`` seeds the chain at its x2 = 0 end, walks it once,
 merges it by (5) and keeps the running minima, on the integer rows of
 ``Lattice2``: the box test and the merge are ``intmath.ratio_less``
-comparisons, and each minimum costs one product |x1 x2|.  The records
-keep those integers unreduced: ``intmath.log_ratio`` depends only on the
-value of a quotient, so the exponent estimates need no gcd, and only the
-tests build Fractions.
+comparisons, screened on bit lengths and then on 64-bit heads, and each
+minimum costs one product |x1 x2|.  The records keep those integers
+unreduced: ``intmath.log_ratio`` depends only on the value of a
+quotient, so the exponent estimates need no gcd, and only the tests
+build Fractions.
 """
 
 from __future__ import annotations

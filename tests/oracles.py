@@ -9,6 +9,7 @@ integer rows of a ``Lattice2``.
 import math
 from fractions import Fraction
 
+from weakapprox.intmath import nth_root_floor
 from weakapprox.lattice import Lattice2
 
 
@@ -30,6 +31,16 @@ def brute_measure(x: Fraction, t: int, kind: str = "ordinary") -> Fraction:
     """min over q = 1..t of ||q x|| (ordinary) or of q ||q x|| (weak)."""
     assert kind in ("ordinary", "weak")
     return min((q if kind == "weak" else 1) * dist_to_int(q * x) for q in range(1, t + 1))
+
+
+def full_round_div_root(base: int, num: int, den: int, c: int, s: int) -> int:
+    """Nearest integer to (base**(num/den) - c) / s, ties up, with the root
+    taken on the full power base**num: n = floor((r - c) / s) for
+    r = floor(R), plus 1 iff 2c + (2n + 1) s <= 2R."""
+    power = base**num
+    n = (nth_root_floor(power, den) - c) // s
+    v = 2 * c + (2 * n + 1) * s
+    return n + 1 if v <= 0 or v**den <= power << den else n
 
 
 def from_entries(a11, a12, a21, a22) -> Lattice2:

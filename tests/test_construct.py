@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from weakapprox import construct
 from weakapprox.cf import convergents
 from weakapprox.construct import (
     DIGIT_GUARD_ENV,
@@ -14,6 +15,7 @@ from weakapprox.construct import (
     growth_rate_thm3,
 )
 from weakapprox.intmath import log_int
+from oracles import full_round_div_root
 
 
 def q_sequence(pq):
@@ -94,6 +96,17 @@ class TestThm2:
     def test_gamma_domain(self):
         with pytest.raises(ValueError):
             construct_thm2(Fraction(1), 6)
+
+    @pytest.mark.parametrize("gamma, depth", [("13/10", 18), ("3/2", 16), ("7/4", 11)])
+    def test_roots_on_the_full_base_give_the_same_prefixes(self, monkeypatch, gamma, depth):
+        """Each step's root on a truncated base must round as the root on
+        the full base does.  At 13/10 the truncated root first decides at
+        depth 12 (4 of 22 roots); at 7/4 the answer outgrows the base
+        (gamma - 1/gamma > 1), so every root is the full one.  A depth-N
+        build's prefixes are the builds of every depth below N."""
+        fast = construct_thm2(Fraction(gamma), depth)
+        monkeypatch.setattr(construct, "round_div_root", full_round_div_root)
+        assert construct_thm2(Fraction(gamma), depth) == fast
 
 
 class TestThm3:

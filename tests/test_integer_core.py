@@ -113,8 +113,10 @@ def test_measure_functions_match_brute_scan_everywhere(pq):
 # ---------------------------------------------------------------------------
 # screened comparison
 
-positive = st.integers(1, 2**200)
-nonnegative = st.integers(0, 2**200)
+#: Integers of 1 to 4000 bits, every bit length equally likely, so that
+#: products fall on both sides of the head screen's 256 bits.
+positive = st.integers(1, 4000).flatmap(lambda n: st.integers(1 << (n - 1), (1 << n) - 1))
+nonnegative = st.one_of(st.just(0), positive)
 
 
 @core_settings
@@ -148,7 +150,8 @@ def test_screened_less_at_each_bit_length_gap(a, d, gap, split, low_b, low_c):
 @given(nonnegative, positive, positive, positive)
 def test_screened_less_on_zero_numerators_and_exact_ties(a, b, d, k):
     """A zero numerator against any ratio, on both sides and with
-    denominators of any length, and a ratio against itself scaled by k."""
+    denominators of any length, and a ratio against itself scaled by k of
+    up to 4000 bits: an exact tie, whose head brackets always overlap."""
     assert ratio_less(0, b, a, d) == (a > 0)
     assert not ratio_less(a, b, 0, d)
     assert not ratio_less(a, b, a * k, b * k)
@@ -156,7 +159,7 @@ def test_screened_less_on_zero_numerators_and_exact_ties(a, b, d, k):
 
 
 @core_settings
-@given(positive, positive, st.integers(1, 2**64), st.integers(-3, 3))
+@given(positive, positive, st.one_of(st.integers(1, 2**64), positive), st.integers(-3, 3))
 def test_screened_less_on_near_ties(num, den, scale, nudge):
     a = Fraction(num, den)
     b = Fraction(num * scale + nudge, den * scale) if num * scale + nudge > 0 else a
@@ -167,6 +170,20 @@ def test_screened_less_on_near_ties(num, den, scale, nudge):
         assert abs(bits[0] - bits[1]) <= 2
         assert ratio_less(left.numerator, left.denominator,
                           right.numerator, right.denominator) == (left < right)
+
+
+@core_settings
+@given(st.integers(1 << 63, (1 << 64) - 1), st.integers(200, 3000), nonnegative, nonnegative,
+       positive, st.integers(0, 2))
+def test_screened_less_when_the_heads_agree(head, shift, low_a, low_c, b, step):
+    """a = h 2^k + da and c = (h + step) 2^k + dc over one denominator b, and
+    over b and b + 1: the 64-bit heads of the products agree or differ in
+    their last places, and the order is decided by the low bits."""
+    a = (head << shift) + low_a % (1 << shift)
+    c = ((head + step) << shift) + low_c % (1 << shift)
+    for d in (b, b + 1):
+        assert ratio_less(a, b, c, d) == (Fraction(a, b) < Fraction(c, d))
+        assert ratio_less(c, d, a, b) == (Fraction(c, d) < Fraction(a, b))
 
 
 # ---------------------------------------------------------------------------

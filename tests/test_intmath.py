@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weakapprox import construct
+from weakapprox import construct, intmath
 from weakapprox.cf import PartialQuotients
 from weakapprox.intmath import (
     decimal_str,
@@ -90,22 +90,74 @@ def test_round_div_root_against_exact_rationals():
         assert got == want, (base, den, c, s)
 
 
-def test_root_helpers_negative_c():
-    # Irrational roots too: x <= k*R for R = base**(num/den) is checked as
-    # x <= 0 or x**den <= k**den * base**num.
-    def at_most(x, k, base, num, den):
-        return x <= 0 or x**den <= k**den * base**num
+def _at_most(x, k, base, num, den):
+    """x <= k * base**(num/den), in integers."""
+    return x <= 0 or x**den <= k**den * base**num
 
+
+def test_root_helpers_negative_c():
+    # Irrational roots too, checked in integers by ``_at_most``.
     rng = random.Random(17)
     for _ in range(300):
         base, num, den = rng.randint(1, 10**6), rng.randint(1, 5), rng.randint(1, 5)
         c, s = -rng.randint(1, 10**4), rng.randint(1, 10**4)
         r = round_div_root(base, num, den, c, s)
         # c + (r - 1/2) s <= R < c + (r + 1/2) s: nearest, ties up
-        assert at_most(2 * c + (2 * r - 1) * s, 2, base, num, den)
-        assert not at_most(2 * c + (2 * r + 1) * s, 2, base, num, den)
+        assert _at_most(2 * c + (2 * r - 1) * s, 2, base, num, den)
+        assert not _at_most(2 * c + (2 * r + 1) * s, 2, base, num, den)
     # (1 + 8) / 10 rounds up although 2c + s < 0.
     assert round_div_root(1, 1, 2, -8, 10) == 1
+
+
+@pytest.fixture
+def root_inputs(monkeypatch):
+    """The bit lengths of the numbers whose roots ``round_div_root`` takes,
+    one list per call: one root of a power shorter than base**num is the
+    truncated path deciding, and two roots are its exact fallback."""
+    real, seen = intmath.nth_root_floor, []
+    monkeypatch.setattr(intmath, "nth_root_floor",
+                        lambda n, k: seen.append(n.bit_length()) or real(n, k))
+    return seen
+
+
+def test_round_div_root_in_the_truncated_regime(root_inputs):
+    """s of 100 to 5000 bits, num/den below and above 1, c of either sign
+    and up to 3s, answers of 0 to 2000 bits; each answer is checked with
+    the integer bracket of ``test_root_helpers_negative_c``."""
+    rng = random.Random(29)
+    truncated = 0
+    for _ in range(300):
+        num, den = rng.choice([(1, 2), (2, 3), (3, 7), (4, 3), (3, 2), (13, 10), (7, 4), (5, 1)])
+        s_bits = rng.randint(100, 5000)
+        s = rng.getrandbits(s_bits) | 1 << (s_bits - 1)
+        answer_bits = rng.randint(0, 2000)
+        base_bits = max(1, (s_bits + answer_bits) * den // num)
+        base = rng.getrandbits(base_bits) | 1 << (base_bits - 1)
+        c = rng.randint(-3 * s, 3 * s)
+        root_inputs.clear()
+        r = round_div_root(base, num, den, c, s)
+        assert _at_most(2 * c + (2 * r - 1) * s, 2, base, num, den)
+        assert not _at_most(2 * c + (2 * r + 1) * s, 2, base, num, den)
+        truncated += len(root_inputs) == 1 and root_inputs[0] <= (base_bits - den) * num
+    assert truncated >= 200
+
+
+@pytest.mark.parametrize("num, den", [(1, 2), (1, 5), (3, 2), (13, 10)])
+def test_round_div_root_exact_tie_falls_back_and_rounds_up(root_inputs, num, den):
+    """base = x**den for odd x, so R = x**num, and c = R - (k + 1/2) s for an
+    even s of hundreds to thousands of bits: R lies exactly on a rounding
+    boundary.  The truncated bracket starts strictly below R, as the shift
+    drops odd low bits, so it straddles the boundary; the exact path must
+    run and round up."""
+    rng = random.Random(num * 100 + den)
+    x = rng.getrandbits(1200) | 1 << 1199 | 1
+    s = 2 * (rng.getrandbits(num * 1200 - 801) | 1)  # an answer of about 800 bits
+    k = rng.getrandbits(790)
+    c = x**num - k * s - s // 2
+    assert Fraction(x**num - c, s) == k + Fraction(1, 2)
+    assert round_div_root(x**den, num, den, c, s) == k + 1
+    assert len(root_inputs) == 2  # the short root, then the exact one
+    assert root_inputs[0] < root_inputs[1] == (x**(den * num)).bit_length()
 
 
 def test_log_int_matches_math_log():

@@ -84,6 +84,17 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid rational: {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1; a bad one exits 2."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
+    return n
+
+
 def _seed_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
@@ -208,10 +219,10 @@ def cmd_lemma1(args) -> int:
     results = []
     failures = 0
     for k in range(args.pairs):
-        gen = random_step_pair(args.seed + k, pieces=args.pieces)
-        report = check_conditions(gen.pair)
-        witnesses = find_witnesses(gen.pair, margin=args.margin)
-        verified = [w for w in witnesses if verify_witness(gen.pair, w)]
+        pair = random_step_pair(args.seed + k, pieces=args.pieces)
+        report = check_conditions(pair)
+        witnesses = find_witnesses(pair, margin=args.margin)
+        verified = [w for w in witnesses if verify_witness(pair, w)]
         # Every witness found must verify, not just one of them.
         ok = report.a_holds and report.b_holds and 1 <= len(verified) == len(witnesses)
         if not ok:
@@ -326,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma1", help="step-pair hypothesis checks and witnesses")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairs", type=int, default=20)
+    p.add_argument("--pairs", type=_positive_int, default=20)
     p.add_argument("--pieces", type=int, default=10)
     p.add_argument("--u-csv", help="CSV for the first function")
     p.add_argument("--v-csv", help="CSV for the second function")

@@ -20,7 +20,9 @@ index arithmetic on the sorted breakpoints, and re-verifies each witness
 clause by direct evaluation (``verify_witness``, the independent oracle).
 Because measure-side step functions are stored merged, "discontinuous at t"
 is simply "t is a stored breakpoint with a predecessor": the first two
-clauses hold for every index >= 1.
+clauses hold for every index >= 1.  Every check compares values and never
+computes with them, so only their order matters; the seeded generator
+``random_step_pair`` therefore draws small integer levels.
 
 Hypotheses.  u is non-increasing, so on a full v-interval ending at e its
 smallest value is u(e-), the value of u's last piece starting before e.
@@ -55,7 +57,6 @@ __all__ = [
     "StepPair",
     "Witness",
     "ConditionReport",
-    "GeneratedPair",
     "check_conditions",
     "find_witnesses",
     "verify_witness",
@@ -66,10 +67,8 @@ __all__ = [
 #: truncated boundary pieces can spuriously satisfy or break the clauses.
 BOUNDARY_MARGIN = 2
 
-#: ``random_step_pair`` multiplies each value by ``_DECAY`` times a random
-#: factor in [0.2, 0.9], plus 1/100, and draws each breakpoint gap from
-#: 1 to ``_GAP``.
-_DECAY = Fraction(1, 2)
+#: ``random_step_pair`` draws each breakpoint gap and each gap between
+#: consecutive levels from 1 to ``_GAP``.
 _GAP = 6
 
 
@@ -255,22 +254,13 @@ def verify_witness(pair: StepPair, w: Witness) -> bool:
     return all(checks)
 
 
-@dataclass(frozen=True)
-class GeneratedPair:
-    """Output of the seeded generator, with the designed outcome attached."""
+def random_step_pair(seed: int, pieces: int = 8) -> StepPair:
+    """Deterministic random pair whose minimum alternates.
 
-    pair: StepPair
-    expected_failure: str | None  # None, "a", or "b"
-
-
-def random_step_pair(seed: int, pieces: int = 8, alternation: bool = True) -> GeneratedPair:
-    """Deterministic random pair whose minimum alternates (or not).
-
-    With alternation on, breakpoints interleave q_1 < s_1 < q_2 < s_2 < ...
-    and the values interleave strictly downward
-    u_1 > v_1 > u_2 > v_2 > ..., which forces hypotheses (a) and (b) on the
-    interior.  With alternation off, one function (chosen by the seed)
-    dominates everywhere, breaking exactly one hypothesis.
+    Breakpoints interleave q_1 < s_1 < q_2 < s_2 < ... and the values
+    interleave strictly downward u_1 > v_1 > u_2 > v_2 > ..., which forces
+    hypotheses (a) and (b) on the interior.  The lemma only compares values,
+    so the levels are integers: running sums of random gaps, reversed.
     """
     if pieces < 5:
         raise ValueError("need at least 5 pieces per side")
@@ -286,27 +276,13 @@ def random_step_pair(seed: int, pieces: int = 8, alternation: bool = True) -> Ge
         t += rng.randint(1, _GAP)
     domain_end = t + rng.randint(1, _GAP)
 
-    # Strictly interleaved decreasing values u_k > v_k > u_{k+1} > ...
-    levels: list[Fraction] = []
-    val = Fraction(1)
+    levels: list[int] = []
+    level = 0
     for _ in range(2 * pieces):
-        levels.append(val)
-        # keep each drop strict but irregular
-        val *= _DECAY * Fraction(rng.randint(2, 9), 10) + Fraction(1, 100)
-    u_vals = levels[0::2]
-    v_vals = levels[1::2]
-
-    expected = None
-    if not alternation:
-        # Raise one function above the other's start value: then it is never
-        # strictly below the other, so exactly one hypothesis fails.
-        expected = rng.choice(("a", "b"))
-        if expected == "a":
-            u_vals = [v_vals[0] * 2 + v for v in u_vals]  # u >= v everywhere breaks (a)
-        else:
-            v_vals = [u_vals[0] * 2 + u for u in v_vals]  # v >= u everywhere breaks (b)
-    pair = StepPair(
-        StepFunction(tuple(q_bps), tuple(u_vals), domain_end),
-        StepFunction(tuple(s_bps), tuple(v_vals), domain_end),
+        level += rng.randint(1, _GAP)
+        levels.append(level)
+    levels.reverse()
+    return StepPair(
+        StepFunction(tuple(q_bps), tuple(levels[0::2]), domain_end),
+        StepFunction(tuple(s_bps), tuple(levels[1::2]), domain_end),
     )
-    return GeneratedPair(pair, expected)

@@ -15,17 +15,9 @@ Both functions are read off the prefix's integer analysis
 (``PartialQuotients.analysis``; facts (1)-(4) of the ``cf`` docstring):
 ||q_v x|| = rho_v / q_N with one denominator q_N for every v, so the running
 minima compare the integers rho_v (psi) and q_v rho_v (upsilon) directly.
-Only a value that is kept is brought to lowest terms, and for both kinds
-every prime common to the numerator and q_N divides g_v = gcd(q_v, rho_v):
-
-* psi: the common primes of rho_v and q_N divide gcd(rho_v, q_N) = g_v (4).
-* upsilon: a prime l dividing both q_v rho_v and q_N divides q_v or rho_v,
-  hence gcd(q_v, q_N) or gcd(rho_v, q_N), and both equal g_v by (4).
-
-Dividing numerator and denominator by c = gcd(g_v, num, den) removes common
-primes without creating new ones, and every prime still common divides the
-previous c; so repeating with c = gcd(c, num, den) until c = 1 leaves the
-pair in lowest terms, with every gcd taken against the small g_v.
+Only a value that is kept is brought to lowest terms, by c = gcd(num, q_N):
+write g = g_v, q_v = g q', rho_v = g r', q_N = g n'.  By (4) q' and r' are prime to n',
+so c = g for psi and c = g gcd(g q' r', n') = g gcd(g, n') = gcd(g^2, q_N) for upsilon.
 """
 
 from __future__ import annotations
@@ -161,16 +153,6 @@ def _merged(points: list[tuple[int, Fraction]], domain_end: int) -> StepFunction
     return StepFunction(tuple(bps), tuple(vals), domain_end)
 
 
-def _lowest_terms(num: int, den: int, c: int) -> tuple[int, int]:
-    """num/den in lowest terms, given that every prime common to both divides c."""
-    c = gcd(c, num, den)
-    while c > 1:
-        num //= c
-        den //= c
-        c = gcd(c, num, den)
-    return num, den
-
-
 def _measure(pq: PartialQuotients, weak: bool) -> StepFunction:
     """Running minimum of rho_v (psi) or q_v rho_v (upsilon) over v <= N-2."""
     if pq.depth < 2:
@@ -186,8 +168,10 @@ def _measure(pq: PartialQuotients, weak: bool) -> StepFunction:
         scaled = q * an.rho[v] if weak else an.rho[v]
         if best is None or scaled < best:
             best = scaled
+            g = an.gcds[v]
+            c = gcd(g * g, an.q_n) if weak else g
             bps.append(q)
-            vals.append(reduced_fraction(*_lowest_terms(scaled, an.q_n, an.gcds[v])))
+            vals.append(reduced_fraction(scaled // c, an.q_n // c))
     return StepFunction(tuple(bps), tuple(vals), an.domain_end)
 
 

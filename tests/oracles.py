@@ -3,7 +3,8 @@
 The library reads these quantities off continued fractions and the chain of
 relative minima; the tests compare its answers with the scans here.
 ``from_entries`` and ``matrix_of`` convert between a rational matrix and the
-integer rows of a ``Lattice2``.
+integer rows of a ``Lattice2``; ``dominated_controls`` turns a step pair into
+two that each break one hypothesis of the interleaving lemma.
 """
 
 import math
@@ -11,6 +12,8 @@ from fractions import Fraction
 
 from weakapprox.intmath import nth_root_floor
 from weakapprox.lattice import Lattice2
+from weakapprox.lemma import StepPair
+from weakapprox.measure import StepFunction
 
 
 def evaluate_nested(pq) -> Fraction:
@@ -82,3 +85,19 @@ def psi_lattice(lat, t):
             if (m or n) and max(abs(x1), abs(x2)) <= t:
                 best = (x1 * x2) ** 2 if best is None else min(best, (x1 * x2) ** 2)
     return best
+
+
+def dominated_controls(pair: StepPair) -> tuple[StepPair, StepPair]:
+    """(pair with u' = 2 v_1 + u, pair with v' = 2 u_1 + v).
+
+    Each raised function lies above the other's largest value, so it is
+    never strictly below the other: the first control breaks hypothesis (a),
+    the second (b), and neither has a witness.
+    """
+    u, v = pair.u, pair.v
+
+    def raised(f: StepFunction, lift) -> StepFunction:
+        return StepFunction(f.breakpoints, tuple(lift + x for x in f.values), f.domain_end)
+
+    return (StepPair(raised(u, 2 * v.values[0]), v, pair.window),
+            StepPair(u, raised(v, 2 * u.values[0]), pair.window))

@@ -35,6 +35,7 @@ from weakapprox.lemma import (
     verify_witness,
 )
 from weakapprox.measure import min_step, psi_step, upsilon_step
+from oracles import dominated_controls
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -262,28 +263,27 @@ def test_criterion_6_step_pair_property_suite():
     start = time.time()
     witnessed = 0
     for seed in range(500):
-        gen = random_step_pair(seed, pieces=10)
-        rep = check_conditions(gen.pair)
+        pair = random_step_pair(seed, pieces=10)
+        rep = check_conditions(pair)
         assert rep.a_holds and rep.b_holds, f"hypotheses broken at seed {seed}"
-        ws = find_witnesses(gen.pair)
-        verified = [w for w in ws if verify_witness(gen.pair, w)]
+        ws = find_witnesses(pair)
+        verified = [w for w in ws if verify_witness(pair, w)]
         assert len(verified) >= 1, f"no verified witness at seed {seed}"
         assert len(verified) == len(ws)
         witnessed += len(verified)
 
     for seed in range(100):
-        gen = random_step_pair(10_000 + seed, pieces=10, alternation=False)
-        rep = check_conditions(gen.pair)
-        if gen.expected_failure == "a":
-            assert not rep.a_holds and rep.b_holds
-        else:
-            assert not rep.b_holds and rep.a_holds
-        assert find_witnesses(gen.pair) == []
+        breaks_a, breaks_b = dominated_controls(random_step_pair(10_000 + seed, pieces=10))
+        rep = check_conditions(breaks_a)
+        assert not rep.a_holds and rep.b_holds
+        rep = check_conditions(breaks_b)
+        assert not rep.b_holds and rep.a_holds
+        assert find_witnesses(breaks_a) == find_witnesses(breaks_b) == []
 
     elapsed = time.time() - start
     ok = elapsed < 30.0
     report(6, ok, f"500 alternating pairs all witnessed ({witnessed} witnesses), "
-                  f"100 controls flagged, {elapsed:.1f}s (< 30s)")
+                  f"200 controls flagged, {elapsed:.1f}s (< 30s)")
     assert ok
 
 

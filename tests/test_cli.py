@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -108,6 +109,8 @@ class TestConstruct:
         pytest.param(["cf", "--prefix", '{"tail": [1, 2]}'], id="prefix-without-a0"),
         pytest.param(["cf", "--prefix", '{"a0": 0, "tail": 5}'], id="prefix-tail-not-a-list"),
         pytest.param(["plot", "--csv", "no-such-dir/missing.csv"], id="missing-csv"),
+        pytest.param(["lemma1", "--pairs", "0"], id="pairs-zero"),
+        pytest.param(["lemma1", "--pairs", "-3"], id="pairs-negative"),
     ])
     def test_usage_error_exit_code(self, argv, capsys):
         try:
@@ -264,6 +267,19 @@ class TestLemmaCommand:
         assert code == 0
         data = json.loads(out)
         assert data["failures"] == 0
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--seed", "0", "--pairs", "2", "--pieces", "600"],
+         "f9f3fad485d200711195678df5a5d5592003b120bbc53c53e2619eec1eec3542"),
+        (["--seed", "0", "--pairs", "20"],
+         "b3f4f3b586b4087b0e3d437e9a6a4351b4ce43f367d4907b80b8651211a78a4d"),
+    ])
+    def test_seeded_artifact_is_pinned(self, argv, digest, capsys):
+        # The verdicts and witness counts depend only on the order of the
+        # generated values, so these digests outlive any change of levels.
+        code, out = run(["lemma1", *argv], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_csv_pair(self, csv_options, capsys):
         code, out = run(["lemma1", *flat(csv_options), "--margin", "0"], capsys)

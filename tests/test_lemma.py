@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from weakapprox.construct import construct_thm2
 from weakapprox.lemma import (
+    _GAP,
     StepPair,
     check_conditions,
     find_witnesses,
@@ -14,6 +15,7 @@ from weakapprox.lemma import (
     verify_witness,
 )
 from weakapprox.measure import StepFunction, psi_step, upsilon_step
+from oracles import dominated_controls
 
 
 def hand_pair(domain_end=20):
@@ -106,37 +108,40 @@ class TestFindWitnesses:
 
 class TestGenerator:
     def test_deterministic(self):
-        a = random_step_pair(42)
-        b = random_step_pair(42)
-        assert a.pair == b.pair
-        assert a.expected_failure == b.expected_failure
+        assert random_step_pair(42) == random_step_pair(42)
 
     def test_alternating_pairs_satisfy_hypotheses(self):
         for seed in range(40):
-            gen = random_step_pair(seed, pieces=10)
-            assert gen.expected_failure is None
-            report = check_conditions(gen.pair)
+            pair = random_step_pair(seed, pieces=10)
+            report = check_conditions(pair)
             assert report.a_holds and report.b_holds
-            witnesses = find_witnesses(gen.pair)
+            witnesses = find_witnesses(pair)
             assert witnesses, f"seed {seed} found no witnesses"
-            assert all(verify_witness(gen.pair, w) for w in witnesses)
+            assert all(verify_witness(pair, w) for w in witnesses)
 
     def test_controls_break_one_clause(self):
         for seed in range(30):
-            gen = random_step_pair(seed, alternation=False)
-            report = check_conditions(gen.pair)
-            if gen.expected_failure == "a":
-                assert not report.a_holds and report.b_holds
-            else:
-                assert not report.b_holds and report.a_holds
-            assert find_witnesses(gen.pair) == []
+            breaks_a, breaks_b = dominated_controls(random_step_pair(seed))
+            report = check_conditions(breaks_a)
+            assert not report.a_holds and report.b_holds
+            report = check_conditions(breaks_b)
+            assert not report.b_holds and report.a_holds
+            assert find_witnesses(breaks_a) == find_witnesses(breaks_b) == []
+
+    def test_levels_are_small_integers(self):
+        # 2 * pieces gaps of at most _GAP each, summed from the bottom level.
+        pieces = 600
+        for seed in (0, 1):
+            pair = random_step_pair(seed, pieces=pieces)
+            for v in (*pair.u.values, *pair.v.values):
+                assert v.denominator == 1 and 1 <= v < 2 * _GAP * pieces + 1
 
     def test_witness_growth_with_window(self):
         # widening the window should never shrink the largest witness index
-        gen = random_step_pair(3, pieces=14)
-        u, v = gen.pair.u, gen.pair.v
+        base = random_step_pair(3, pieces=14)
+        u, v = base.u, base.v
         tops = []
-        for hi in (u.breakpoints[8], u.breakpoints[11], gen.pair.u.domain_end):
+        for hi in (u.breakpoints[8], u.breakpoints[11], u.domain_end):
             pair = StepPair(u, v, window=(0, hi))
             ws = find_witnesses(pair)
             tops.append(max((w.nu_star for w in ws), default=-1))
@@ -290,7 +295,7 @@ class TestBenchmarkInvariant:
         # One witness per scanned u-breakpoint: the window starts at s_1,
         # leaving pieces - 1 u-breakpoints, less the margin at both ends.
         for seed in (0, 1):
-            pair = random_step_pair(seed, pieces=pieces).pair
+            pair = random_step_pair(seed, pieces=pieces)
             witnesses = find_witnesses(pair)
             assert len(witnesses) == pieces - 5
             assert all(verify_witness(pair, w) for w in witnesses)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -118,6 +119,16 @@ class TestUpsilonStep:
         assert f.values == (Fraction(5, 12), Fraction(1, 3))
         assert f.domain_end == 5
         assert 5 not in f.breakpoints  # 5*(1/12) = 5/12 does not improve 1/3
+
+    def test_lowest_terms_divide_by_gcd_of_g_squared(self):
+        # Row v = 1 of [0;2,2,2]: q_1 = rho_1 = g_1 = 2 and q_N = 12, so
+        # q_1 rho_1 / q_N = 4/12 must be divided by gcd(g^2, q_N) = 4, not g.
+        pq = PartialQuotients(0, (2, 2, 2))
+        an = pq.analysis
+        assert (an.q[1], an.rho[1], an.gcds[1], an.q_n) == (2, 2, 2, 12)
+        assert gcd(an.gcds[1] ** 2, an.q_n) > an.gcds[1]
+        value = upsilon_step(pq).value(2)
+        assert (value.numerator, value.denominator) == (1, 3)
 
     def test_below_t_times_psi(self):
         rng = random.Random(6)

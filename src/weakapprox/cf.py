@@ -44,9 +44,13 @@ Everything ``PrefixAnalysis`` stores is an integer; its facts are these.
     q_v rho_v <= q_v r_{v-1} <= q_N, so the smaller of q_v and rho_v has at
     most half the digits of q_N.
 
-``Fraction`` objects are made only at the public boundary
-(``Convergent.value``, ``truncation_value``, ``ExactDistance.value``), from
-pairs already known to be in lowest terms.
+A log, a comparison or a running minimum depends only on the value of a
+ratio, so only a value that is printed needs lowest terms: ``qnorm_table``
+(the ``cf`` artifact's distances) and the ``measure`` CSV take g_v by (4),
+one row at a time, through ``PrefixAnalysis.g``.  Everything else reads
+the unreduced pairs (rho_v, q_N).  ``Fraction`` objects are made only at
+the public boundary (``Convergent.value``, ``truncation_value``,
+``ExactDistance.value``), from pairs already known to be in lowest terms.
 """
 
 from __future__ import annotations
@@ -69,6 +73,10 @@ __all__ = [
     "truncation_value",
     "qnorm_table",
 ]
+
+
+#: The error of a distance table or estimate asked of a depth-1 prefix.
+TABLE_DEPTH_ERROR = "need at least two tail entries for a usable distance table"
 
 
 @dataclass(frozen=True)
@@ -204,17 +212,17 @@ def truncation_value(pq: PartialQuotients) -> Fraction:
 class PrefixAnalysis:
     """Integer analysis of one prefix over its own denominator q_N.
 
-    ``q[v]`` is the convergent denominator q_v, ``rho[v]`` is q_N ||q_v x||
-    and ``gcds[v]`` is g_v = gcd(q_v, rho_v), for v = 0..N, as facts
-    (1)-(4) of the module docstring define them.  The numerators p_v are
-    not kept: nothing downstream reads them.  Rows v <= N-2 are valid for
-    measure functions, whose domain therefore ends at ``domain_end`` =
-    q_{N-1}.
+    ``q[v]`` is the convergent denominator q_v and ``rho[v]`` is
+    q_N ||q_v x||, for v = 0..N, as facts (1)-(3) of the module docstring
+    define them; ``p_n`` is the last numerator, so x = p_N/q_N.  The other
+    numerators p_v are not kept: nothing downstream reads them.  Rows
+    v <= N-2 are valid for measure functions, whose domain therefore ends
+    at ``domain_end`` = q_{N-1}.
     """
 
     q: tuple[int, ...]
     rho: tuple[int, ...]
-    gcds: tuple[int, ...]
+    p_n: int
 
     @property
     def q_n(self) -> int:
@@ -224,28 +232,37 @@ class PrefixAnalysis:
     def domain_end(self) -> int:
         return self.q[-2]
 
+    def g(self, v: int) -> int:
+        """g_v = gcd(q_v, rho_v) = gcd(rho_v, q_N), by fact (4) without a
+        gcd of two numbers the size of q_N; taken anew on each call."""
+        return gcd(self.q[v], self.rho[v])
+
     def distance(self, v: int) -> tuple[int, int]:
         """||q_v x|| as (numerator, denominator) in lowest terms."""
-        g = self.gcds[v]
+        g = self.g(v)
         return self.rho[v] // g, self.q_n // g
 
 
 def analyse(pq: PartialQuotients) -> PrefixAnalysis:
-    """Denominators q_v, rho_v by the backward recurrence (1) with the
-    corner complement (3), and g_v by (4).  ``pq.analysis`` keeps the result."""
+    """Denominators q_v and the last numerator p_N by the forward recurrence,
+    rho_v by the backward recurrence (1) with the corner complement (3).
+    ``pq.analysis`` keeps the result.  Any depth is analysed; a distance
+    table or an estimate needs depth >= 2 and checks it itself."""
     n = pq.depth
-    if n < 2:
-        raise ValueError("need at least two tail entries for a usable distance table")
-    q = tuple(c.q for c in convergents(pq))
-    q_n = q[-1]
+    p_prev, p = 1, pq.a0
+    q_prev, q_n = 0, 1
+    q = [q_n]
+    for a in pq.tail:
+        p, p_prev = a * p + p_prev, p
+        q_n, q_prev = a * q_n + q_prev, q_n
+        q.append(q_n)
     rho = [0] * (n + 1)
     rho[n - 1] = 1
     for v in range(n - 2, -1, -1):
         rho[v] = pq.tail[v + 1] * rho[v + 1] + rho[v + 2]
     if 2 * rho[0] > q_n:
         rho[0] = q_n - rho[0]
-    gcds = tuple(gcd(q_v, r) for q_v, r in zip(q, rho))
-    return PrefixAnalysis(q, tuple(rho), gcds)
+    return PrefixAnalysis(tuple(q), tuple(rho), p)
 
 
 def qnorm_table(pq: PartialQuotients) -> list[ExactDistance]:
@@ -260,8 +277,10 @@ def qnorm_table(pq: PartialQuotients) -> list[ExactDistance]:
     bound on q_v ||q_v x|| is attained with equality).  The final entry v = N
     is exactly zero and flagged tail-degenerate.
     """
-    an = pq.analysis
     n = pq.depth
+    if n < 2:
+        raise ValueError(TABLE_DEPTH_ERROR)
+    an = pq.analysis
     return [
         ExactDistance(
             index=v,

@@ -30,7 +30,7 @@ from .intmath import decimal_str, fraction_str
 from .lattice import lattice_exponents, lattice_from_pair
 from .lemma import (BOUNDARY_MARGIN, StepPair, check_conditions, find_witnesses,
                     random_step_pair, verify_witness)
-from .measure import StepFunction, min_step, psi_step, upsilon_step
+from .measure import StepFunction, measure_csv, psi_step, upsilon_step
 from .svgplot import plot_steps
 
 EXIT_OK = 0
@@ -76,12 +76,22 @@ def _load_prefix(arg: str) -> PartialQuotients:
     return pq
 
 
+#: Characters of a bad option value that an error message echoes.
+_ECHO_CHARS = 60
+
+
 def _rational(text: str) -> Fraction:
-    """argparse type of a rational option such as 3/2; a bad one exits 2."""
+    """argparse type of a rational option such as 3/2; a bad one exits 2.
+
+    The message echoes at most ``_ECHO_CHARS`` characters of the value and
+    gives its length, so a huge bad value does not flood stderr.
+    """
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"invalid rational: {text!r}") from None
+        shown = repr(text) if len(text) <= _ECHO_CHARS else (
+            f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)")
+        raise argparse.ArgumentTypeError(f"invalid rational: {shown}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -157,8 +167,7 @@ def cmd_construct(args) -> int:
 
 def cmd_measure(args) -> int:
     pq = _load_prefix(args.prefix)
-    f = psi_step(pq) if args.kind == "psi" else upsilon_step(pq)
-    _emit(f.to_csv(), args.output)
+    _emit(measure_csv(pq, weak=args.kind == "upsilon"), args.output)
     return EXIT_OK
 
 

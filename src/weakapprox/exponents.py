@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .cf import PartialQuotients, qnorm_table  # noqa: F401 - perfbench looks it up here
+from .cf import TABLE_DEPTH_ERROR, PartialQuotients
+from .cf import qnorm_table  # noqa: F401 - perfbench looks it up here
 from .intmath import decimal_str, log_int, log_ratio
 from .measure import StepFunction, min_step, psi_step, upsilon_step
 
@@ -129,15 +130,17 @@ def ordinary_exponent(
     """Estimate the ordinary exponent: sup of c with ||q x|| < q^-c infinitely often.
 
     Samples -log||q_v x|| / log q_v over interior indices v <= N-2 with
-    q_v >= 2; each is within o(1) of log q_{v+1} / log q_v.  Window max.
+    q_v >= 2, logging the unreduced pair (rho_v, q_N); each is within o(1)
+    of log q_{v+1} / log q_v.  Window max.
     """
+    if pq.depth < 2:
+        raise ValueError(TABLE_DEPTH_ERROR)
     an = pq.analysis
     samples: list[tuple[int, float]] = []
     for v in range(pq.depth - 1):
         q = an.q[v]
         if q >= 2:
-            num, den = an.distance(v)
-            samples.append((q, -log_ratio(num, den) / log_int(q)))
+            samples.append((q, -log_ratio(an.rho[v], an.q_n) / log_int(q)))
     return _estimate("omega", samples, window, max)
 
 
@@ -159,11 +162,10 @@ def uniform_exponent(
     shift = _WEAK_SHIFT[kind]
     # The left limit at breakpoints[k] is values[k - 1]; at domain_end it is
     # the last value.
-    points = [(t, v) for t, v in zip(f.breakpoints[1:], f.values) if t >= 2]
+    points = [(t, v) for t, v in zip(f.breakpoints[1:], f.pairs) if t >= 2]
     if f.domain_end >= 2:
-        points.append((f.domain_end, f.values[-1]))
-    samples = [(t, shift - log_ratio(v.numerator, v.denominator) / log_int(t))
-               for t, v in points]
+        points.append((f.domain_end, f.pairs[-1]))
+    samples = [(t, shift - log_ratio(*v) / log_int(t)) for t, v in points]
     return _estimate(kind, samples, window, min)
 
 

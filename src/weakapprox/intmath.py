@@ -6,15 +6,19 @@ hundreds of thousands of digits, so no kernel here is quadratic in them:
 
 - Logarithms are never taken by converting to float directly: ``log_int``
   splits off the bit length and converts only the top 64 bits.
-  ``log_ratio`` takes one short division (ibid., 1.4) and depends only on
-  the value num/den, so no caller reduces a fraction to take its log.
+  ``log_product_ratio`` (log of (x*y)/(u*w), with ``log_ratio`` its
+  one-factor case) depends only on the value, so no caller reduces a
+  fraction or forms a product to take its log.  It brackets the quotient on the
+  64-bit heads of its factors, and takes the product and one short
+  division (Brent & Zimmermann, *Modern Computer Arithmetic*, 1.4) only
+  when the bracket holds a rounding boundary of the double.  Its
+  docstring proves the result bit-identical to the exact evaluation.
 - ``ratio_less`` orders two ratios on their bit lengths, then a near tie
   of long products on the 64-bit heads of its four factors, and
   multiplies only when those heads leave the order open.
-- ``nth_root_floor`` doubles its precision (Brent & Zimmermann, *Modern
-  Computer Arithmetic*, 1.5): Newton's method starts from the root of a
-  number half as long, so one or two of its steps run at full size.  Its
-  docstring proves the result exact.
+- ``nth_root_floor`` doubles its precision (ibid., 1.5): Newton's method
+  starts from the root of a number half as long, so one or two of its
+  steps run at full size.  Its docstring proves the result exact.
 - ``round_div_root`` works at the precision of its answer: it takes the
   root of a base cut to the answer's bits plus 64 guard bits, and the
   full root only when that short root's bracket holds a rounding
@@ -37,7 +41,8 @@ from fractions import Fraction
 #: Bits of the mantissa used when taking logs of huge integers.
 _LOG_MANTISSA_BITS = 64
 
-#: Bits of each factor's head in ``ratio_less``'s screen of a near tie.
+#: Bits of each factor's head in the screens of ``ratio_less`` and
+#: ``log_product_ratio``.
 _HEAD_BITS = 64
 
 #: Products up to this many bits ``ratio_less`` multiplies without a screen.
@@ -74,26 +79,95 @@ def log_int(n: int) -> float:
 
 
 def log_ratio(num: int, den: int) -> float:
-    """Natural log of num/den for positive integers of any size.
+    """Natural log of num/den for positive integers of any size: the
+    one-factor case of ``log_product_ratio``."""
+    return log_product_ratio(num, 1, den, 1)
 
-    Depends only on the value: (a*g, b*g) and (a, b) give the same bits.
-    A ratio below 1 is the negated log of its inverse.  Otherwise
-    e = floor(log2(num/den)) comes exactly from the bit lengths and one
-    comparison, and the one division is CPython's correctly rounded int
-    true division, with a short quotient: log1p((num - den)/den) for
-    e = 0, at full relative precision near 1, else
-    log(num/(den 2**e)) + e ln 2.
+
+def log_product_ratio(x: int, y: int, u: int, w: int) -> float:
+    """Natural log of (x*y)/(u*w) for positive integers of any size.
+
+    The result is a function of the value V = x*y/(u*w) alone, so
+    (a*g, b, c*g, d) and (a, b, c, d) give the same bits.  It is defined by
+    the exact evaluation ``_log_exact(x*y, u*w)``: a ratio below 1 is the
+    negated log of its inverse; otherwise, with e = floor(log2 V), it is
+    log1p(RN(V - 1)) for e = 0, at full relative precision near 1, else
+    log(RN(V / 2^e)) + e ln 2, RN being the correctly rounded double.
+
+    The screen finds the same double from the factors' ``_HEAD_BITS``-bit
+    heads.  With n_h = n >> k_n and k_n = max(bl(n) - _HEAD_BITS, 0),
+    n_h 2^k_n <= n <= n_+ 2^k_n for n_+ = n_h + [k_n > 0] and each factor
+    n.  So V lies in [a_lo / b_hi, a_hi / b_lo] 2^s with
+    s = k_x + k_y - k_u - k_w, a_lo = x_h y_h, a_hi = x_+ y_+,
+    b_lo = u_h w_h and b_hi = u_+ w_+.  ``_log_bracket`` proves the answer
+    common to that whole bracket, or finds a rounding boundary or a power
+    of 2 inside it.  The bracket's relative width is about 4 2^-63, so that
+    happens to about one call in 500 (more often for V within a few
+    percent of 1, where RN(V - 1) has finer steps), and only then are the
+    products taken for ``_log_exact``.
     """
-    if num <= 0 or den <= 0:
-        raise ValueError("log_ratio requires a positive numerator and denominator")
+    if x <= 0 or y <= 0 or u <= 0 or w <= 0:
+        raise ValueError("log_product_ratio requires positive integers")
+    (xh, kx), (yh, ky), (uh, ku), (wh, kw) = _head(x), _head(y), _head(u), _head(w)
+    got = _log_bracket(xh * yh, (xh + (kx > 0)) * (yh + (ky > 0)),
+                       uh * wh, (uh + (ku > 0)) * (wh + (kw > 0)), kx + ky - ku - kw)
+    return _log_exact(x * y, u * w) if got is None else got
+
+
+def _log_exact(num: int, den: int) -> float:
+    """The definition of ``log_product_ratio`` on V = num/den, with one
+    correctly rounded int true division of a short quotient."""
     if num < den:
-        return -log_ratio(den, num)
+        return -_log_exact(den, num)
     e = num.bit_length() - den.bit_length()  # 2**(e-1) < num/den < 2**(e+1)
     if num < den << e:
         e -= 1
     if e == 0:
         return math.log1p((num - den) / den)
     return math.log(num / (den << e)) + e * _LN2
+
+
+def _log_bracket(a_lo: int, a_hi: int, b_lo: int, b_hi: int, s: int) -> float | None:
+    """``_log_exact`` of every V in [a_lo/b_hi, a_hi/b_lo] 2^s if one double
+    fits them all, else None; a_lo <= a_hi and b_lo <= b_hi are positive.
+
+    Write w = V 2^-s and r = RN(a_lo/b_hi) = RN(a_hi/b_lo).  Scaling by a
+    power of 2 commutes with RN while the result is a normal double, as
+    every value here is (the heads have at most 130 bits).  If r is not a
+    power of 2, no power of 2 lies in w's bracket, since it would round to
+    itself and so equal r; then floor(log2 w) = j - 1 throughout, for
+    r = m 2^j with 1/2 < m < 1, and e = floor(log2 V) = j - 1 + s.
+    For e >= 1, RN(V / 2^e) = RN(w / 2^(j-1)) = 2m.  For e = 0,
+    RN(V - 1) is taken at both ends, as r does not fix it near 1.  For
+    e < 0, every V is below 1, and the answer is the negated one of the
+    inverse bracket; the bit lengths show most such V at once.
+    """
+    sign = 1.0
+    if a_hi.bit_length() + s < b_lo.bit_length():  # V < 1
+        sign, a_lo, a_hi, b_lo, b_hi, s = -1.0, b_lo, b_hi, a_lo, a_hi, -s
+    r = a_lo / b_hi
+    if r != a_hi / b_lo:
+        return None
+    m, j = math.frexp(r)
+    e = j - 1 + s
+    if m == 0.5:
+        return None
+    if e > 0:
+        return sign * (math.log(2.0 * m) + e * _LN2)
+    if e < 0:  # V < 1, which the bit lengths left open; sign is 1.0 here
+        inverse = _log_bracket(b_lo, b_hi, a_lo, a_hi, -s)
+        return None if inverse is None else -inverse
+    lo = _minus_one(a_lo, b_hi, s)
+    return sign * math.log1p(lo) if lo == _minus_one(a_hi, b_lo, s) else None
+
+
+def _minus_one(a: int, b: int, s: int) -> float:
+    """RN(a 2^s / b - 1), by one correctly rounded int true division."""
+    if s < 0:
+        b <<= -s
+    else:
+        a <<= s
+    return (a - b) / b
 
 
 def ratio_less(a: int, b: int, c: int, d: int) -> bool:
@@ -112,7 +186,10 @@ def ratio_less(a: int, b: int, c: int, d: int) -> bool:
     lo1 = a_h d_h 2^(ea+ed) and hi1 = (a_h+1)(d_h+1) 2^(ea+ed), and c b in
     [lo2, hi2) likewise.  hi1 <= lo2 proves a d < c b, and hi2 <= lo1
     proves c b < a d; only overlapping brackets multiply.  An exact tie
-    a d = c b lies in both brackets, so they overlap and it multiplies.
+    a d = c b lies in both brackets, so they overlap and it multiplies,
+    unless a ratio is 1 (a = b or c = d): then the other one's terms decide
+    it.  The two unit ratios tie in every pair lattice's profile, at
+    sup-norm 1.
     """
     if not a or not c:
         return a < c
@@ -136,6 +213,8 @@ def ratio_less(a: int, b: int, c: int, d: int) -> bool:
             return True
         if hi2 <= lo1:
             return False
+    if a == b or c == d:
+        return d < c if a == b else a < b
     return a * d < c * b
 
 

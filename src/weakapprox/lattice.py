@@ -1,8 +1,8 @@
 """Two-dimensional lattices A*Z^2 and the product minimum Psi(t).
 
 Psi(t) = min |x1 x2|^(1/2) over nonzero lattice points with sup-norm <= t.
-Minima are compared through the exact product |x1 x2|, so no square roots
-are ever taken; logarithms appear only in exponent estimates.
+Minima are compared exactly as products |x1 x2|, so no square roots are
+ever taken; logarithms appear only in exponent estimates.
 
 Rational lattices degenerate at large t: some point hits a coordinate axis
 (the product vanishes) at the *degeneracy radius*, computable exactly from
@@ -61,12 +61,19 @@ have |x2| rising: they form a chain.
 
 ``minimum_profile`` seeds the chain at its x2 = 0 end, walks it once,
 merges it by (5) and keeps the running minima, on the integer rows of
-``Lattice2``: the box test and the merge are ``intmath.ratio_less``
-comparisons, screened on bit lengths and then on 64-bit heads, and each
-minimum costs one product |x1 x2|.  The records keep those integers
-unreduced: ``intmath.log_ratio`` depends only on the value of a
-quotient, so the exponent estimates need no gcd, and only the tests
-build Fractions.
+``Lattice2``.  No step multiplies two coordinates: the box test and the
+merge compare sup-norms with ``intmath.ratio_less``, and the record test
+|x1 x2| < |y1 y2| is ``ratio_less(|x1|, |y2|, |y1|, |x2|)``, both screened
+on bit lengths and then on 64-bit heads; so is the merge's tie-break by
+product at equal sup-norms.  The records keep |x1|, |x2|,
+d1 and d2 unreduced, and the estimates take log Psi^2 from
+``intmath.log_product_ratio(|x1|, |x2|, d1, d2)``, which depends only on
+the value and reads the factors' heads; so they need no gcd and no
+product, and only the tests build Fractions.
+
+``lattice_from_pair`` knows the row gcds of a pair lattice (|n1| and |n2|
+for row scales n/m, as p/q and r/s are in lowest terms) and passes them
+to ``Lattice2.with_row_gcds``; only a general matrix takes the two gcds.
 """
 
 from __future__ import annotations
@@ -76,9 +83,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Union
 
-from .cf import PartialQuotients, convergents
+from .cf import PartialQuotients
 from .exponents import ExponentEstimate, _estimate
-from .intmath import fraction_str, log_ratio, ratio_less
+from .intmath import fraction_str, log_product_ratio, log_ratio, ratio_less
 
 __all__ = [
     "Lattice2",
@@ -107,13 +114,28 @@ class Lattice2:
     d2: int
 
     def __post_init__(self) -> None:
+        self._derive(gcd(self.A1, self.B1), gcd(self.A2, self.B2))
+
+    @classmethod
+    def with_row_gcds(cls, A1: int, B1: int, d1: int, A2: int, B2: int, d2: int,
+                      g1: int, g2: int) -> "Lattice2":
+        """The lattice of these rows when their gcds g1 = gcd(A1, B1) and
+        g2 = gcd(A2, B2) are already known; takes no gcd."""
+        lat = object.__new__(cls)
+        for name, value in zip(("A1", "B1", "d1", "A2", "B2", "d2"), (A1, B1, d1, A2, B2, d2)):
+            object.__setattr__(lat, name, value)
+        lat._derive(g1, g2)
+        return lat
+
+    def _derive(self, g1: int, g2: int) -> None:
+        """Check the rows and keep D, g1 and g2."""
         if self.d1 <= 0 or self.d2 <= 0:
             raise ValueError("row denominators must be positive")
         object.__setattr__(self, "D", self.A1 * self.B2 - self.B1 * self.A2)
         if self.D == 0:
             raise ValueError("matrix must be nonsingular")
-        object.__setattr__(self, "g1", gcd(self.A1, self.B1))
-        object.__setattr__(self, "g2", gcd(self.A2, self.B2))
+        object.__setattr__(self, "g1", g1)
+        object.__setattr__(self, "g2", g2)
 
     def to_dict(self) -> dict:
         entries = (self.A1, self.d1), (self.B1, self.d1), (self.A2, self.d2), (self.B2, self.d2)
@@ -125,14 +147,24 @@ class Lattice2:
 class ProfileRecord:
     """One running-minimum record in the profile's unreduced integers: at
     sup-norm t = sup/sup_den (|x1|/d1 or |x2|/d2), Psi^2 drops to
-    product/product_den (|x1 x2| over d1 d2).  ``t`` and ``product_sq``
-    build the exact Fractions."""
+    |x1| |x2| / (d1 d2), with ``coords`` = (|x1|, |x2|), the lattice point's
+    coordinates scaled by the row denominators ``dens`` = (d1, d2).
+    ``product`` = |x1 x2|, ``product_den`` = d1 d2, ``t`` and
+    ``product_sq`` are derived on demand."""
 
     sup: int
     sup_den: int
     point: tuple[int, int]
-    product: int
-    product_den: int
+    coords: tuple[int, int]
+    dens: tuple[int, int]
+
+    @property
+    def product(self) -> int:
+        return self.coords[0] * self.coords[1]
+
+    @property
+    def product_den(self) -> int:
+        return self.dens[0] * self.dens[1]
 
     @property
     def t(self) -> Fraction:
@@ -147,11 +179,15 @@ def lattice_from_pair(
     theta_pq: PartialQuotients, eta_pq: PartialQuotients, d1: Rat = 1, d2: Rat = 1
 ) -> Lattice2:
     """The lattice diag(d1, d2) [[1, theta], [eta, 1]] of two prefixes whose
-    last convergents are p/q and r/s: rows d1 (q, p)/q and d2 (r, s)/s."""
-    theta, eta = convergents(theta_pq)[-1], convergents(eta_pq)[-1]
+    last convergents are p/q and r/s, read from each prefix's analysis: rows
+    d1 (q, p)/q and d2 (r, s)/s.  With d1 = n1/m1 in lowest terms the first
+    row is (n1 q, n1 p)/(m1 q), whose gcd is |n1| as gcd(p, q) = 1; likewise
+    the second."""
+    theta, eta = theta_pq.analysis, eta_pq.analysis
     d1, d2 = Fraction(d1), Fraction(d2)
-    return Lattice2(d1.numerator * theta.q, d1.numerator * theta.p, d1.denominator * theta.q,
-                    d2.numerator * eta.p, d2.numerator * eta.q, d2.denominator * eta.q)
+    n1, m1, n2, m2 = d1.numerator, d1.denominator, d2.numerator, d2.denominator
+    return Lattice2.with_row_gcds(n1 * theta.q_n, n1 * theta.p_n, m1 * theta.q_n,
+                                  n2 * eta.p_n, n2 * eta.q_n, m2 * eta.q_n, abs(n1), abs(n2))
 
 
 def degeneracy_radius(lat: Lattice2) -> Fraction:
@@ -221,19 +257,37 @@ def minimum_profile(lat: Lattice2, t_max: Rat) -> list[ProfileRecord]:
     k = 0
     while k < len(chain) and not ratio_less(abs(chain[k][2]), d1, abs(chain[k][3]), d2):
         k += 1
-    falling = [(abs(p[2]), d1, abs(p[2] * p[3]), p) for p in chain[:k]]
-    rising = [(abs(p[3]), d2, abs(p[2] * p[3]), p) for p in reversed(chain[k:])]
-    den = d1 * d2
+    falling = [(abs(p[2]), d1, p) for p in chain[:k]]
+    rising = [(abs(p[3]), d2, p) for p in reversed(chain[k:])]
+    dens = (d1, d2)
     records: list[ProfileRecord] = []
     while falling or rising:
-        first = bool(falling)
-        if falling and rising:  # by sup-norm x/d, then product, then point
-            (xa, da, *ka), (xb, db, *kb) = falling[-1], rising[-1]
-            first = ratio_less(xa, da, xb, db) or not ratio_less(xb, db, xa, da) and ka < kb
-        x, d, prod, p = (falling if first else rising).pop()
-        if not records or prod < records[-1].product:
-            records.append(ProfileRecord(x, d, (p[0], p[1]), prod, den))
+        first = not rising or bool(falling) and _comes_first(falling[-1], rising[-1])
+        x, d, p = (falling if first else rising).pop()
+        x1, x2 = abs(p[2]), abs(p[3])
+        if not records or _product_less(x1, x2, *records[-1].coords):
+            records.append(ProfileRecord(x, d, (p[0], p[1]), (x1, x2), dens))
     return records
+
+
+def _comes_first(a: tuple[int, int, _Point], b: tuple[int, int, _Point]) -> bool:
+    """Whether the stack top a = (x, d, point) merges before b: by sup-norm
+    x/d, then by product, then by point."""
+    (xa, da, pa), (xb, db, pb) = a, b
+    if ratio_less(xa, da, xb, db):
+        return True
+    if ratio_less(xb, db, xa, da):
+        return False
+    ka, kb = (abs(pa[2]), abs(pa[3])), (abs(pb[2]), abs(pb[3]))
+    return _product_less(*ka, *kb) or not _product_less(*kb, *ka) and pa < pb
+
+
+def _product_less(x1: int, x2: int, y1: int, y2: int) -> bool:
+    """x1 x2 < y1 y2 for integers >= 0, without either product: for x2 and
+    y2 nonzero it is x1/y2 < y1/x2, else a zero product decides."""
+    if not x2 or not y2:
+        return not x2 and y1 > 0 and y2 > 0
+    return ratio_less(x1, y2, y1, x2)
 
 
 def lattice_exponents(
@@ -248,7 +302,7 @@ def lattice_exponents(
     ordinary sample is 1 - log Psi(T) / log T (the newly attained minimum,
     where the liminf envelope binds) and the uniform sample is
     1 - log Psi(T-) / log T (the left limit, where the limsup envelope
-    binds), with log Psi = log_ratio(product, product_den) / 2 and
+    binds), with log Psi = log_product_ratio(|x1|, |x2|, d1, d2) / 2 and
     log T = log_ratio(sup, sup_den), straight from the unreduced record
     integers; the sample key is floor(T).  Ordinary estimate: sample
     max; uniform: sample min; both over the samples that
@@ -266,7 +320,7 @@ def lattice_exponents(
 
     records = minimum_profile(lat, t_eff)
     # Every record lies below the degeneracy radius, so its product is nonzero.
-    log_psi = [log_ratio(rec.product, rec.product_den) / 2.0 for rec in records]
+    log_psi = [log_product_ratio(*rec.coords, *rec.dens) / 2.0 for rec in records]
     ord_all: list[tuple[int, float]] = []
     uni_all: list[tuple[int, float]] = []
     for k, rec in enumerate(records):

@@ -22,7 +22,9 @@ Because measure-side step functions are stored merged, "discontinuous at t"
 is simply "t is a stored breakpoint with a predecessor": the first two
 clauses hold for every index >= 1.  Every check compares values and never
 computes with them, so only their order matters; the seeded generator
-``random_step_pair`` therefore draws small integer levels.
+``random_step_pair`` therefore draws small integer levels.  Each comparison
+is ``intmath.ratio_less`` on the functions' (num, den) pairs; Fractions
+are built only for a witness's report.
 
 Hypotheses.  u is non-increasing, so on a full v-interval ending at e its
 smallest value is u(e-), the value of u's last piece starting before e.
@@ -39,8 +41,8 @@ when s_{mu+1} = q_{nu+1} (a shared breakpoint) or s_mu <= q_nu.  When the
 interleaving holds, u is constant on [q_nu, q_{nu+1}) and v on
 [s_mu, s_{mu+1}), which gives the values by index:
 
-  u(s_mu) = u(q_{nu+1}-) = u.values[nu],
-  v(s_mu-) = v.values[mu-1],   v(q_{nu+1}-) = v.values[mu].
+  u(s_mu) = u(q_{nu+1}-) = u.pairs[nu],
+  v(s_mu-) = v.pairs[mu-1],   v(q_{nu+1}-) = v.pairs[mu].
 """
 
 from __future__ import annotations
@@ -96,6 +98,9 @@ class Witness:
     """Index pair realizing the interleaving and both strict inequalities.
 
     nu_star / mu_star index into the stored breakpoints of u / v.
+    ``levels`` holds, as the functions' (num, den) pairs, the three values
+    the clauses compare: u(s_mu) = u(q_{nu+1}-), v(s_mu-) and
+    v(q_{nu+1}-).  The four properties below give them as Fractions.
     """
 
     nu_star: int
@@ -104,10 +109,23 @@ class Witness:
     s_mu: int
     q_nu1: int
     s_mu1: int
-    u_at_s: Fraction
-    v_before_s: Fraction
-    v_before_q1: Fraction
-    u_before_q1: Fraction
+    levels: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
+
+    @property
+    def u_at_s(self) -> Fraction:
+        return Fraction(*self.levels[0])
+
+    @property
+    def v_before_s(self) -> Fraction:
+        return Fraction(*self.levels[1])
+
+    @property
+    def v_before_q1(self) -> Fraction:
+        return Fraction(*self.levels[2])
+
+    @property
+    def u_before_q1(self) -> Fraction:
+        return Fraction(*self.levels[0])
 
     def to_dict(self) -> dict:
         return {
@@ -152,8 +170,7 @@ def _interval_checks(
     failures: list[int] = []
     for k in range(bisect_right(lbp, lo) - 1, bisect_right(lbp, hi) - 1):
         j = bisect_left(ubp, lbp[k + 1]) - 1
-        a, b = upper.values[j], lower.values[k]
-        if ratio_less(a.numerator, a.denominator, b.numerator, b.denominator):
+        if ratio_less(*upper.pairs[j], *lower.pairs[k]):
             witnesses.append((k, max(lbp[k], lo, ubp[j])))
         else:
             failures.append(k)
@@ -209,13 +226,12 @@ def find_witnesses(pair: StepPair, margin: int = BOUNDARY_MARGIN) -> list[Witnes
         mu = bisect_left(s, q[nu + 1]) - 1
         if mu not in mu_range:
             continue
-        u_nu, v_before_s, v_mu = u.values[nu], v.values[mu - 1], v.values[mu]
+        u_nu, v_before_s, v_mu = u.pairs[nu], v.pairs[mu - 1], v.pairs[mu]
         if (
             q[nu] < s[mu]
             and q[nu + 1] < s[mu + 1]
-            and ratio_less(u_nu.numerator, u_nu.denominator,
-                           v_before_s.numerator, v_before_s.denominator)
-            and ratio_less(v_mu.numerator, v_mu.denominator, u_nu.numerator, u_nu.denominator)
+            and ratio_less(*u_nu, *v_before_s)
+            and ratio_less(*v_mu, *u_nu)
         ):
             out.append(
                 Witness(
@@ -225,17 +241,16 @@ def find_witnesses(pair: StepPair, margin: int = BOUNDARY_MARGIN) -> list[Witnes
                     s_mu=s[mu],
                     q_nu1=q[nu + 1],
                     s_mu1=s[mu + 1],
-                    u_at_s=u_nu,
-                    v_before_s=v_before_s,
-                    v_before_q1=v_mu,
-                    u_before_q1=u_nu,
+                    levels=(u_nu, v_before_s, v_mu),
                 )
             )
     return out
 
 
 def verify_witness(pair: StepPair, w: Witness) -> bool:
-    """Independent re-check of all five clauses by direct evaluation."""
+    """Independent re-check of all five clauses by direct evaluation: the
+    values at s_mu and just before s_mu and q_{nu+1} are looked up afresh by
+    bisection (``piece_index``, ``left_index``), not read from ``w``."""
     u, v = pair.u, pair.v
     try:
         checks = (
@@ -246,8 +261,8 @@ def verify_witness(pair: StepPair, w: Witness) -> bool:
             u.breakpoints[w.nu_star + 1] == w.q_nu1,
             v.breakpoints[w.mu_star] == w.s_mu,
             v.breakpoints[w.mu_star + 1] == w.s_mu1,
-            u.value(w.s_mu) < v.left_limit(w.s_mu),
-            v.left_limit(w.q_nu1) < u.left_limit(w.q_nu1),
+            ratio_less(*u.pairs[u.piece_index(w.s_mu)], *v.pairs[v.left_index(w.s_mu)]),
+            ratio_less(*v.pairs[v.left_index(w.q_nu1)], *u.pairs[u.left_index(w.q_nu1)]),
         )
     except (ValueError, IndexError):
         return False
@@ -276,11 +291,11 @@ def random_step_pair(seed: int, pieces: int = 8) -> StepPair:
         t += rng.randint(1, _GAP)
     domain_end = t + rng.randint(1, _GAP)
 
-    levels: list[int] = []
+    levels: list[tuple[int, int]] = []
     level = 0
     for _ in range(2 * pieces):
         level += rng.randint(1, _GAP)
-        levels.append(level)
+        levels.append((level, 1))
     levels.reverse()
     return StepPair(
         StepFunction(tuple(q_bps), tuple(levels[0::2]), domain_end),

@@ -28,8 +28,8 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _log10_frac(x: Fraction) -> float:
-    return log_ratio(x.numerator, x.denominator) / math.log(10.0)
+def _log10_ratio(num: int, den: int) -> float:
+    return log_ratio(num, den) / math.log(10.0)
 
 
 def _log10_int(t: int) -> float:
@@ -59,11 +59,14 @@ def plot_steps(
 
     def tx(t) -> float:
         if log_axes:
-            return _log10_int(t) if isinstance(t, int) else _log10_frac(Fraction(t))
+            if isinstance(t, int):
+                return _log10_int(t)
+            t = Fraction(t)
+            return _log10_ratio(t.numerator, t.denominator)
         return float(t)
 
-    def ty(v: Fraction) -> float:
-        return _log10_frac(v) if log_axes else float(v)
+    def ty(v: tuple[int, int]) -> float:
+        return _log10_ratio(*v) if log_axes else v[0] / v[1]
 
     xs: list[float] = []
     ys: list[float] = []

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import pytest
@@ -16,3 +17,21 @@ def default_int_limit():
         yield DEFAULT_INT_MAX_STR_DIGITS
     finally:
         sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """The argument tuples of every ``gcd`` call, made through ``math.gcd``
+    (as ``fractions`` makes its own) or a ``gcd`` bound in a library module."""
+    calls = []
+    real = math.gcd
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(math, "gcd", counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("weakapprox") and getattr(module, "gcd", None) is real:
+            monkeypatch.setattr(module, "gcd", counting)
+    return calls

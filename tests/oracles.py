@@ -2,6 +2,8 @@
 
 The library reads these quantities off continued fractions and the chain of
 relative minima; the tests compare its answers with the scans here.
+``exact_log_ratio`` is the
+definition the screened log kernel must match bit for bit.
 ``from_entries`` and ``matrix_of`` convert between a rational matrix and the
 integer rows of a ``Lattice2``; ``dominated_controls`` turns a step pair into
 two that each break one hypothesis of the interleaving lemma.
@@ -44,6 +46,21 @@ def full_round_div_root(base: int, num: int, den: int, c: int, s: int) -> int:
     n = (nth_root_floor(power, den) - c) // s
     v = 2 * c + (2 * n + 1) * s
     return n + 1 if v <= 0 or v**den <= power << den else n
+
+
+def exact_log_ratio(num: int, den: int) -> float:
+    """ln(num/den) as the library defines it, from the full quotient: the
+    negated log of the inverse below 1; else, with e = floor(log2(num/den)),
+    log1p of the rounded (num - den)/den for e = 0 and
+    log(RN(num / (den 2^e))) + e ln 2 otherwise."""
+    if num < den:
+        return -exact_log_ratio(den, num)
+    e = num.bit_length() - den.bit_length()
+    if num < den << e:
+        e -= 1
+    if e == 0:
+        return math.log1p((num - den) / den)
+    return math.log(num / (den << e)) + e * math.log(2.0)
 
 
 def from_entries(a11, a12, a21, a22) -> Lattice2:

@@ -121,6 +121,16 @@ class TestConstruct:
         assert code == EXIT_USAGE
         assert captured.err.strip() and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("option", ["--t-max", "--d1"])
+    def test_long_bad_rational_is_echoed_in_short(self, option, capsys):
+        text = "7" * 5000
+        with pytest.raises(SystemExit) as exc:
+            main(["lattice", "--theta", PAIR_THETA, "--eta", PAIR_ETA, option, text])
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_USAGE
+        assert "invalid rational" in err and "(5000 characters)" in err
+        assert len(err) < 400
+
     def test_eta_seed_of_the_single_scheme_is_a_usage_error(self, capsys):
         code = main(["construct", "--scheme", "thm1", "--gamma", "3/2", "--depth", "5",
                      "--seed-eta", "0,5"])

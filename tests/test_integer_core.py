@@ -25,7 +25,7 @@ from weakapprox.exponents import (
     exponent_report,
 )
 from weakapprox.intmath import decimal_str, log_int, log_ratio, ratio_less
-from weakapprox.measure import psi_step, upsilon_step
+from weakapprox.measure import measure_csv, psi_step, upsilon_step
 from oracles import brute_measure, dist_to_int, evaluate_nested
 
 core_settings = settings(
@@ -80,7 +80,7 @@ def test_gcd_identity_and_continuant_identity(pq):
     q = an.q
     q_n = an.q_n
     for v, rho in enumerate(an.rho):
-        assert math.gcd(rho, q_n) == math.gcd(q[v], rho) == an.gcds[v]
+        assert math.gcd(rho, q_n) == math.gcd(q[v], rho) == an.g(v)
         assert 2 * rho <= q_n
     # q_N = q_v r_{v-1} + q_{v-1} r_v; rho = r away from the v = 0 corner.
     for v in range(2, pq.depth + 1):
@@ -159,6 +159,16 @@ def test_screened_less_on_zero_numerators_and_exact_ties(a, b, d, k):
 
 
 @core_settings
+@given(positive, positive, st.integers(-2, 2))
+def test_screened_less_against_a_unit_ratio(a, d, nudge):
+    """1 = a/a against c/d with c within 2 of d, on both sides: exact and
+    near ties that the heads leave open, decided by c and d alone."""
+    c = max(d + nudge, 0)
+    assert ratio_less(a, a, c, d) == (1 < Fraction(c, d))
+    assert ratio_less(c, d, a, a) == (Fraction(c, d) < 1)
+
+
+@core_settings
 @given(positive, positive, st.one_of(st.integers(1, 2**64), positive), st.integers(-3, 3))
 def test_screened_less_on_near_ties(num, den, scale, nudge):
     a = Fraction(num, den)
@@ -184,6 +194,24 @@ def test_screened_less_when_the_heads_agree(head, shift, low_a, low_c, b, step):
     for d in (b, b + 1):
         assert ratio_less(a, b, c, d) == (Fraction(a, b) < Fraction(c, d))
         assert ratio_less(c, d, a, b) == (Fraction(c, d) < Fraction(a, b))
+
+
+@core_settings
+@given(prefixes())
+def test_measure_csv_reduces_in_closed_form(pq):
+    """The CSV writer's lowest terms by g_v equal the generic reduction of
+    the unreduced pairs the measure functions hold."""
+    assume(convergents(pq)[-2].q >= 2)
+    for weak, f in ((False, psi_step(pq)), (True, upsilon_step(pq))):
+        assert measure_csv(pq, weak) == f.to_csv()
+
+
+def test_exponent_report_takes_no_gcd(gcd_calls):
+    """Every sample logs an unreduced pair, so no value is reduced."""
+    theta = construct_thm1(Fraction(3, 2), 20)
+    gcd_calls.clear()
+    exponent_report(theta)
+    assert gcd_calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from weakapprox.intmath import (
     digits_of,
     fraction_str,
     log_int,
+    log_product_ratio,
     log_ratio,
     nth_root_floor,
     parse_decimal,
@@ -23,7 +24,7 @@ from weakapprox.intmath import (
     round_root,
 )
 from weakapprox.measure import StepFunction
-from oracles import dist_to_int
+from oracles import dist_to_int, exact_log_ratio
 
 
 def test_nth_root_floor_small_cases():
@@ -243,6 +244,82 @@ def test_log_ratio_near_one_matches_decimal_ln(den, step):
 def test_log_ratio_rejects_nonpositive(num, den):
     with pytest.raises(ValueError):
         log_ratio(num, den)
+
+
+def _bits(rng: random.Random, bits: int) -> int:
+    """A random integer of exactly ``bits`` bits."""
+    return rng.getrandbits(bits) | 1 << (bits - 1)
+
+
+#: Factor sizes: 1 to 10^5 bits, with the short ones drawn often.
+LOG_BITS = st.one_of(st.integers(1, 200), st.integers(1, 10**5))
+
+
+@st.composite
+def log_cases(draw):
+    """(x, y, u, w) with x*y/(u*w) random, exactly 2^e, near 1 (e = 0 on the
+    ratio or its inverse), or within 2^-60 of a rounding boundary of the
+    double the exact evaluation rounds; y = w = 1 for a one-factor call."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["random", "power_of_two", "near_one", "boundary"]))
+    x, y, w = (_bits(rng, draw(LOG_BITS)) for _ in range(3))
+    if draw(st.booleans()):
+        y = w = 1
+    if kind == "random":
+        return x, y, _bits(rng, draw(LOG_BITS)), w
+    if kind == "power_of_two":
+        e = draw(st.integers(-300, 300))
+        return (x << e, y * w, x * y, w) if e >= 0 else (x, y * w, (x * y) << -e, w)
+    if kind == "near_one":
+        return x * w, y, max(x * y + draw(st.integers(-3, 3)), 1), w
+    # A midpoint of consecutive doubles: of RN(V / 2^e) in [1, 2), or of
+    # RN(V - 1) for V in (1, 2).  With u > 2^62 the quotient lies within a
+    # few units of 1/u of it.
+    x <<= max(130 + w.bit_length() - x.bit_length() - y.bit_length(), 0)
+    odd = 2 * rng.randrange(1 << 52, 1 << 53) + 1
+    if draw(st.booleans()):
+        target = Fraction(odd, 1 << 53) * Fraction(2) ** draw(st.integers(-200, 200))
+    else:
+        target = 1 + Fraction(odd, 1 << (54 + draw(st.integers(0, 40))))
+    if draw(st.booleans()):
+        target = 1 / target
+    u = x * y * target.denominator // (target.numerator * w) + draw(st.integers(-2, 2))
+    return x, y, max(u, 1), w
+
+
+@settings(max_examples=500, deadline=None)
+@given(log_cases())
+@example((1, 1, 1, 1))
+@example((2**64 + 1, 1, 2**64, 1))
+@example((3 << 70, 5, 15 << 70, 1))
+@example((3 << 70, 5, 5 << 70, 3))
+def test_log_product_ratio_is_the_exact_evaluation(case):
+    x, y, u, w = case
+    want = exact_log_ratio(x * y, u * w).hex()
+    assert log_product_ratio(x, y, u, w).hex() == want
+    if y == w == 1:
+        assert log_ratio(x, u).hex() == want
+
+
+def test_log_screen_multiplies_only_near_a_boundary(monkeypatch):
+    """Random quotients of 1,000-bit factors, away from 1, are decided on
+    the heads; quotients within 2^-60 of a rounding boundary go to the
+    exact evaluation."""
+    exact_calls = []
+    real = intmath._log_exact
+    monkeypatch.setattr(intmath, "_log_exact", lambda n, d: exact_calls.append(n) or real(n, d))
+    rng = random.Random(11)
+    for _ in range(200):
+        log_product_ratio(_bits(rng, 1000), _bits(rng, 1000), _bits(rng, 1000), _bits(rng, 800))
+        log_ratio(_bits(rng, 1000), _bits(rng, 3000))
+    assert len(exact_calls) <= 2
+    exact_calls.clear()
+    for _ in range(20):
+        x, y, w = _bits(rng, 1000), _bits(rng, 1000), _bits(rng, 500)
+        odd = 2 * rng.randrange(1 << 52, 1 << 53) + 1
+        # V = odd (1 + O(2^-1400)), a midpoint of consecutive doubles
+        log_product_ratio(x, y, x * y // (odd * w), w)
+    assert len(exact_calls) == 20
 
 
 def test_dist_to_int():

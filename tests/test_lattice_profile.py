@@ -252,3 +252,36 @@ def test_lattice_exponents_converge_with_depth(gamma, depths):
     assert all(a > b for a, b in zip(uniform_err, uniform_err[1:])), uniform_err
     assert all(a >= b - 1e-9 for a, b in zip(slacks, slacks[1:])), slacks
     assert slacks[-1] < 0.001, slacks
+
+
+def test_lattice_exponents_take_only_the_radius_gcd(gcd_calls):
+    """The pair lattice gets its row gcds from the scales and the records
+    need no product or gcd; the one record-sized gcd left reduces the
+    printed degeneracy radius.  The others reduce its printed multiple
+    4095/4096 and have an argument of at most 13 bits."""
+    pair = construct_thm3(Fraction(1), 12)
+    gcd_calls.clear()
+    lat = lattice_from_pair(*pair)
+    assert gcd_calls == []
+    lattice_exponents(lat)
+    big = [args for args in gcd_calls if min(a.bit_length() for a in args) > 64]
+    assert big == [(abs(lat.D), max(lat.g1 * lat.d2, lat.g2 * lat.d1))]
+    assert all(min(a.bit_length() for a in args) <= 13
+               for args in gcd_calls if args not in big)
+
+
+@profile_settings
+@given(st.lists(st.integers(1, 10**6), min_size=2, max_size=8),
+       st.lists(st.integers(1, 10**6), min_size=2, max_size=8),
+       st.integers(-5, 5), st.integers(-5, 5), SMALL_ENTRIES, SMALL_ENTRIES)
+def test_pair_lattice_row_gcds_are_the_scales(tail1, tail2, a0, b0, d1, d2):
+    """``lattice_from_pair`` passes |n1|, |n2| for scales n/m as the row
+    gcds; they equal the gcds a general matrix takes."""
+    assume(d1 != 0 and d2 != 0)
+    theta, eta = PartialQuotients(a0, tuple(tail1)), PartialQuotients(b0, tuple(tail2))
+    try:
+        lat = lattice_from_pair(theta, eta, d1, d2)
+    except ValueError:  # theta * eta = 1
+        return
+    assert (lat.g1, lat.g2) == (math.gcd(lat.A1, lat.B1), math.gcd(lat.A2, lat.B2))
+    assert lat == Lattice2(lat.A1, lat.B1, lat.d1, lat.A2, lat.B2, lat.d2)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weakapprox.cf import PartialQuotients, convergents
-from weakapprox.measure import StepFunction, min_step, psi_step, upsilon_step
+from weakapprox.measure import StepFunction, measure_csv, min_step, psi_step, upsilon_step
 from oracles import brute_measure
 
 
@@ -125,10 +125,12 @@ class TestUpsilonStep:
         # q_1 rho_1 / q_N = 4/12 must be divided by gcd(g^2, q_N) = 4, not g.
         pq = PartialQuotients(0, (2, 2, 2))
         an = pq.analysis
-        assert (an.q[1], an.rho[1], an.gcds[1], an.q_n) == (2, 2, 2, 12)
-        assert gcd(an.gcds[1] ** 2, an.q_n) > an.gcds[1]
+        assert (an.q[1], an.rho[1], an.g(1), an.q_n) == (2, 2, 2, 12)
+        assert gcd(an.g(1) ** 2, an.q_n) > an.g(1)
         value = upsilon_step(pq).value(2)
         assert (value.numerator, value.denominator) == (1, 3)
+        # The CSV writer reduces the kept row by the closed form itself.
+        assert measure_csv(pq, weak=True).splitlines()[2] == "2,1,3"
 
     def test_below_t_times_psi(self):
         rng = random.Random(6)

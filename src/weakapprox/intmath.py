@@ -188,8 +188,8 @@ def ratio_less(a: int, b: int, c: int, d: int) -> bool:
     proves c b < a d; only overlapping brackets multiply.  An exact tie
     a d = c b lies in both brackets, so they overlap and it multiplies,
     unless a ratio is 1 (a = b or c = d): then the other one's terms decide
-    it.  The two unit ratios tie in every pair lattice's profile, at
-    sup-norm 1.
+    it.  Two unit ratios tie in the profile of [[1, theta], [eta, 1]] with
+    |theta|, |eta| < 1, as every ``verify`` T4 lattice is, at sup-norm 1.
     """
     if not a or not c:
         return a < c

@@ -26,7 +26,7 @@ from .cf import PartialQuotients, convergents, qnorm_table
 from .construct import (GuardExceeded, InterleavingError, _digit_guard,
                         construct_thm1, construct_thm2, construct_thm3)
 from .exponents import ASYMPTOTIC_TOL, NotEstimable, exponent_report
-from .intmath import decimal_str, fraction_str
+from .intmath import decimal_str, fraction_str, parse_decimal
 from .lattice import lattice_exponents, lattice_from_pair
 from .lemma import (BOUNDARY_MARGIN, StepPair, check_conditions, find_witnesses,
                     random_step_pair, verify_witness)
@@ -83,11 +83,18 @@ _ECHO_CHARS = 60
 def _rational(text: str) -> Fraction:
     """argparse type of a rational option such as 3/2; a bad one exits 2.
 
-    The message echoes at most ``_ECHO_CHARS`` characters of the value and
-    gives its length, so a huge bad value does not flood stderr.
+    ``Fraction`` reads every form it knows (3/2, 1.5, 2e3).  A text it
+    refuses, such as one past the interpreter's int<->str digit limit, is
+    read as "n" or "n/d" by ``parse_decimal``.  The message echoes at most
+    ``_ECHO_CHARS`` characters of the value and gives its length, so a huge
+    bad value does not flood stderr.
     """
     try:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ValueError:
+            num, slash, den = text.partition("/")
+            return Fraction(parse_decimal(num), parse_decimal(den) if slash else 1)
     except (ValueError, ZeroDivisionError):
         shown = repr(text) if len(text) <= _ECHO_CHARS else (
             f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)")

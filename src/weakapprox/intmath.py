@@ -19,10 +19,14 @@ hundreds of thousands of digits, so no kernel here is quadratic in them:
 - ``nth_root_floor`` doubles its precision (ibid., 1.5): Newton's method
   starts from the root of a number half as long, so one or two of its
   steps run at full size.  Its docstring proves the result exact.
-- ``round_div_root`` works at the precision of its answer: it takes the
-  root of a base cut to the answer's bits plus 64 guard bits, and the
-  full root only when that short root's bracket holds a rounding
-  boundary.  Its docstring proves both paths exact.
+- ``round_div_root`` works at the precision of its answer (ibid., 1.5 and
+  4.2): it bounds base**num from the base's head with directed rounding,
+  finds a root near it by Newton's method, and certifies a bracket around
+  the root with integer comparisons, all on numbers of about the answer's
+  bits plus 64 guard bits, however long base**num is.  Only the rounding
+  of the bracket divides a number of the root's size by s, and the exact
+  root of the full power runs only when the bracket holds a rounding
+  boundary.  Its docstring proves the bracket and the exact path.
 - ``decimal_str`` and ``parse_decimal`` convert by divide and conquer
   (ibid., 1.7): ``decimal_str`` recombines binary halves in the C
   ``decimal`` module in a context that raises on any rounding, and
@@ -48,8 +52,16 @@ _HEAD_BITS = 64
 #: Products up to this many bits ``ratio_less`` multiplies without a screen.
 _SCREEN_BITS = 256
 
-#: Guard bits of the truncated root in ``round_div_root``.
+#: ``round_div_root`` brackets R in units of 2^t <= 2^-_GUARD_BITS s.
 _GUARD_BITS = 64
+
+#: Half-width of that bracket in units of 2^t.  The candidate root is
+#: within a unit or two, and each power bound within a few units.
+_BRACKET_UNITS = 1 << 16
+
+#: Shortest power base**num (in bits) whose root ``round_div_root`` brackets:
+#: below about this size the exact root is the cheaper one.
+_BRACKET_MIN_BITS = 4000
 
 _LN2 = math.log(2.0)
 
@@ -280,48 +292,147 @@ def round_div_root(base: int, num: int, den: int, c: int, s: int) -> int:
     With R = base**(num/den) the answer is f(R) for
     f(x) = floor((2x - 2c + s) / (2s)), which never falls as x grows.
 
-    Exact path: m = (r - c) // s with r = floor(R) is the floor of
-    (R - c) / s: c + m*s <= r <= R, and the integer c + (m+1)*s exceeds r,
-    so it is at least r + 1 > R.  The answer is m + 1 iff
-    R >= c + (m + 1/2)*s, i.e. iff v = 2c + (2m+1)s is at most 0 or
-    v**den <= 2**den * base**num; all comparisons are integer.
+    Bracketed path, tried first.  It counts in units of 2^t for
+    t = bl(s) - 1 - _GUARD_BITS, bl being the bit length, so steps 1-3 work
+    on numbers of about w = ceil(bl(base) num/den) - t bits, those of
+    R / 2^t, and their products, however long base**num is.  It runs when
+    t > 0 and base**num has at least ``_BRACKET_MIN_BITS`` bits, as a
+    shorter power is cheaper to take exactly.  With t <= 0 (every
+    ``round_root``, as s = 1) R itself has about the answer's bits, and
+    for den = 2 the exact path's ``math.isqrt`` is the cheaper root.
 
-    Truncated path, tried first.  With bl the bit length and B = bl(base),
-    R / s < 2**a for a = ceil(B num/den) - bl(s) + 1, so the answer needs
-    R to about a + _GUARD_BITS bits only.  Take the largest k with
-    bl(h) >= max(a, 0) + _GUARD_BITS for h = base >> (den k) and with
-    t = num k <= bl(s) - 1 - _GUARD_BITS; if k < 1 (every ``round_root``,
-    as s = 1) the exact path runs.  As h 2^(den k) <= base < (h+1) 2^(den k),
-    r0 2^t <= R < (h+1)**p 2^t for p = num/den and r0 = floor(h**p).
-    Here h >= 2^63 > bl(s) (no integer in memory has 2^63 bits) and
-    bl(s) > t >= num >= p, so y = p/h <= 1, and
-    (1 + 1/h)**p <= e^y <= 1 + 2y, as e^y is convex on [0, 1]; hence
-    (h+1)**p < (r0 + 1)(1 + 2 num/h) <= U = r0 + 2 + 2 num (r0 + 1) // h.
-    So L = r0 2^t <= R < U 2^t, and f(L) = f(U 2^t) is the answer.  With
-    (f(L), rho) = divmod(2L - 2c + s, 2s), that equality is
-    rho + 2 (U - r0) 2^t < 2s; otherwise the exact path decides.  As
-    2^t <= 2^-_GUARD_BITS s and R / h < 2^(1 - _GUARD_BITS) s, the bracket
-    is about (1 + 2 num) 2^(1 - _GUARD_BITS) s wide, so only an answer that
-    close to a rounding boundary falls through.
+    1. ``_power_bounds`` gives lo 2^e <= P = base**num <= hi 2^e with
+       lo, hi of about w bits.
+    2. ``_root_near`` gives an integer z near (lo 2^e)^(1/den) / 2^t.
+       Nothing is assumed of it: step 3 checks it.
+    3. Certify.  With d = ``_BRACKET_UNITS`` and z > d, ``_power_bounds``
+       gives (z - d)**den <= a 2^ea and b 2^eb <= (z + d)**den.  If
+       a 2^(ea + den t) <= lo 2^e and hi 2^e <= b 2^(eb + den t), then
+       ((z - d) 2^t)**den <= lo 2^e <= P <= hi 2^e <= ((z + d) 2^t)**den,
+       and as x -> x**den increases on x >= 0, taking den-th roots gives
+       L = (z - d) 2^t <= R <= U = (z + d) 2^t.  Each check compares two
+       integers after one shift.
+    4. Round.  As f never falls, f(L) = f(U) makes it the answer.  With
+       (m, rho) = divmod(2L - 2c + s, 2s), 2U - 2c + s = 2sm + rho + 4d 2^t,
+       so f(U) = m iff rho + 4d 2^t < 2s.  As 2^t <= 2^-_GUARD_BITS s, only
+       an R within 4d 2^t <= 2^-46 s of a rounding boundary fails this.
+
+    Exact path, when a check of 3 or 4 fails or the bracketed path does not
+    run: m = (r - c) // s with r = floor(R) is the floor of (R - c) / s:
+    c + m*s <= r <= R, and the integer c + (m+1)*s exceeds r, so it is at
+    least r + 1 > R.  The answer is m + 1 iff R >= c + (m + 1/2)*s, i.e.
+    iff v = 2c + (2m+1)s is at most 0 or v**den <= 2**den * base**num; all
+    comparisons are integer.
     """
     if base < 1 or s < 1 or num < 1 or den < 1:
         raise ValueError("root helpers require positive base, s, num, den")
-    bits, s_bits = base.bit_length(), s.bit_length()
-    answer_bits = max(-(-bits * num // den) - s_bits + 1, 0)
-    k = min((bits - answer_bits - _GUARD_BITS) // den, (s_bits - 1 - _GUARD_BITS) // num)
-    if k > 0:
-        h, t = base >> (den * k), num * k
-        r0 = nth_root_floor(h**num, den)
-        upper = r0 + 2 + 2 * num * (r0 + 1) // h
-        m, rho = divmod(2 * ((r0 << t) - c) + s, 2 * s)
-        if rho + ((upper - r0) << (t + 1)) < 2 * s:
+    t = s.bit_length() - 1 - _GUARD_BITS
+    if t > 0 and base.bit_length() * num >= _BRACKET_MIN_BITS:
+        m = _round_bracketed(base, num, den, c, s, t)
+        if m is not None:
             return m
+    return _round_exact(base, num, den, c, s)
+
+
+def _round_bracketed(base: int, num: int, den: int, c: int, s: int, t: int) -> int | None:
+    """Steps 1-4 of ``round_div_root``'s bracketed path: its answer, or None
+    when a check fails."""
+    w = -(-base.bit_length() * num // den) - t
+    if w < 1:  # R < 2^t
+        return None
+    lo, hi, e = _power_bounds(base, num, w)
+    z, d = _root_near(lo, e, den, t), _BRACKET_UNITS
+    if z <= d:
+        return None
+    _, a, ea = _power_bounds(z - d, den, w)
+    b, _, eb = _power_bounds(z + d, den, w)
+    if not (_le_scaled(a, ea + den * t, lo, e) and _le_scaled(hi, e, b, eb + den * t)):
+        return None
+    m, rho = divmod(((z - d) << (t + 1)) - 2 * c + s, 2 * s)
+    return m if rho + (d << (t + 2)) < 2 * s else None
+
+
+def _round_exact(base: int, num: int, den: int, c: int, s: int) -> int:
+    """``round_div_root``'s exact path, on the full power base**num."""
     power = base**num
     m = (nth_root_floor(power, den) - c) // s
     v = 2 * c + (2 * m + 1) * s
     if v <= 0 or v**den <= power << den:
         return m + 1
     return m
+
+
+def _power_bounds(x: int, n: int, w: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo 2^e <= x**n <= hi 2^e for x, n >= 1; lo has at
+    most w bits, and hi - lo is small.
+
+    Ball arithmetic with directed rounding: each value v is held as
+    (m, u, e) with m 2^e <= v <= (m + u) 2^e.  x starts as its w-bit head,
+    (x >> k, [k > 0], k) for k = max(bl(x) - w, 0), since x - (x >> k) 2^k
+    < 2^k.  Binary powering multiplies two balls: v1 v2 lies in
+    [p, p + m1 u2 + u1 m2 + u1 u2] 2^(e1 + e2) with p = m1 m2, and the ball
+    keeps floor(p / 2^j) below and ceil((p + err) / 2^j) above, for
+    j = max(bl(p) - w, 0).  The radius u grows by a few units per product,
+    so only p is a long product.
+    """
+    k = max(x.bit_length() - w, 0)
+    head = (x >> k, int(k > 0), k)
+    ball = head
+    for bit in bin(n)[3:]:
+        ball = _ball_product(ball, ball, w)
+        if bit == "1":
+            ball = _ball_product(ball, head, w)
+    m, u, e = ball
+    return m, m + u, e
+
+
+def _ball_product(a: tuple[int, int, int], b: tuple[int, int, int], w: int) -> tuple[int, int, int]:
+    """The product of two balls of ``_power_bounds``, cut to w bits."""
+    (m1, u1, e1), (m2, u2, e2) = a, b
+    p = m1 * m2
+    j = max(p.bit_length() - w, 0)
+    m = p >> j
+    return m, -(-(p + m1 * u2 + u1 * m2 + u1 * u2) >> j) - m, e1 + e2 + j
+
+
+def _le_scaled(a: int, x: int, b: int, y: int) -> bool:
+    """a 2^x <= b 2^y for integers a, b >= 0."""
+    return a << (x - y) <= b if x >= y else a <= b << (y - x)
+
+
+def _shift(x: int, k: int) -> int:
+    """floor(x 2^k) for any integer k."""
+    return x << k if k >= 0 else x >> -k
+
+
+def _root_near(m: int, e: int, den: int, t: int) -> int:
+    """An integer near (m 2^e)^(1/den) / 2^t for m >= 1.
+
+    No error bound is claimed; ``round_div_root`` certifies the result.  For
+    den <= 2 it is one integer root (``math.isqrt``) of about twice the
+    result's bits.  Otherwise precision doubles (Brent & Zimmermann, 1.5,
+    4.2).  With w = ceil(bl(m 2^e) / den) - t, the result's bits or one
+    more, a double gives it for w <= 48.  A longer result takes the one of
+    p = w/2 + 16 bits, y, and one Newton step on x = y 2^(w-p),
+    x + (P - x**den) / (den x**(den-1)) for P = m 2^(e - den t).  The
+    residual P - x**den has about p bits, so the step divides a 2p-bit
+    number by a p-bit one, with x**den taken to w + 16 bits and x**(den-1)
+    to p bits.
+    """
+    if den <= 2:
+        return nth_root_floor(_shift(m, e - den * t), den)
+    w = -(-(m.bit_length() + e) // den) - t
+    if w <= 48:
+        j = max(m.bit_length() - 53, 0)
+        q, r = divmod(e + j - den * t, den)
+        return int(math.ldexp(float((m >> j) << r) ** (1 / den), q))
+    p = w // 2 + 16
+    y = _root_near(m, e, den, t + w - p)
+    a, _, g = _power_bounds(y, den, w + 16)
+    b, _, h = _power_bounds(y, den - 1, p)
+    g += den * (w - p)
+    residual = _shift(m, e - den * t - g) - a
+    return (y << (w - p)) + _shift(residual, g - h - (den - 1) * (w - p)) // (den * b)
 
 
 def reduced_fraction(num: int, den: int) -> Fraction:

@@ -52,11 +52,14 @@ PINS = [
     (["plot", "--csv", "ups.csv", "--label", "upsilon", "--annotate", "2", "--output",
      "steps.svg"],
      "e4403a1cede29e89baedba810980947b77310629bf129a36bf69909e96b7b095"),
-    # Each bound at the smoke depths (T2 at 14, where 8 of 26 roots take the short path).
+    # Each bound at the smoke depths (T2 at 14, where 5 of its 26 rounded roots are bracketed).
     (["verify", "--theorem", "T1", "--gamma", "3/2", "--depth", "8"],
      "56a1692dcbc52887d261cb47fed1dbe26b7de3310efb3516819fce5880959659"),
     (["verify", "--theorem", "T2", "--gamma", "13/10", "--depth", "14"],
      "367c22c16e05209396cdcc84d1b962ff2458be0eb62339b8d577e6698261235f"),
+    # T2 where every rounded root is longer than its base (gamma - 1/gamma > 1).
+    (["verify", "--theorem", "T2", "--gamma", "7/4", "--depth", "11"],
+     "363cabaf2ae5a67fa62ec08dc25a6f3c417483430a291afed5130da4cadf472f"),
     (["verify", "--theorem", "T3", "--gamma", "1", "--depth", "8"],
      "061de3d012b8e969a25ca31f19f2489bda5ce28e3b70f6612a0bd525ea7f2970"),
     (["verify", "--theorem", "T4", "--gamma", "1", "--depth", "8"],

@@ -19,7 +19,7 @@ from weakapprox.cf import PartialQuotients, convergents
 from weakapprox.cli import EXIT_INAPPLICABLE, EXIT_USAGE, main
 from weakapprox.construct import DIGIT_GUARD_ENV, construct_thm1, construct_thm2, construct_thm3
 from weakapprox.exponents import exponent_report
-from weakapprox.intmath import decimal_str
+from weakapprox.intmath import decimal_str, parse_decimal
 from weakapprox.lattice import lattice_exponents, lattice_from_pair
 from weakapprox.measure import StepFunction
 
@@ -123,13 +123,26 @@ class TestConstruct:
 
     @pytest.mark.parametrize("option", ["--t-max", "--d1"])
     def test_long_bad_rational_is_echoed_in_short(self, option, capsys):
-        text = "7" * 5000
+        text = "7" * 4999 + "x"
         with pytest.raises(SystemExit) as exc:
             main(["lattice", "--theta", PAIR_THETA, "--eta", PAIR_ETA, option, text])
         err = capsys.readouterr().err
         assert exc.value.code == EXIT_USAGE
         assert "invalid rational" in err and "(5000 characters)" in err
         assert len(err) < 400
+
+    @pytest.mark.parametrize("option, num, den", [
+        ("--t-max", "7" * 5000, None),
+        ("--t-max", "7" * 5001, "3" * 5000),
+        ("--d1", "7" * 5000, "3" * 5001),
+    ])
+    def test_long_rational_is_accepted(self, option, num, den, capsys):
+        """Rationals past the interpreter's 4,300-digit int<->str limit."""
+        text = num if den is None else f"{num}/{den}"
+        want = Fraction(parse_decimal(num), 1 if den is None else parse_decimal(den))
+        assert cli._rational(text) == want
+        assert main(["lattice", "--theta", PAIR_THETA, "--eta", PAIR_ETA, option, text]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_eta_seed_of_the_single_scheme_is_a_usage_error(self, capsys):
         code = main(["construct", "--scheme", "thm1", "--gamma", "3/2", "--depth", "5",

@@ -99,11 +99,12 @@ class TestThm2:
 
     @pytest.mark.parametrize("gamma, depth", [("13/10", 18), ("3/2", 16), ("7/4", 11)])
     def test_roots_on_the_full_base_give_the_same_prefixes(self, monkeypatch, gamma, depth):
-        """Each step's root on a truncated base must round as the root on
-        the full base does.  At 13/10 the truncated root first decides at
-        depth 12 (4 of 22 roots); at 7/4 the answer outgrows the base
-        (gamma - 1/gamma > 1), so every root is the full one.  A depth-N
-        build's prefixes are the builds of every depth below N."""
+        """Each step's bracketed root must round as the root on the full
+        base does.  The bracketed path first runs at depth 12 at 13/10
+        (1 of 22 roots) and takes 13 of the 34 roots at depth 18, 13 of 30
+        at 3/2 and 9 of 20 at 7/4, where every answer is longer than its
+        base (gamma - 1/gamma > 1).  A depth-N build's prefixes are the
+        builds of every depth below N."""
         fast = construct_thm2(Fraction(gamma), depth)
         monkeypatch.setattr(construct, "round_div_root", full_round_div_root)
         assert construct_thm2(Fraction(gamma), depth) == fast

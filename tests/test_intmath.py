@@ -24,7 +24,7 @@ from weakapprox.intmath import (
     round_root,
 )
 from weakapprox.measure import StepFunction
-from oracles import dist_to_int, exact_log_ratio
+from oracles import dist_to_int, exact_log_ratio, full_round_div_root
 
 
 def test_nth_root_floor_small_cases():
@@ -111,22 +111,24 @@ def test_root_helpers_negative_c():
 
 
 @pytest.fixture
-def root_inputs(monkeypatch):
-    """The bit lengths of the numbers whose roots ``round_div_root`` takes,
-    one list per call: one root of a power shorter than base**num is the
-    truncated path deciding, and two roots are its exact fallback."""
-    real, seen = intmath.nth_root_floor, []
-    monkeypatch.setattr(intmath, "nth_root_floor",
-                        lambda n, k: seen.append(n.bit_length()) or real(n, k))
+def root_paths(monkeypatch):
+    """The paths ``round_div_root`` enters, in order: "bracketed" alone is
+    the bracketed path deciding, and a later "exact" is the exact path."""
+    seen = []
+    for name in ("bracketed", "exact"):
+        real = getattr(intmath, f"_round_{name}")
+        monkeypatch.setattr(intmath, f"_round_{name}",
+                            lambda *args, real=real, name=name: seen.append(name) or real(*args))
     return seen
 
 
-def test_round_div_root_in_the_truncated_regime(root_inputs):
+def test_round_div_root_in_the_truncated_regime(root_paths):
     """s of 100 to 5000 bits, num/den below and above 1, c of either sign
     and up to 3s, answers of 0 to 2000 bits; each answer is checked with
-    the integer bracket of ``test_root_helpers_negative_c``."""
+    the integer bracket of ``test_root_helpers_negative_c``, and most are
+    decided on the base's head, without the exact path."""
     rng = random.Random(29)
-    truncated = 0
+    bracketed = 0
     for _ in range(300):
         num, den = rng.choice([(1, 2), (2, 3), (3, 7), (4, 3), (3, 2), (13, 10), (7, 4), (5, 1)])
         s_bits = rng.randint(100, 5000)
@@ -135,30 +137,83 @@ def test_round_div_root_in_the_truncated_regime(root_inputs):
         base_bits = max(1, (s_bits + answer_bits) * den // num)
         base = rng.getrandbits(base_bits) | 1 << (base_bits - 1)
         c = rng.randint(-3 * s, 3 * s)
-        root_inputs.clear()
+        root_paths.clear()
         r = round_div_root(base, num, den, c, s)
         assert _at_most(2 * c + (2 * r - 1) * s, 2, base, num, den)
         assert not _at_most(2 * c + (2 * r + 1) * s, 2, base, num, den)
-        truncated += len(root_inputs) == 1 and root_inputs[0] <= (base_bits - den) * num
-    assert truncated >= 200
+        bracketed += root_paths == ["bracketed"]
+    assert bracketed >= 200
 
 
 @pytest.mark.parametrize("num, den", [(1, 2), (1, 5), (3, 2), (13, 10)])
-def test_round_div_root_exact_tie_falls_back_and_rounds_up(root_inputs, num, den):
+def test_round_div_root_exact_tie_falls_back_and_rounds_up(root_paths, num, den):
     """base = x**den for odd x, so R = x**num, and c = R - (k + 1/2) s for an
-    even s of hundreds to thousands of bits: R lies exactly on a rounding
-    boundary.  The truncated bracket starts strictly below R, as the shift
-    drops odd low bits, so it straddles the boundary; the exact path must
-    run and round up."""
+    even s of thousands of bits: R lies exactly on a rounding boundary, so
+    every bracket around it straddles the boundary; the bracketed path must
+    decline and the exact path run and round up.  x has 2048 bits, so
+    base**num is long enough for the bracketed path to run."""
     rng = random.Random(num * 100 + den)
-    x = rng.getrandbits(1200) | 1 << 1199 | 1
-    s = 2 * (rng.getrandbits(num * 1200 - 801) | 1)  # an answer of about 800 bits
+    x = rng.getrandbits(2048) | 1 << 2047 | 1
+    s = 2 * (rng.getrandbits(num * 2048 - 801) | 1)  # an answer of about 800 bits
     k = rng.getrandbits(790)
     c = x**num - k * s - s // 2
     assert Fraction(x**num - c, s) == k + Fraction(1, 2)
     assert round_div_root(x**den, num, den, c, s) == k + 1
-    assert len(root_inputs) == 2  # the short root, then the exact one
-    assert root_inputs[0] < root_inputs[1] == (x**(den * num)).bit_length()
+    assert root_paths == ["bracketed", "exact"]
+
+
+@pytest.mark.parametrize("num, den", [(13, 10), (3, 2), (1, 3), (7, 4), (5, 3)])
+def test_round_div_root_matches_the_full_root(num, den):
+    """Against the oracle on the full power: answers shorter than the base
+    (13/10, 3/2, 1/3) and longer (7/4, 5/3), bases of 1 to 20,000 bits
+    spread evenly in log size, s from 1 bit to past R, c in [-3s, 3s], and
+    exact ties from perfect powers x**den, with s even and
+    c = x**num - (k + 1/2) s."""
+    rng = random.Random(f"bracket {num}/{den}")
+    for case in range(120):
+        bits = round(20_000 ** rng.random())
+        if case % 4:
+            base = rng.getrandbits(bits) | 1 << (bits - 1)
+            s = rng.getrandbits(rng.randint(1, -(-bits * num // den) + 10)) | 1
+            c = rng.randint(-3 * s, 3 * s)
+        else:
+            x = rng.getrandbits(-(-bits // den)) | 1
+            base = x**den
+            s = 2 * (rng.getrandbits(rng.randint(1, max(x.bit_length() * num - 2, 1))) | 1)
+            c = x**num - rng.getrandbits(32) * s - s // 2
+        assert round_div_root(base, num, den, c, s) == full_round_div_root(base, num, den, c, s)
+
+
+def test_power_bounds_bracket_the_power():
+    """lo 2^e <= x**n <= hi 2^e with lo of at most w bits and hi - lo
+    small, for w below and above bl(x)."""
+    rng = random.Random(41)
+    for _ in range(300):
+        x = rng.getrandbits(rng.randint(1, 3000)) | 1
+        n, w = rng.randint(1, 40), rng.randint(2, 4000)
+        lo, hi, e = intmath._power_bounds(x, n, w)
+        assert e >= 0 and lo << e <= x**n <= hi << e
+        assert lo.bit_length() <= w and hi - lo < 64 * n
+        if w >= x.bit_length() * n:
+            assert lo == hi == x**n and e == 0
+
+
+@pytest.mark.parametrize("gamma, depth", [(Fraction(13, 10), 20), (Fraction(7, 4), 11)])
+def test_thm2_roots_above_the_size_gate_stay_bracketed(root_paths, monkeypatch, gamma, depth):
+    """Every root of a deep thm2 build whose power reaches the size gate is
+    decided by the bracketed path, and every one below it by the exact one."""
+    real, runs = intmath.round_div_root, []
+
+    def probe(base, num, den, c, s):
+        root_paths.clear()
+        answer = real(base, num, den, c, s)
+        runs.append((base.bit_length() * num >= intmath._BRACKET_MIN_BITS, root_paths[:]))
+        return answer
+
+    monkeypatch.setattr(construct, "round_div_root", probe)
+    construct.construct_thm2(gamma, depth)
+    assert sum(large for large, _ in runs) >= 9
+    assert all(paths == (["bracketed"] if large else ["exact"]) for large, paths in runs)
 
 
 def test_log_int_matches_math_log():

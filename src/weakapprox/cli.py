@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -79,22 +80,29 @@ def _load_prefix(arg: str) -> PartialQuotients:
 #: Characters of a bad option value that an error message echoes.
 _ECHO_CHARS = 60
 
+#: "n" or "n/d" in ASCII digits, a sign only on n: what ``Fraction`` refuses
+#: only for its length.
+_LONG_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
 
 def _rational(text: str) -> Fraction:
     """argparse type of a rational option such as 3/2; a bad one exits 2.
 
     ``Fraction`` reads every form it knows (3/2, 1.5, 2e3).  A text it
-    refuses, such as one past the interpreter's int<->str digit limit, is
-    read as "n" or "n/d" by ``parse_decimal``.  The message echoes at most
-    ``_ECHO_CHARS`` characters of the value and gives its length, so a huge
-    bad value does not flood stderr.
+    refuses that matches ``_LONG_RATIONAL``, one past the interpreter's
+    int<->str digit limit, is read by ``parse_decimal``.  The message
+    echoes at most ``_ECHO_CHARS`` characters of the value and gives its
+    length, so a huge bad value does not flood stderr.
     """
     try:
         try:
             return Fraction(text)
         except ValueError:
-            num, slash, den = text.partition("/")
-            return Fraction(parse_decimal(num), parse_decimal(den) if slash else 1)
+            parts = _LONG_RATIONAL.fullmatch(text)
+            if parts is None:
+                raise
+            num, den = parts.groups()
+            return Fraction(parse_decimal(num), parse_decimal(den) if den else 1)
     except (ValueError, ZeroDivisionError):
         shown = repr(text) if len(text) <= _ECHO_CHARS else (
             f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)")

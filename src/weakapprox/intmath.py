@@ -412,7 +412,9 @@ def _root_near(m: int, e: int, den: int, t: int) -> int:
     den <= 2 it is one integer root (``math.isqrt``) of about twice the
     result's bits.  Otherwise precision doubles (Brent & Zimmermann, 1.5,
     4.2).  With w = ceil(bl(m 2^e) / den) - t, the result's bits or one
-    more, a double gives it for w <= 48.  A longer result takes the one of
+    more, a double gives it for w <= 48: the root of m's 53-bit head times
+    2^(r/den) for the remainder r < den of its exponent, so no double
+    passes 2^54 however large den is.  A longer result takes the one of
     p = w/2 + 16 bits, y, and one Newton step on x = y 2^(w-p),
     x + (P - x**den) / (den x**(den-1)) for P = m 2^(e - den t).  The
     residual P - x**den has about p bits, so the step divides a 2p-bit
@@ -425,7 +427,7 @@ def _root_near(m: int, e: int, den: int, t: int) -> int:
     if w <= 48:
         j = max(m.bit_length() - 53, 0)
         q, r = divmod(e + j - den * t, den)
-        return int(math.ldexp(float((m >> j) << r) ** (1 / den), q))
+        return int(math.ldexp(float(m >> j) ** (1 / den) * 2.0 ** (r / den), q))
     p = w // 2 + 16
     y = _root_near(m, e, den, t + w - p)
     a, _, g = _power_bounds(y, den, w + 16)

@@ -99,6 +99,14 @@ class TestConstruct:
                      id="d1-zero-denominator"),
         pytest.param(["lattice", "--theta", PAIR_THETA, "--eta", PAIR_ETA, "--d1", "0"],
                      id="d1-zero"),
+        pytest.param(["verify", "--theorem", "T1", "--gamma", "3/+2"],
+                     id="gamma-signed-denominator"),
+        pytest.param(["verify", "--theorem", "T1", "--gamma=-3/-2"],
+                     id="gamma-two-signs"),
+        pytest.param(["lattice", "--theta", PAIR_THETA, "--eta", PAIR_ETA, "--d1", "1/+2"],
+                     id="d1-signed-denominator"),
+        pytest.param(["lattice", "--theta", PAIR_THETA, "--eta", PAIR_ETA,
+                      "--t-max", "7" * 5000 + "/+3"], id="long-t-max-signed-denominator"),
         pytest.param(["verify", "--theorem", "T1", "--gamma", "3/2", "--tolerance", "nan"],
                      id="tolerance-nan"),
         pytest.param(["verify", "--theorem", "T1", "--gamma", "3/2", "--tolerance", "inf"],

@@ -184,6 +184,38 @@ def test_round_div_root_matches_the_full_root(num, den):
         assert round_div_root(base, num, den, c, s) == full_round_div_root(base, num, den, c, s)
 
 
+def _large_den_cases(num, den, count):
+    """Bases of 80 to 100 bits, s of 67 bits to 10 bits short of R and
+    c in [-3s, 3s]: the bracketed path runs, and its root candidate ends in
+    the double seed with a power of 2 of up to den - 1 bits to spread."""
+    rng = random.Random(f"large den {num}/{den}")
+    for _ in range(count):
+        bits = rng.randint(80, 100)
+        base = rng.getrandbits(bits) | 1 << (bits - 1)
+        s = rng.getrandbits(rng.randint(67, bits * num // den - 10)) | 1 << 66
+        yield base, s, rng.randint(-3 * s, 3 * s)
+
+
+@pytest.mark.parametrize("num, den", [(1301, 1000), (2601, 2000)])
+def test_round_div_root_at_a_large_den_matches_the_full_root(root_paths, num, den):
+    """gamma = 1.301 and 1.3005 as the CLI reads them."""
+    for base, s, c in _large_den_cases(num, den, 2):
+        root_paths.clear()
+        assert round_div_root(base, num, den, c, s) == full_round_div_root(base, num, den, c, s)
+        assert root_paths == ["bracketed"]
+
+
+def test_round_div_root_at_den_10000_is_nearest():
+    """gamma = 1.3001; checked with the integer bracket of
+    ``test_root_helpers_negative_c``, as the oracle's 10,000th root of a
+    million-bit power takes minutes."""
+    num, den = 13001, 10000
+    for base, s, c in _large_den_cases(num, den, 3):
+        r = round_div_root(base, num, den, c, s)
+        assert _at_most(2 * c + (2 * r - 1) * s, 2, base, num, den)
+        assert not _at_most(2 * c + (2 * r + 1) * s, 2, base, num, den)
+
+
 def test_power_bounds_bracket_the_power():
     """lo 2^e <= x**n <= hi 2^e with lo of at most w bits and hi - lo
     small, for w below and above bl(x)."""

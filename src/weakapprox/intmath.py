@@ -16,9 +16,10 @@ hundreds of thousands of digits, so no kernel here is quadratic in them:
 - ``ratio_less`` orders two ratios on their bit lengths, then a near tie
   of long products on the 64-bit heads of its four factors, and
   multiplies only when those heads leave the order open.
-- ``nth_root_floor`` doubles its precision (ibid., 1.5): Newton's method
-  starts from the root of a number half as long, so one or two of its
-  steps run at full size.  Its docstring proves the result exact.
+- ``nth_root_floor`` takes the root that ``round_div_root``'s bracket uses,
+  found by Newton's method at the answer's precision (ibid., 1.5), and
+  settles it with exact powers of the answer: no full-size division runs.
+  Its docstring proves the result exact.
 - ``round_div_root`` works at the precision of its answer (ibid., 1.5 and
   4.2): it bounds base**num from the base's head with directed rounding,
   finds a root near it by Newton's method, and certifies a bracket around
@@ -42,11 +43,8 @@ import math
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 
-#: Bits of the mantissa used when taking logs of huge integers.
-_LOG_MANTISSA_BITS = 64
-
-#: Bits of each factor's head in the screens of ``ratio_less`` and
-#: ``log_product_ratio``.
+#: Bits of each factor's head in ``log_int`` and in the screens of
+#: ``ratio_less`` and ``log_product_ratio``.
 _HEAD_BITS = 64
 
 #: Products up to this many bits ``ratio_less`` multiplies without a screen.
@@ -83,11 +81,8 @@ def log_int(n: int) -> float:
     """
     if n <= 0:
         raise ValueError("log_int requires a positive integer")
-    nbits = n.bit_length()
-    if nbits <= _LOG_MANTISSA_BITS:
-        return math.log(n)
-    shift = nbits - _LOG_MANTISSA_BITS
-    return math.log(n >> shift) + shift * _LN2
+    h, e = _head(n)
+    return math.log(h) + e * _LN2
 
 
 def log_ratio(num: int, den: int) -> float:
@@ -237,21 +232,15 @@ def _head(x: int) -> tuple[int, int]:
 
 
 def nth_root_floor(n: int, k: int) -> int:
-    """floor(n**(1/k)) for n >= 0, k >= 1, exactly, by precision doubling.
+    """floor(n**(1/k)) for n >= 0, k >= 1, exactly.
 
-    Newton's method starts from the root of a number half as long, taken
-    recursively, so only one or two of its steps run at full size.  With
-    b = n.bit_length(): for b <= 128k the start is 1 << ceil(b/k), whose
-    k-th power is at least 2**b > n.  Otherwise s = b//k//2 and
-    y = floor((n >> ks)**(1/k)); then n >> ks < (y+1)**k gives
-    n < ((y+1) << s)**k, so x = (y+1) << s is again a strict upper bound.
-
-    Exactness: as (k-1)x is an integer, the step
-    x -> ((k-1)x + n // x**(k-1)) // k is the floor of the real Newton
-    iterate ((k-1)x + n/x**(k-1))/k, which by AM-GM is >= n**(1/k); so
-    every iterate is >= floor(n**(1/k)).  While x**k > n the real iterate
-    is < x, so the integer one is too and the sequence strictly falls.
-    The first x with x**k <= n is therefore the floor.
+    For k >= 3 the candidate is ``_root_near``'s root at the answer's
+    precision (Brent & Zimmermann, 1.5), raised to 1 if it is below, and
+    exact powers settle it: x falls while x**k > n and then rises while
+    (x + 1)**k <= n.  As 1**k <= n the first loop stops by x = 1, and the
+    second then stops at the largest x with x**k <= n, the floor.  A
+    candidate that is the floor costs two powers, and each unit it is off
+    one more.
     """
     if k <= 0:
         raise ValueError("root order must be positive")
@@ -263,22 +252,12 @@ def nth_root_floor(n: int, k: int) -> int:
         return 1
     if k == 2:
         return math.isqrt(n)
-    return _root_floor(n, k)
-
-
-def _root_floor(n: int, k: int) -> int:
-    """``nth_root_floor`` for n >= 1, k >= 2; private, so the recursion is one call."""
-    b = n.bit_length()
-    if b <= 128 * k:
-        x = 1 << -(-b // k)
-    else:
-        s = b // k // 2
-        x = (_root_floor(n >> (k * s), k) + 1) << s
-    while True:
-        xk1 = x ** (k - 1)
-        if x * xk1 <= n:
-            return x
-        x = ((k - 1) * x + n // xk1) // k
+    x = max(_root_near(n, 0, k, 0), 1)
+    while x**k > n:
+        x -= 1
+    while (x + 1) ** k <= n:
+        x += 1
+    return x
 
 
 def round_root(n: int, num: int, den: int) -> int:
@@ -408,18 +387,19 @@ def _shift(x: int, k: int) -> int:
 def _root_near(m: int, e: int, den: int, t: int) -> int:
     """An integer near (m 2^e)^(1/den) / 2^t for m >= 1.
 
-    No error bound is claimed; ``round_div_root`` certifies the result.  For
-    den <= 2 it is one integer root (``math.isqrt``) of about twice the
-    result's bits.  Otherwise precision doubles (Brent & Zimmermann, 1.5,
-    4.2).  With w = ceil(bl(m 2^e) / den) - t, the result's bits or one
-    more, a double gives it for w <= 48: the root of m's 53-bit head times
-    2^(r/den) for the remainder r < den of its exponent, so no double
-    passes 2^54 however large den is.  A longer result takes the one of
-    p = w/2 + 16 bits, y, and one Newton step on x = y 2^(w-p),
-    x + (P - x**den) / (den x**(den-1)) for P = m 2^(e - den t).  The
-    residual P - x**den has about p bits, so the step divides a 2p-bit
-    number by a p-bit one, with x**den taken to w + 16 bits and x**(den-1)
-    to p bits.
+    No error bound is claimed: ``round_div_root`` certifies the result on
+    its bracket, and ``nth_root_floor`` (e = t = 0) corrects it with exact
+    powers.  For den <= 2 it is one integer root (``math.isqrt``) of about
+    twice the result's bits.  Otherwise precision doubles (Brent &
+    Zimmermann, 1.5, 4.2).  With w = ceil(bl(m 2^e) / den) - t, the
+    result's bits or one more, a double gives it for w <= 48: the root of
+    m's 53-bit head times 2^(r/den) for the remainder r < den of its
+    exponent, so no double passes 2^54 however large den is.  A longer
+    result takes the one of p = w/2 + 16 bits, y, and one Newton step on
+    x = y 2^(w-p), x + (P - x**den) / (den x**(den-1)) for
+    P = m 2^(e - den t).  The residual P - x**den has about p bits, so the
+    step divides a 2p-bit number by a p-bit one, with x**den taken to
+    w + 16 bits and x**(den-1) to p bits.
     """
     if den <= 2:
         return nth_root_floor(_shift(m, e - den * t), den)

@@ -156,6 +156,8 @@ class StepFunction:
             t_s, num_s, den_s = row.split(",")
             bps.append(parse_decimal(t_s))
             pairs.append((parse_decimal(num_s), parse_decimal(den_s)))
+        if not bps:
+            raise ValueError("CSV has a header but no rows")
         if domain_end is None:
             domain_end = 2 * bps[-1]
         return StepFunction(tuple(bps), tuple(pairs), domain_end)

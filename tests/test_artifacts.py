@@ -60,6 +60,11 @@ PINS = [
     # T2 where every rounded root is longer than its base (gamma - 1/gamma > 1).
     (["verify", "--theorem", "T2", "--gamma", "7/4", "--depth", "11"],
      "363cabaf2ae5a67fa62ec08dc25a6f3c417483430a291afed5130da4cadf472f"),
+    # Exact roots of the full power: 10,000th roots at s < 2^65, and thm3's cube roots.
+    (["verify", "--theorem", "T2", "--gamma", "1.3001", "--depth", "6"],
+     "d0c21335708159f4b871786e48d0297200ac0f4ac4c126bd51a28829249bfed6"),
+    (["verify", "--theorem", "T3", "--gamma", "4/3", "--depth", "10"],
+     "834e6507275b37f05c77f7cc3c5721db6cb17d155dc959c5a381ba14bfe21d33"),
     (["verify", "--theorem", "T3", "--gamma", "1", "--depth", "8"],
      "061de3d012b8e969a25ca31f19f2489bda5ce28e3b70f6612a0bd525ea7f2970"),
     (["verify", "--theorem", "T4", "--gamma", "1", "--depth", "8"],

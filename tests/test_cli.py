@@ -117,10 +117,13 @@ class TestConstruct:
         pytest.param(["cf", "--prefix", '{"tail": [1, 2]}'], id="prefix-without-a0"),
         pytest.param(["cf", "--prefix", '{"a0": 0, "tail": 5}'], id="prefix-tail-not-a-list"),
         pytest.param(["plot", "--csv", "no-such-dir/missing.csv"], id="missing-csv"),
+        pytest.param(["plot", "--csv", "header.csv"], id="header-only-csv"),
         pytest.param(["lemma1", "--pairs", "0"], id="pairs-zero"),
         pytest.param(["lemma1", "--pairs", "-3"], id="pairs-negative"),
     ])
-    def test_usage_error_exit_code(self, argv, capsys):
+    def test_usage_error_exit_code(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "header.csv").write_text("t,value_num,value_den\n", encoding="utf-8")
         try:
             code = main(argv)
         except SystemExit as exc:

@@ -55,6 +55,24 @@ def test_nth_root_floor_huge():
     assert r2 == 6
 
 
+def test_nth_root_floor_corrects_the_candidate_both_ways():
+    """x**k - 1, x**k and x**k + 1 for n of 10^2 to 10^5 bits: the floor
+    steps from x - 1 to x there, so the Newton candidate lands on both sides
+    of it and both correction loops run."""
+    rng = random.Random("kernel")
+    offsets = set()
+    for k in (3, 4, 10, 13, 45, 4001):
+        for bits in (100, 1000, 10_000, 100_000):
+            xb = max(bits // k, 2)
+            x = rng.getrandbits(xb) | 1 << (xb - 1)
+            for n in (x**k - 1, x**k, x**k + 1):
+                r = nth_root_floor(n, k)
+                assert r**k <= n < (r + 1) ** k
+                assert r == (x if n >= x**k else x - 1)
+                offsets.add(max(intmath._root_near(n, 0, k, 0), 1) - r)
+    assert min(offsets) < 0 < max(offsets)
+
+
 def test_nth_root_floor_rejects():
     with pytest.raises(ValueError):
         nth_root_floor(10, 0)
@@ -108,6 +126,18 @@ def test_root_helpers_negative_c():
         assert not _at_most(2 * c + (2 * r + 1) * s, 2, base, num, den)
     # (1 + 8) / 10 rounds up although 2c + s < 0.
     assert round_div_root(1, 1, 2, -8, 10) == 1
+
+
+def test_round_root_of_a_long_base():
+    """round_root at 13/10 on 20,000-bit bases: a 10th root of a
+    260,000-bit power, checked with the integer bracket of
+    ``test_root_helpers_negative_c``."""
+    rng = random.Random(23)
+    for _ in range(3):
+        base = rng.getrandbits(20_000) | 1 << 19_999
+        r = round_root(base, 13, 10)
+        assert _at_most(2 * r - 1, 2, base, 13, 10)
+        assert not _at_most(2 * r + 1, 2, base, 13, 10)
 
 
 @pytest.fixture
@@ -449,7 +479,8 @@ def unlimited_int_str():
 @st.composite
 def root_cases(draw):
     """(n, k): random n of up to ~40k bits, perfect powers m**k and their
-    neighbours, and bit lengths 128k +- 1 around the recursion threshold."""
+    neighbours, and bit lengths 48k +- 1, where ``_root_near``'s candidate
+    leaves its double seed for a Newton step."""
     k = draw(st.integers(1, 40))
     kind = draw(st.sampled_from(["random", "power", "threshold"]))
     if kind == "random":
@@ -459,7 +490,7 @@ def root_cases(draw):
         m = draw(st.integers(1, (1 << (40_000 // k)) - 1))
         n = m**k + draw(st.integers(-1, 1))
     else:
-        bits = 128 * k + draw(st.integers(-1, 1))
+        bits = 48 * k + draw(st.integers(-1, 1))
         n = (1 << (bits - 1)) | draw(st.integers(0, (1 << (bits - 1)) - 1))
     return max(n, 0), k
 
@@ -467,7 +498,7 @@ def root_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(root_cases())
 @example((3**20000, 40))
-@example((2**(128 * 3 + 1) - 1, 3))
+@example((2**(48 * 3 + 1) - 1, 3))
 def test_nth_root_floor_oracle(case):
     n, k = case
     x = nth_root_floor(n, k)

@@ -204,8 +204,9 @@ def convergents(pq: PartialQuotients) -> list[Convergent]:
 
 
 def truncation_value(pq: PartialQuotients) -> Fraction:
-    """The exact rational value of the prefix (equals the last convergent)."""
-    return convergents(pq)[-1].value
+    """The exact rational value p_N/q_N of the prefix, read from its analysis."""
+    an = pq.analysis
+    return reduced_fraction(an.p_n, an.q_n)
 
 
 @dataclass(frozen=True)
@@ -244,25 +245,31 @@ class PrefixAnalysis:
 
 
 def analyse(pq: PartialQuotients) -> PrefixAnalysis:
-    """Denominators q_v and the last numerator p_N by the forward recurrence,
-    rho_v by the backward recurrence (1) with the corner complement (3).
+    """Denominators q_v by the forward recurrence, rho_v by the backward
+    recurrence (1) with the corner complement (3), and p_N = a0 q_N + r_0.
     ``pq.analysis`` keeps the result.  Any depth is analysed; a distance
-    table or an estimate needs depth >= 2 and checks it itself."""
+    table or an estimate needs depth >= 2 and checks it itself.
+
+    The numerator needs no recurrence of its own.  By (1) at v = 0, where
+    (p_0, q_0) = (a0, 1), |p_N - a0 q_N| = r_0, taken before the corner
+    complement.  And p_N/q_N - a0 = [0; a1, ..., aN] is positive, since
+    every a_i >= 1, so p_N = a0 q_N + r_0.  In continuants: r_0 = K(a2..aN)
+    and q_N = K(a1..aN), and p_N/q_N = a0 + K(a2..aN)/K(a1..aN).
+    """
     n = pq.depth
-    p_prev, p = 1, pq.a0
     q_prev, q_n = 0, 1
     q = [q_n]
     for a in pq.tail:
-        p, p_prev = a * p + p_prev, p
         q_n, q_prev = a * q_n + q_prev, q_n
         q.append(q_n)
     rho = [0] * (n + 1)
     rho[n - 1] = 1
     for v in range(n - 2, -1, -1):
         rho[v] = pq.tail[v + 1] * rho[v + 1] + rho[v + 2]
+    p_n = pq.a0 * q_n + rho[0]
     if 2 * rho[0] > q_n:
         rho[0] = q_n - rho[0]
-    return PrefixAnalysis(tuple(q), tuple(rho), p)
+    return PrefixAnalysis(tuple(q), tuple(rho), p_n)
 
 
 def qnorm_table(pq: PartialQuotients) -> list[ExactDistance]:

@@ -203,10 +203,11 @@ def cmd_lattice(args) -> int:
     eta = _load_prefix(args.eta)
     lat = lattice_from_pair(theta, eta, args.d1, args.d2)
     ordinary, uniform, info = lattice_exponents(lat, args.t_max)
+    text: dict[int, str] = {}  # the uniform sample keys are ordinary ones
     out = {
         "lattice": lat.to_dict(),
-        "omega_lattice": ordinary.to_dict(),
-        "omega_bar_lattice": uniform.to_dict(),
+        "omega_lattice": ordinary.to_dict(text),
+        "omega_bar_lattice": uniform.to_dict(text),
         "info": info,
         "flags": [],
     }

@@ -64,13 +64,28 @@ class ExponentEstimate:
     window: tuple[int, int]
     samples: tuple[tuple[int, float], ...] = field(repr=False)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, text: dict[int, str] | None = None) -> dict:
+        """The estimate as JSON-ready values, sample keys as decimal strings.
+
+        ``text`` maps keys already printed to their digits, and takes the
+        new ones: estimates written into one artifact share one, so that a
+        key they share is converted once.
+        """
+        text = {} if text is None else text
         return {
             "kind": self.kind,
             "value": self.value,
             "window": list(self.window),
-            "samples": [[decimal_str(t), s] for t, s in self.samples],
+            "samples": [[_key_text(t, text), s] for t, s in self.samples],
         }
+
+
+def _key_text(t: int, text: dict[int, str]) -> str:
+    """``decimal_str(t)``, read from ``text`` or converted and added to it."""
+    got = text.get(t)
+    if got is None:
+        got = text[t] = decimal_str(t)
+    return got
 
 
 class NotEstimable(ValueError):
@@ -196,13 +211,14 @@ def exponent_report(
     they must never fire on valid data.
     """
     flags: list[str] = []
+    text: dict[int, str] = {}  # the sample keys, shared by all estimates (many are q_v)
     omega_t, omega_bar_t, ups_t = _one_number(theta, "theta", window, flags)
     report: dict = {
         "omega_theta": omega_t.value,
         "omega_bar_theta": omega_bar_t.value,
         "samples": {
-            "omega_theta": omega_t.to_dict()["samples"],
-            "omega_bar_theta": omega_bar_t.to_dict()["samples"],
+            "omega_theta": omega_t.to_dict(text)["samples"],
+            "omega_bar_theta": omega_bar_t.to_dict(text)["samples"],
         },
     }
     if eta is not None:
@@ -218,8 +234,8 @@ def exponent_report(
                 "varpi_upsilon": varpi_ups.value,
             }
         )
-        report["samples"]["varpi_psi"] = varpi_psi.to_dict()["samples"]
-        report["samples"]["varpi_upsilon"] = varpi_ups.to_dict()["samples"]
+        report["samples"]["varpi_psi"] = varpi_psi.to_dict(text)["samples"]
+        report["samples"]["varpi_upsilon"] = varpi_ups.to_dict(text)["samples"]
         if not varpi_psi.value >= 1 - ASYMPTOTIC_TOL:
             flags.append("varpi_psi below 1")
         if not varpi_psi.value <= varpi_ups.value + ASYMPTOTIC_TOL:

@@ -28,10 +28,18 @@ hundreds of thousands of digits, so no kernel here is quadratic in them:
   of the bracket divides a number of the root's size by s, and the exact
   root of the full power runs only when the bracket holds a rounding
   boundary.  Its docstring proves the bracket and the exact path.
+- ``floor_divmod`` is ``divmod`` in time below quadratic: a quotient of
+  more than ``_DIV_LIMIT`` bits by a divisor of as many is found by
+  recursive 2n/1n and 3n/2n steps (Burnikel & Ziegler 1998; ibid., 1.4.3),
+  the algorithm of CPython 3.12's ``Lib/_pylong.py``, which 3.12+ runs
+  for ``//`` too.  Shorter quotients and divisors take the built-in.
 - ``decimal_str`` and ``parse_decimal`` convert by divide and conquer
-  (ibid., 1.7): ``decimal_str`` recombines binary halves in the C
-  ``decimal`` module in a context that raises on any rounding, and
-  ``parse_decimal`` recombines decimal halves with int multiplies.
+  (ibid., 1.7): ``decimal_str`` prints ``to_decimal``, which recombines
+  binary parts in the C ``decimal`` module in a context that raises on
+  any rounding, and ``parse_decimal`` recombines decimal halves with int
+  multiplies.  ``to_decimal`` splits only at the widths ``_PLAIN_BITS`` 2^k,
+  so every conversion in a process reads its powers of 2 from one shared
+  table of constants, each entry the square of the one below.
 
 No function here reads or changes the interpreter-wide int<->str digit
 limit; only pieces below the default limit go through plain ``str``/``int``.
@@ -66,8 +74,17 @@ _LN2 = math.log(2.0)
 #: Largest integer (in bits) that ``decimal_str`` converts with plain ``str``.
 _PLAIN_BITS = 10_000
 
+#: 2^(_PLAIN_BITS 2^k) as an exact ``Decimal``, by k: the powers at which
+#: ``to_decimal`` splits, shared by every conversion in the process.  Each
+#: entry is a constant, made on first use as the square of the one below.
+_POW2: dict[int, Decimal] = {}
+
 #: Longest text that ``parse_decimal`` converts with plain ``int``.
 _PLAIN_DIGITS = 4_300
+
+#: Quotients and divisors of at most this many bits ``floor_divmod`` leaves
+#: to the built-in ``divmod``, as CPython 3.12's ``Lib/_pylong.py`` does.
+_DIV_LIMIT = 4000
 
 #: Exact integer arithmetic in ``decimal``: any rounding raises.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
@@ -327,14 +344,14 @@ def _round_bracketed(base: int, num: int, den: int, c: int, s: int, t: int) -> i
     b, _, eb = _power_bounds(z + d, den, w)
     if not (_le_scaled(a, ea + den * t, lo, e) and _le_scaled(hi, e, b, eb + den * t)):
         return None
-    m, rho = divmod(((z - d) << (t + 1)) - 2 * c + s, 2 * s)
+    m, rho = floor_divmod(((z - d) << (t + 1)) - 2 * c + s, 2 * s)
     return m if rho + (d << (t + 2)) < 2 * s else None
 
 
 def _round_exact(base: int, num: int, den: int, c: int, s: int) -> int:
     """``round_div_root``'s exact path, on the full power base**num."""
     power = base**num
-    m = (nth_root_floor(power, den) - c) // s
+    m = floor_divmod(nth_root_floor(power, den) - c, s)[0]
     v = 2 * c + (2 * m + 1) * s
     if v <= 0 or v**den <= power << den:
         return m + 1
@@ -414,7 +431,88 @@ def _root_near(m: int, e: int, den: int, t: int) -> int:
     b, _, h = _power_bounds(y, den - 1, p)
     g += den * (w - p)
     residual = _shift(m, e - den * t - g) - a
-    return (y << (w - p)) + _shift(residual, g - h - (den - 1) * (w - p)) // (den * b)
+    return (y << (w - p)) + floor_divmod(_shift(residual, g - h - (den - 1) * (w - p)), den * b)[0]
+
+
+def floor_divmod(a: int, b: int) -> tuple[int, int]:
+    """``divmod(a, b)`` for any integers, b != 0, in time below quadratic.
+
+    A quotient or a divisor of at most ``_DIV_LIMIT`` bits takes the
+    built-in, whose cost is the product of the two lengths.  Otherwise,
+    for a >= 0 < b and n = bl(b), a is read as digits in base 2^n from the
+    top, and each digit costs one 2n/1n division of the remainder so far,
+    shifted up by one digit, by b (``_div2n1n``).  Other signs reduce to
+    that one: for b < 0, a = q b + r iff -a = q (-b) + (-r); for a < 0 < b,
+    ~a = -a - 1 = q b + r gives a = (~q) b + (b + ~r), and 0 <= b + ~r < b.
+    """
+    if a.bit_length() - b.bit_length() <= _DIV_LIMIT or b.bit_length() <= _DIV_LIMIT:
+        return divmod(a, b)
+    if b < 0:
+        q, r = floor_divmod(-a, -b)
+        return q, -r
+    if a < 0:
+        q, r = floor_divmod(~a, b)
+        return ~q, b + ~r
+    n = b.bit_length()
+    return _div_digits(0, a, -(-a.bit_length() // n), b, n)
+
+
+def _div_digits(r: int, a: int, k: int, b: int, n: int) -> tuple[int, int]:
+    """divmod(r 2^(kn) + a, b) for b of n bits, 0 <= r < b and 0 <= a < 2^(kn).
+
+    For k > 1 the k digits of a split at s = floor(k/2) n bits, so that a
+    level of the recursion shifts each bit once: (q1, r1) divides
+    r 2^((k - k/2) n) + (a >> s), then (q2, r2) divides r1 2^s + (a mod 2^s),
+    and q = q1 2^s + q2, with q2 < 2^s as r1 < b.
+    """
+    if k == 1:
+        return _div2n1n(r << n | a, b, n)
+    s = k // 2 * n
+    q1, r = _div_digits(r, a >> s, k - k // 2, b, n)
+    q2, r = _div_digits(r, a & ((1 << s) - 1), k // 2, b, n)
+    return q1 << s | q2, r
+
+
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    """divmod(a, b) for b of n bits and 0 <= a < 2^n b (Burnikel & Ziegler).
+
+    A quotient of at most ``_DIV_LIMIT`` bits takes the built-in.  Else n
+    is made even, if it is odd, by doubling a and b (which doubles only the
+    remainder), and with h = n/2 and b = b1 2^h + b2, the quotient's two
+    digits in base 2^h are two ``_div3n2n`` steps, on a's top 3h bits and
+    then on the remainder and a's last h bits.
+    """
+    if a.bit_length() - n <= _DIV_LIMIT:
+        return divmod(a, b)
+    pad = n & 1
+    if pad:
+        a, b, n = a << 1, b << 1, n + 1
+    h = n >> 1
+    mask = (1 << h) - 1
+    b1, b2 = b >> h, b & mask
+    q1, r = _div3n2n(a >> n, (a >> h) & mask, b, b1, b2, h)
+    q2, r = _div3n2n(r, a & mask, b, b1, b2, h)
+    return q1 << h | q2, r >> pad
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, h: int) -> tuple[int, int]:
+    """divmod(a12 2^h + a3, b) for b = b1 2^h + b2 of 2h bits, 0 <= a12 < b
+    and 0 <= a3 < 2^h.
+
+    As a12 < b, a12's top part a12 >> h is at most b1.  The estimate is
+    2^h - 1 when it equals b1, else floor(a12 / b1) by ``_div2n1n``; with
+    b's top bit set it is at most 2 above the quotient (Burnikel & Ziegler,
+    Lemma 2), and the loop steps it down while the remainder is negative.
+    """
+    if a12 >> h == b1:
+        q, r = (1 << h) - 1, a12 - (b1 << h) + b1
+    else:
+        q, r = _div2n1n(a12, b1, h)
+    r = (r << h | a3) - q * b2
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
 
 
 def reduced_fraction(num: int, den: int) -> Fraction:
@@ -442,31 +540,55 @@ def decimal_str(n: int) -> str:
     """str(n) for integers of any size, in time below quadratic.
 
     Up to ``_PLAIN_BITS`` bits (about 3,000 digits, under the interpreter's
-    default 4,300-digit int<->str limit) this is ``str(n)``.  Larger |n| is
-    split at 2**w, w half its bit length, and both halves are converted
-    recursively and recombined as hi * 2**w + lo in the C ``decimal``
-    module, whose multiplication is subquadratic.  The context has
-    ``MAX_PREC`` digits and traps ``Inexact`` and ``Rounded``, so a
-    rounding would raise instead of printing wrong digits.  No global
-    limit or context is read or changed.
+    default 4,300-digit int<->str limit) this is ``str(n)``; larger |n| is
+    printed from ``to_decimal``.  No global limit or context is read or
+    changed.
     """
-    if n.bit_length() <= _PLAIN_BITS:
-        return str(n)
-    sign = "-" if n < 0 else ""
-    return sign + str(_to_decimal(abs(n), n.bit_length(), {}))
+    return str(n) if n.bit_length() <= _PLAIN_BITS else str(to_decimal(n))
 
 
-def _to_decimal(n: int, bits: int, pow2: dict[int, Decimal]) -> Decimal:
-    """Exact ``Decimal`` of 0 <= n < 2**bits by binary splitting; ``pow2``
-    holds the powers of 2 made so far, for one conversion only."""
+def to_decimal(n: int) -> Decimal:
+    """The exact ``Decimal`` of any integer, in time below quadratic.
+
+    Up to ``_PLAIN_BITS`` bits this is ``Decimal(n)``.  Larger |n| is split
+    at 2^w for the largest w = ``_PLAIN_BITS`` 2^k below its bit length,
+    both parts are converted recursively, and they are recombined as
+    hi * 2^w + lo in the C ``decimal`` module, whose multiplication is
+    subquadratic, with 2^w read from the shared table ``_POW2``.  The
+    context has ``MAX_PREC`` digits and traps ``Inexact`` and ``Rounded``,
+    so a rounding would raise instead of giving wrong digits.
+    """
+    if n < 0:
+        return _EXACT.minus(to_decimal(-n))
+    bits = n.bit_length()
     if bits <= _PLAIN_BITS:
         return Decimal(n)
-    w = bits // 2
+    k = ((bits - 1) // _PLAIN_BITS).bit_length() - 1  # _PLAIN_BITS 2^k < bits
+    w = _PLAIN_BITS << k
     hi = n >> w
-    if w not in pow2:
-        pow2[w] = _EXACT.power(2, w)
-    return _EXACT.add(_EXACT.multiply(_to_decimal(hi, bits - w, pow2), pow2[w]),
-                      _to_decimal(n - (hi << w), w, pow2))
+    return _EXACT.add(_EXACT.multiply(to_decimal(hi), _pow2(k)), to_decimal(n - (hi << w)))
+
+
+def _pow2(k: int) -> Decimal:
+    """Entry k of ``_POW2``, made on first use: 2^_PLAIN_BITS for k = 0, else
+    the square of entry k - 1.  Two threads may both make an entry; they
+    store the same value."""
+    got = _POW2.get(k)
+    if got is None:
+        if k == 0:
+            got = _EXACT.power(2, _PLAIN_BITS)
+        else:
+            half = _pow2(k - 1)
+            got = _EXACT.multiply(half, half)
+        _POW2[k] = got
+    return got
+
+
+def scale_decimal(x: Decimal, num: int, den: int) -> Decimal:
+    """x num / den for an integral ``Decimal`` x and integers num, den > 0
+    such that den divides x num, exactly; any rounding raises.  For short
+    num and den both steps take time linear in x's digits."""
+    return _EXACT.divide(_EXACT.multiply(x, num), den)
 
 
 def parse_decimal(text: str) -> int:

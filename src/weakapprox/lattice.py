@@ -85,7 +85,8 @@ from typing import Union
 
 from .cf import PartialQuotients
 from .exponents import ExponentEstimate, _estimate
-from .intmath import fraction_str, log_product_ratio, log_ratio, ratio_less
+from .intmath import (floor_divmod, fraction_str, log_product_ratio, log_ratio, ratio_less,
+                      reduced_fraction, scale_decimal, to_decimal)
 
 __all__ = [
     "Lattice2",
@@ -200,6 +201,9 @@ def degeneracy_radius(lat: Lattice2) -> Fraction:
     return Fraction(abs(lat.D), max(lat.g1 * lat.d2, lat.g2 * lat.d1))
 
 
+#: The default cap on the sampled range, as a fraction of the degeneracy radius.
+_CAP_NUM, _CAP_DEN = 4095, 4096
+
 #: A lattice point as (m, n, x1, x2), with x1, x2 its coordinates scaled to
 #: integers by the row denominators.
 _Point = tuple[int, int, int, int]
@@ -211,10 +215,11 @@ def _axis_seed(lat: Lattice2) -> tuple[_Point, _Point]:
     m, n = lat.B2 // g, -lat.A2 // g
     e = (m, n, lat.D // g, 0)
     v = pow(m, -1, abs(n)) if n else m
-    u = (m * v - 1) // n if n else 0
+    u = floor_divmod(m * v - 1, n)[0] if n else 0
     f1 = lat.A1 * u + lat.B1 * v  # and f2 = A2 u + B2 v = g (m v - n u) = g
-    a = (2 * f1 + e[2]) // (2 * e[2])  # round(f1 / e1)
-    return e, (u - a * m, v - a * n, f1 - a * e[2], g)
+    a, rest = floor_divmod(2 * f1 + e[2], 2 * e[2])  # a = round(f1 / e1)
+    # 2 f1 + e1 = 2 e1 a + rest, so f1 - a e1 = (rest - e1) / 2 exactly.
+    return e, (u - a * m, v - a * n, (rest - e[2]) // 2, g)
 
 
 def _walk(p: _Point, q: _Point, t_num: int, t_den: int, d2: int) -> list[_Point]:
@@ -226,8 +231,8 @@ def _walk(p: _Point, q: _Point, t_num: int, t_den: int, d2: int) -> list[_Point]
         q = (-q[0], -q[1], -q[2], -q[3])
     walked: list[_Point] = []
     while 0 < q[2] < p[2]:  # x1 falls strictly, so this ends
-        a = p[2] // q[2]
-        r = (p[0] - a * q[0], p[1] - a * q[1], p[2] - a * q[2], p[3] - a * q[3])
+        a, x1 = floor_divmod(p[2], q[2])  # x1 = p1 - a q1
+        r = (p[0] - a * q[0], p[1] - a * q[1], x1, p[3] - a * q[3])
         if ratio_less(t_num, t_den, abs(r[3]), d2):
             break
         walked.append(r)
@@ -310,13 +315,27 @@ def lattice_exponents(
     without a sample of each kind raises ``exponents.NotEstimable``.
 
     The range is capped strictly below the degeneracy radius; a requested
-    t_max at or beyond it is truncated and flagged in the info dict.
+    t_max at or beyond it is truncated and flagged in the info dict.  The
+    info dict prints the radius and the cap from one conversion of the
+    radius's terms.
     """
     radius = degeneracy_radius(lat)
     truncated = t_max is not None and t_max >= radius
-    t_eff = radius * Fraction(4095, 4096) if t_max is None or truncated else Fraction(t_max)
-    info: dict = {"degeneracy_radius": fraction_str(radius), "truncated": truncated,
-                  "t_max": fraction_str(t_eff)}
+    n, d = radius.numerator, radius.denominator
+    n_dec, d_dec = to_decimal(n), to_decimal(d)
+    if t_max is None or truncated:
+        # t = radius * 4095/4096.  As n/d and 4095/4096 are in lowest terms,
+        # (4095 n)/(4096 d) has the common factor g = gcd(n, 4096) gcd(4095, d)
+        # and no other, so its lowest terms need no gcd of record size, and
+        # their digits are n's and d's times a short ratio.
+        g = gcd(n, _CAP_DEN) * gcd(_CAP_NUM, d)
+        t_eff = reduced_fraction(n * _CAP_NUM // g, d * _CAP_DEN // g)
+        t_text = f"{scale_decimal(n_dec, _CAP_NUM, g)}/{scale_decimal(d_dec, _CAP_DEN, g)}"
+    else:
+        t_eff = Fraction(t_max)
+        t_text = fraction_str(t_eff)
+    info: dict = {"degeneracy_radius": f"{n_dec}/{d_dec}", "truncated": truncated,
+                  "t_max": t_text}
 
     records = minimum_profile(lat, t_eff)
     # Every record lies below the degeneracy radius, so its product is nonzero.
@@ -325,7 +344,7 @@ def lattice_exponents(
     uni_all: list[tuple[int, float]] = []
     for k, rec in enumerate(records):
         if rec.sup >= 2 * rec.sup_den:
-            key, log_t = rec.sup // rec.sup_den, log_ratio(rec.sup, rec.sup_den)
+            key, log_t = floor_divmod(rec.sup, rec.sup_den)[0], log_ratio(rec.sup, rec.sup_den)
             ord_all.append((key, 1.0 - log_psi[k] / log_t))
             if k > 0:
                 uni_all.append((key, 1.0 - log_psi[k - 1] / log_t))

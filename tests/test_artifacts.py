@@ -103,6 +103,9 @@ PINS = [
      "b3ea9a03d98ce1bd5edcd4b97e64d663d8530b86ccc2f81c3da624b26cab988b"),
     (["verify", "--theorem", "T4", "--gamma", "1", "--depth", "12"],
      "0bed35b78f64e3ef6b959ef7e332f6d7256d1f3212e0322289e9f5bb6cd2cefa"),
+    # Walk quotients of up to 288k bits and sample keys of up to 178k: the recursive division.
+    (["verify", "--theorem", "T4", "--gamma", "1", "--depth", "14"],
+     "ff4e58d71d7b3d999ba6a14df238f91cd53a7ac40d0c5bed7008a0f8bf3db24b"),
     (["lattice", "--theta", "theta10.json", "--eta", "eta10.json", "--d1", "2", "--d2", "3"],
      "53169181bd4889f727ed3161a2ea44206e31a3e42d9f50a1dd21db3c135076cf"),
     (["exponents", "--theta", "thm1.json"],

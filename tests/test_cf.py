@@ -49,6 +49,23 @@ def test_truncation_matches_nested_evaluation():
         assert truncation_value(pq) == evaluate_nested(pq)
 
 
+def test_analysis_numerator_is_the_last_convergent_numerator():
+    """``analyse`` takes p_N = a0 q_N + r_0 without a numerator recurrence,
+    and ``truncation_value`` reads it: both agree with the recurrence on
+    random prefixes, at depth 1, with a1 = 1 and with a negative a0."""
+    rng = random.Random(17)
+    prefixes = [PartialQuotients(a0, tail) for a0 in (-5, -1, 0, 3)
+                for tail in ((1,), (2,), (1, 1), (1, 4, 1), (7, 1))]
+    for _ in range(400):
+        tail = tuple(rng.choice((1, 2, rng.randint(1, 10**9))) for _ in range(rng.randint(1, 40)))
+        prefixes.append(PartialQuotients(rng.randint(-10**9, 10**9), tail))
+    for pq in prefixes:
+        last = convergents(pq)[-1]
+        assert (pq.analysis.p_n, pq.analysis.q_n) == (last.p, last.q)
+        x = truncation_value(pq)
+        assert (x.numerator, x.denominator) == (last.p, last.q)
+
+
 def test_continuant_identity():
     rng = random.Random(99)
     for _ in range(300):

@@ -14,6 +14,7 @@ from weakapprox.cf import PartialQuotients
 from weakapprox.intmath import (
     decimal_str,
     digits_of,
+    floor_divmod,
     fraction_str,
     log_int,
     log_product_ratio,
@@ -551,6 +552,114 @@ def test_decimal_conversions_leave_the_limit_alone(default_int_limit):
     n = 3**60_000
     assert parse_decimal(decimal_str(n)) == n
     assert sys.get_int_max_str_digits() == default_int_limit
+
+
+#: ``to_decimal``'s split widths ``_PLAIN_BITS`` 2^k, k = 0..4.
+_SPLITS = [intmath._PLAIN_BITS << k for k in range(5)]
+
+
+@pytest.mark.parametrize("w", _SPLITS)
+def test_decimal_str_at_every_split_width(w):
+    """Integers of w - 1, w and w + 1 bits at each split width, of either
+    sign, against the C ``decimal`` module's own conversion."""
+    rng = random.Random(w)
+    for bits in (w - 1, w, w + 1):
+        for n in ((1 << bits) - 1, 1 << (bits - 1), rng.getrandbits(bits) | 1 << (bits - 1)):
+            text = str(decimal.Decimal(n))
+            assert decimal_str(n) == text
+            assert decimal_str(-n) == "-" + text
+
+
+def test_decimal_str_fills_the_power_table_in_either_order(monkeypatch):
+    """From an empty table, converting the smaller value first or the larger
+    one first gives the same digits, and the table holds 2^(_PLAIN_BITS 2^k)."""
+    small, large = 7**20_000, -(7**60_000)  # 56k and 168k bits
+    texts = [str(decimal.Decimal(n)) for n in (small, large)]
+    for order in (slice(None), slice(None, None, -1)):
+        monkeypatch.setattr(intmath, "_POW2", {})
+        for _ in range(2):  # an empty table, then a full one
+            assert [decimal_str(n) for n in (small, large)[order]] == texts[order]
+        assert sorted(intmath._POW2) == list(range(5))
+    assert all(int(x) == 1 << (intmath._PLAIN_BITS << k) for k, x in intmath._POW2.items())
+
+
+_LIMIT = intmath._DIV_LIMIT
+
+
+@st.composite
+def division_cases(draw):
+    """(a, b) around the limits of ``floor_divmod``, signs drawn at random:
+    random sizes up to 2^17 bits, b = 1, a < b, exact multiples (and +-1),
+    the largest 2n/1n inputs (b << n) - 1 and - 2 for b = 2^n - 1 or
+    2^(n-1), where ``_div3n2n``'s estimate hits its cap or is corrected,
+    inputs where it is 2 above the quotient digit, and quotients of
+    _DIV_LIMIT +- 1 bits over divisors of _DIV_LIMIT +- 1, 2 _DIV_LIMIT +- 1
+    and 4 _DIV_LIMIT + 1 bits."""
+    def number(bits):  # exactly ``bits`` bits
+        return draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+
+    kind = draw(st.sampled_from(["random", "unit", "below", "multiple", "extreme", "twice",
+                                 "limit"]))
+    if kind == "random":
+        a, b = number(draw(st.integers(1, 1 << 17))), number(draw(st.integers(1, 1 << 17)))
+    elif kind == "unit":
+        a, b = number(draw(st.integers(1, 1 << 17))), 1
+    elif kind == "below":
+        b = number(draw(st.integers(2, 1 << 17)))
+        a = draw(st.integers(0, b - 1))
+    elif kind == "multiple":
+        b = number(draw(st.integers(1, 1 << 16)))
+        a = number(draw(st.integers(1, 1 << 16))) * b + draw(st.integers(-1, 1))
+    elif kind == "extreme":
+        n = draw(st.integers(_LIMIT, 1 << 15))
+        b = draw(st.sampled_from([(1 << n) - 1, 1 << (n - 1)]))
+        a = (b << n) - draw(st.integers(1, 2))
+    elif kind == "twice":  # b1 = 2^(h-1), b2 = 2^h - 1 and a's top part (2^h - 1) b1
+        h = draw(st.integers(_LIMIT // 2 + 1, 1 << 14))
+        b = (1 << (2 * h - 1)) | ((1 << h) - 1)
+        a = ((1 << h) - 1) << (3 * h - 1) | draw(st.integers(0, (1 << h) - 1))
+    else:
+        n = draw(st.sampled_from([_LIMIT - 1, _LIMIT, _LIMIT + 1, 2 * _LIMIT - 1, 2 * _LIMIT,
+                                  2 * _LIMIT + 1, 4 * _LIMIT + 1]))
+        b = number(n)
+        a = number(n + draw(st.sampled_from([_LIMIT - 1, _LIMIT, _LIMIT + 1])))
+    return a * draw(st.sampled_from([1, -1])), b * draw(st.sampled_from([1, -1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_cases())
+@example((0, -1))
+@example((-(1 << 20_000) + 1, 3**9_000))
+@example((((1 << 2001) - 1) << 6002 | 12345, (1 << 4001) | ((1 << 2001) - 1)))
+def test_floor_divmod_matches_divmod(case):
+    a, b = case
+    assert floor_divmod(a, b) == divmod(a, b)
+
+
+@pytest.mark.parametrize("bits, signs", [((10**6, 5 * 10**5), (-1, 1)),
+                                         ((10**6, 9 * 10**5), (1, -1))])
+def test_floor_divmod_at_a_million_bits(bits, signs):
+    rng = random.Random(bits[1])
+    a = signs[0] * rng.getrandbits(bits[0])
+    b = signs[1] * (rng.getrandbits(bits[1]) | 1)
+    assert floor_divmod(a, b) == divmod(a, b)
+
+
+def test_floor_divmod_recurses_only_past_the_limit(monkeypatch):
+    """The kernel, not the built-in, divides a long quotient by a long
+    divisor, and a short quotient or divisor never reaches it."""
+    steps = []
+    real = intmath._div3n2n
+    monkeypatch.setattr(intmath, "_div3n2n", lambda *args: steps.append(1) or real(*args))
+    rng = random.Random(5)
+    a, b = rng.getrandbits(1 << 16), rng.getrandbits(1 << 15)
+    for x, y in ((a, b >> (b.bit_length() - _LIMIT)), (a, a >> _LIMIT), (a, 12345)):
+        assert floor_divmod(x, y) == divmod(x, y)
+    assert not steps
+    assert floor_divmod(a, b) == divmod(a, b)
+    assert steps
+    with pytest.raises(ZeroDivisionError):
+        floor_divmod(a, 0)
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from weakapprox.bounds import check_theorem
 from weakapprox.cf import PartialQuotients
 from weakapprox.cli import EXIT_INAPPLICABLE, main
 from weakapprox.construct import construct_thm2, construct_thm3, growth_rate_thm3
-from weakapprox.intmath import log_ratio, parse_decimal
+from weakapprox.intmath import fraction_str, log_ratio, parse_decimal
 from weakapprox.lattice import (
     Lattice2,
     degeneracy_radius,
@@ -181,6 +181,25 @@ def test_deep_profiles_are_prefixes_of_the_capped_profile(pair, scale):
     full = minimum_profile(lat, cap)
     for t in (1, 3, 1000, 10**20, cap, *(rec.t for rec in full)):
         assert minimum_profile(lat, t) == [rec for rec in full if rec.t <= t]
+
+
+@pytest.mark.parametrize("depth", [6, 10])
+@pytest.mark.parametrize(
+    "scale",
+    [(1, 1), (2, 3), (4096, 1), (Fraction(5, 7), Fraction(13, 8)), (3 * 4096, 7),
+     (Fraction(1, 4096), Fraction(1, 4095))],
+)
+def test_radius_and_cap_print_as_their_fractions(depth, scale):
+    """``info`` prints the radius and the cap, radius * 4095/4096, whether
+    default or truncated, from one conversion of the radius's terms; the scales put
+    factors of 4096 and of 4095 = 3^2 5 7 13 into the two terms, and depth
+    10 takes the numerator past the plain-``str`` size."""
+    lat = lattice_from_pair(*construct_thm3(Fraction(1), depth), *scale)
+    radius = degeneracy_radius(lat)
+    for t_max in (None, radius, 2 * radius):
+        _, _, info = lattice_exponents(lat, t_max)
+        assert info["degeneracy_radius"] == fraction_str(radius)
+        assert info["t_max"] == fraction_str(radius * Fraction(4095, 4096))
 
 
 @pytest.mark.parametrize("scale", [(1, 1), (2, 3)])

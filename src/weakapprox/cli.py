@@ -23,11 +23,11 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import CHECK_TOL, check_theorem
-from .cf import PartialQuotients, convergents, qnorm_table
+from .cf import PartialQuotients, convergents, qnorm_table, truncation_value
 from .construct import (GuardExceeded, InterleavingError, _digit_guard,
                         construct_thm1, construct_thm2, construct_thm3)
 from .exponents import ASYMPTOTIC_TOL, NotEstimable, exponent_report
-from .intmath import decimal_str, fraction_str, parse_decimal
+from .intmath import _decimal_text, fraction_str, parse_decimal
 from .lattice import lattice_exponents, lattice_from_pair
 from .lemma import (BOUNDARY_MARGIN, StepPair, check_conditions, find_witnesses,
                     random_step_pair, verify_witness)
@@ -139,18 +139,26 @@ def cmd_cf(args) -> int:
     pq = _load_prefix(args.prefix)
     conv = convergents(pq)
     table = qnorm_table(pq) if pq.depth >= 2 else []
+    text: dict[int, str] = {}  # every q_v is printed twice, and q_N in most rows
+
+    def dec(n: int) -> str:
+        return _decimal_text(n, text)
+
+    def frac(x: Fraction) -> str:
+        return f"{dec(x.numerator)}/{dec(x.denominator)}"
+
     out = {
-        "prefix": {"a0": decimal_str(pq.a0), "tail": [decimal_str(a) for a in pq.tail]},
-        "value": fraction_str(conv[-1].value),
+        "prefix": {"a0": dec(pq.a0), "tail": [dec(a) for a in pq.tail]},
+        "value": frac(conv[-1].value),
         "convergents": [
-            {"index": c.index, "p": decimal_str(c.p), "q": decimal_str(c.q)}
+            {"index": c.index, "p": dec(c.p), "q": dec(c.q)}
             for c in conv
         ],
         "distances": [
             {
                 "index": row.index,
-                "q": decimal_str(row.q),
-                "value": fraction_str(row.value),
+                "q": dec(row.q),
+                "value": frac(row.value),
                 "sandwich_ok": row.sandwich_ok,
                 "tail_degenerate": row.tail_degenerate,
             }
@@ -203,9 +211,14 @@ def cmd_lattice(args) -> int:
     eta = _load_prefix(args.eta)
     lat = lattice_from_pair(theta, eta, args.d1, args.d2)
     ordinary, uniform, info = lattice_exponents(lat, args.t_max)
+    # diag(d1, d2) [[1, theta], [eta, 1]]: each product cancels only gcds
+    # of a short scale term with a term of theta or eta.
+    d1, d2 = Fraction(args.d1), Fraction(args.d2)
+    matrix = {"a11": d1, "a12": d1 * truncation_value(theta),
+              "a21": d2 * truncation_value(eta), "a22": d2}
     text: dict[int, str] = {}  # the uniform sample keys are ordinary ones
     out = {
-        "lattice": lat.to_dict(),
+        "lattice": {name: fraction_str(x) for name, x in matrix.items()},
         "omega_lattice": ordinary.to_dict(text),
         "omega_bar_lattice": uniform.to_dict(text),
         "info": info,

@@ -217,15 +217,20 @@ def ratio_less(a: int, b: int, c: int, d: int) -> bool:
     """
     if not a or not c:
         return a < c
-    left = a.bit_length() + d.bit_length()
-    gap = c.bit_length() + b.bit_length() - left  # R - L
+    la, lb, lc, ld = a.bit_length(), b.bit_length(), c.bit_length(), d.bit_length()
+    left = la + ld
+    gap = lc + lb - left  # R - L
     if gap > 1 or gap < -1:
         return gap > 1
     if left > _SCREEN_BITS:
-        ah, ea = _head(a)
-        dh, ed = _head(d)
-        ch, ec = _head(c)
-        bh, eb = _head(b)
+        # ``_head`` of each factor from the bit lengths at hand, inlined: on
+        # near ties of a few thousand bits four calls cost more than the
+        # two products the screen saves.
+        ea = la - _HEAD_BITS if la > _HEAD_BITS else 0
+        eb = lb - _HEAD_BITS if lb > _HEAD_BITS else 0
+        ec = lc - _HEAD_BITS if lc > _HEAD_BITS else 0
+        ed = ld - _HEAD_BITS if ld > _HEAD_BITS else 0
+        ah, bh, ch, dh = a >> ea, b >> eb, c >> ec, d >> ed
         shift = ea + ed - ec - eb
         lo1, hi1 = ah * dh, (ah + 1) * (dh + 1)
         lo2, hi2 = ch * bh, (ch + 1) * (bh + 1)
@@ -545,6 +550,16 @@ def decimal_str(n: int) -> str:
     changed.
     """
     return str(n) if n.bit_length() <= _PLAIN_BITS else str(to_decimal(n))
+
+
+def _decimal_text(n: int, text: dict[int, str]) -> str:
+    """``decimal_str(n)``, read from ``text`` or converted and added to it:
+    an artifact that prints an integer many times shares one ``text``, kept
+    for that artifact only."""
+    got = text.get(n)
+    if got is None:
+        got = text[n] = decimal_str(n)
+    return got
 
 
 def to_decimal(n: int) -> Decimal:

@@ -39,7 +39,9 @@ have |x2| rising: they form a chain.
     dominates r, and no point has |y1| < |e1| and |y2| < |r2|: r is the
     minimum next to e.  The same holds with the coordinates swapped, so
     the least sup-norm of a zero-product point, the degeneracy radius, is
-    |D| / max(g1 d2, g2 d1).
+    |D| / max(g1 d2, g2 d1).  Its terms are kept and printed as they are:
+    their gcd would be the one gcd of record size left in a run, and no
+    step needs the radius in lowest terms.
 (3) Let p, q be consecutive, |p1| > |q1|, oriented so that p1, q1 > 0.  No
     nonzero lattice point has |y1| < p1 and |y2| < |q2|: the minimum that
     (1) finds for it would lie strictly between p and q.  So p, q is a basis
@@ -69,7 +71,10 @@ product at equal sup-norms.  The records keep |x1|, |x2|,
 d1 and d2 unreduced, and the estimates take log Psi^2 from
 ``intmath.log_product_ratio(|x1|, |x2|, d1, d2)``, which depends only on
 the value and reads the factors' heads; so they need no gcd and no
-product, and only the tests build Fractions.
+product, and only the tests build Fractions.  ``lattice_exponents`` walks
+to an integer cap read off the unreduced radius and decides truncation
+with ``ratio_less``; with ``lattice_from_pair`` it takes no gcd whose
+arguments both have more than 13 bits.
 
 ``lattice_from_pair`` knows the row gcds of a pair lattice (|n1| and |n2|
 for row scales n/m, as p/q and r/s are in lowest terms) and passes them
@@ -85,8 +90,8 @@ from typing import Union
 
 from .cf import PartialQuotients
 from .exponents import ExponentEstimate, _estimate
-from .intmath import (floor_divmod, fraction_str, log_product_ratio, log_ratio, ratio_less,
-                      reduced_fraction, scale_decimal, to_decimal)
+from .intmath import (decimal_str, floor_divmod, log_product_ratio, log_ratio, ratio_less,
+                      scale_decimal, to_decimal)
 
 __all__ = [
     "Lattice2",
@@ -138,11 +143,6 @@ class Lattice2:
         object.__setattr__(self, "g1", g1)
         object.__setattr__(self, "g2", g2)
 
-    def to_dict(self) -> dict:
-        entries = (self.A1, self.d1), (self.B1, self.d1), (self.A2, self.d2), (self.B2, self.d2)
-        return {name: fraction_str(Fraction(*entry))
-                for name, entry in zip(("a11", "a12", "a21", "a22"), entries)}
-
 
 @dataclass(frozen=True)
 class ProfileRecord:
@@ -191,14 +191,17 @@ def lattice_from_pair(
                                   n2 * eta.p_n, n2 * eta.q_n, m2 * eta.q_n, abs(n1), abs(n2))
 
 
-def degeneracy_radius(lat: Lattice2) -> Fraction:
-    """Smallest sup-norm of a nonzero lattice point with zero product,
-    |D| / max(g1 d2, g2 d1) by fact (2) of the module docstring.
+def degeneracy_radius(lat: Lattice2) -> tuple[int, int]:
+    """Smallest sup-norm of a nonzero lattice point with zero product, as
+    the integer pair (|D|, max(g1 d2, g2 d1)) of fact (2) of the module
+    docstring, not reduced: at record size the gcd that would reduce it
+    costs more than the rest of the profile, and every consumer reads the
+    value through ``ratio_less`` or prints it.
 
     Beyond this radius Psi is identically zero for a rational matrix, so
     exponent sampling there measures only the truncation.
     """
-    return Fraction(abs(lat.D), max(lat.g1 * lat.d2, lat.g2 * lat.d1))
+    return abs(lat.D), max(lat.g1 * lat.d2, lat.g2 * lat.d1)
 
 
 #: The default cap on the sampled range, as a fraction of the degeneracy radius.
@@ -247,12 +250,22 @@ def minimum_profile(lat: Lattice2, t_max: Rat) -> list[ProfileRecord]:
     once from the x2 = 0 end of the chain and merged into sup-norm order
     (see the module docstring).
     """
+    return _profile(lat, *_cap_terms(t_max))
+
+
+def _cap_terms(t_max: Rat) -> tuple[int, int]:
+    """The terms of a positive cap t_max; anything else raises."""
     t_max = Fraction(t_max)
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    tn, td, d1, d2 = t_max.numerator, t_max.denominator, lat.d1, lat.d2
+    return t_max.numerator, t_max.denominator
+
+
+def _profile(lat: Lattice2, tn: int, td: int) -> list[ProfileRecord]:
+    """``minimum_profile`` up to the sup-norm tn/td > 0, in any terms."""
+    d1, d2 = lat.d1, lat.d2
     e, r = _axis_seed(lat)
-    # sup-norm <= t_max  iff  |x1|/d1 <= t_max and |x2|/d2 <= t_max
+    # sup-norm <= tn/td  iff  |x1|/d1 <= tn/td and |x2|/d2 <= tn/td
     chain = [
         p for p in (e, r, *_walk(e, r, tn, td, d2))
         if not ratio_less(tn, td, abs(p[2]), d1) and not ratio_less(tn, td, abs(p[3]), d2)
@@ -316,28 +329,29 @@ def lattice_exponents(
 
     The range is capped strictly below the degeneracy radius; a requested
     t_max at or beyond it is truncated and flagged in the info dict.  The
-    info dict prints the radius and the cap from one conversion of the
-    radius's terms.
+    info dict prints the radius unreduced, as ``degeneracy_radius`` gives
+    it, and the cap from one conversion of the radius's terms.
     """
-    radius = degeneracy_radius(lat)
-    truncated = t_max is not None and t_max >= radius
-    n, d = radius.numerator, radius.denominator
+    n, d = degeneracy_radius(lat)
+    truncated = False
+    if t_max is not None:
+        tn, td = _cap_terms(t_max)
+        truncated = not ratio_less(tn, td, n, d)
     n_dec, d_dec = to_decimal(n), to_decimal(d)
     if t_max is None or truncated:
-        # t = radius * 4095/4096.  As n/d and 4095/4096 are in lowest terms,
-        # (4095 n)/(4096 d) has the common factor g = gcd(n, 4096) gcd(4095, d)
-        # and no other, so its lowest terms need no gcd of record size, and
-        # their digits are n's and d's times a short ratio.
+        # t = radius * 4095/4096 = (4095 n)/(4096 d).  The factor
+        # g = gcd(n, 4096) gcd(4095, d) divides both terms, and cancelling
+        # it takes no gcd of record size; the digits are n's and d's times
+        # a short ratio.
         g = gcd(n, _CAP_DEN) * gcd(_CAP_NUM, d)
-        t_eff = reduced_fraction(n * _CAP_NUM // g, d * _CAP_DEN // g)
+        tn, td = n * _CAP_NUM // g, d * _CAP_DEN // g
         t_text = f"{scale_decimal(n_dec, _CAP_NUM, g)}/{scale_decimal(d_dec, _CAP_DEN, g)}"
     else:
-        t_eff = Fraction(t_max)
-        t_text = fraction_str(t_eff)
+        t_text = f"{decimal_str(tn)}/{decimal_str(td)}"
     info: dict = {"degeneracy_radius": f"{n_dec}/{d_dec}", "truncated": truncated,
                   "t_max": t_text}
 
-    records = minimum_profile(lat, t_eff)
+    records = _profile(lat, tn, td)
     # Every record lies below the degeneracy radius, so its product is nonzero.
     log_psi = [log_product_ratio(*rec.coords, *rec.dens) / 2.0 for rec in records]
     ord_all: list[tuple[int, float]] = []

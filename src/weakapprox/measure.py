@@ -14,11 +14,14 @@ truncation stops tracking the underlying number.
 Both functions are read off the prefix's integer analysis
 (``PartialQuotients.analysis``; facts (1)-(4) of the ``cf`` docstring):
 ||q_v x|| = rho_v / q_N with one denominator q_N for every v, so the running
-minima compare the integers rho_v (psi) and q_v rho_v (upsilon) directly,
-and the values are kept as the unreduced pairs (rho_v, q_N) and
-(q_v rho_v, q_N).  Only the CSV writer ``measure_csv`` brings a value to
-lowest terms, by c = gcd(num, q_N) in closed form: write g = g_v,
-q_v = g q', rho_v = g r', q_N = g n'.  By (4) q' and r' are prime to n', so
+minima compare the integers rho_v (psi) and q_v rho_v (upsilon).  The
+upsilon drop q_v rho_v < q_w rho_w is decided on its factors as
+``ratio_less(q_v, rho_w, q_w, rho_v)``, so only the rows kept as drops get
+the product q_v rho_v; a log of one is ``log_product_ratio(q_v, rho_v,
+q_N, 1)`` and needs none.  The values are kept as the unreduced pairs
+(rho_v, q_N) and (q_v rho_v, q_N).  Only the CSV writer ``measure_csv``
+brings a value to lowest terms, by c = gcd(num, q_N) in closed form:
+write g = g_v, q_v = g q', rho_v = g r', q_N = g n'.  By (4) q' and r' are prime to n', so
 c = g for psi and c = g gcd(g q' r', n') = g gcd(g, n') = gcd(g^2, q_N) for
 upsilon.
 """
@@ -184,29 +187,32 @@ def _merged(points: list[tuple[int, Pair]], domain_end: int) -> StepFunction:
     return StepFunction(tuple(bps), tuple(pairs), domain_end)
 
 
-def _drops(pq: PartialQuotients, weak: bool) -> list[tuple[int, int]]:
-    """(v, num) for the rows v <= N-2 where num = rho_v (psi) or q_v rho_v
-    (upsilon) strictly drops below every earlier row's."""
+def _drops(pq: PartialQuotients, weak: bool) -> list[int]:
+    """The rows v <= N-2 where rho_v (psi) or q_v rho_v (upsilon) strictly
+    drops below every earlier row's; upsilon's are decided without the
+    products."""
     if pq.depth < 2:
         raise ValueError("need depth >= 2 to build a measure function")
     an = pq.analysis
     if an.domain_end < 2:
         raise ValueError("valid domain [1, q_{N-1}) is empty for this prefix")
-    kept: list[tuple[int, int]] = []
-    for v in range(pq.depth - 1):
-        num = an.q[v] * an.rho[v] if weak else an.rho[v]
-        if not kept or num < kept[-1][1]:
-            kept.append((v, num))
+    q, rho = an.q, an.rho
+    kept = [0]
+    for v in range(1, pq.depth - 1):
+        w = kept[-1]
+        # rho_v > 0 for v < N, so q_v rho_v < q_w rho_w iff q_v/rho_w < q_w/rho_v.
+        drop = ratio_less(q[v], rho[w], q[w], rho[v]) if weak else rho[v] < rho[w]
+        if drop:
+            kept.append(v)
     return kept
 
 
-def _measure(pq: PartialQuotients, weak: bool) -> StepFunction:
-    """Running minimum of rho_v (psi) or q_v rho_v (upsilon) over v <= N-2,
-    with the values (num, q_N) unreduced."""
-    kept = _drops(pq, weak)
+def _measure(pq: PartialQuotients, kept: list[int], weak: bool) -> StepFunction:
+    """The step function on the rows ``_drops(pq, weak)`` keeps, with the
+    values (num, q_N) unreduced: one product q_v rho_v per kept upsilon row."""
     an = pq.analysis
-    return StepFunction(tuple(an.q[v] for v, _ in kept),
-                        tuple((num, an.q_n) for _, num in kept), an.domain_end)
+    pairs = tuple((an.q[v] * an.rho[v] if weak else an.rho[v], an.q_n) for v in kept)
+    return StepFunction(tuple(an.q[v] for v in kept), pairs, an.domain_end)
 
 
 def measure_csv(pq: PartialQuotients, weak: bool) -> str:
@@ -215,8 +221,9 @@ def measure_csv(pq: PartialQuotients, weak: bool) -> str:
     docstring: one g_v per printed row, and no gcd with q_N for psi."""
     an = pq.analysis
     rows = []
-    for v, num in _drops(pq, weak):
+    for v in _drops(pq, weak):
         g = an.g(v)
+        num = an.q[v] * an.rho[v] if weak else an.rho[v]
         c = gcd(g * g, an.q_n) if weak else g
         rows.append((an.q[v], num // c, an.q_n // c))
     return _csv(rows)
@@ -229,7 +236,7 @@ def psi_step(pq: PartialQuotients) -> StepFunction:
     are the (deduplicated) convergent denominators and the values the exact
     distances.  Valid for t < q_{N-1}.
     """
-    return _measure(pq, weak=False)
+    return _measure(pq, _drops(pq, False), False)
 
 
 def upsilon_step(pq: PartialQuotients) -> StepFunction:
@@ -238,7 +245,7 @@ def upsilon_step(pq: PartialQuotients) -> StepFunction:
     Consecutive equal values are merged away, so stored breakpoints are
     exactly the discontinuity points.
     """
-    return _measure(pq, weak=True)
+    return _measure(pq, _drops(pq, True), True)
 
 
 def min_step(f: StepFunction, g: StepFunction) -> StepFunction:

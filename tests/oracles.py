@@ -2,11 +2,12 @@
 
 The library reads these quantities off continued fractions and the chain of
 relative minima; the tests compare its answers with the scans here.
-``exact_log_ratio`` is the
-definition the screened log kernel must match bit for bit.
-``from_entries`` and ``matrix_of`` convert between a rational matrix and the
-integer rows of a ``Lattice2``; ``dominated_controls`` turns a step pair into
-two that each break one hypothesis of the interleaving lemma.
+``exact_log_ratio`` is the definition the screened log kernel must match
+bit for bit.  ``running_minimum_rows`` is the running minimum the measure
+functions keep, on formed products.  ``from_entries`` and ``matrix_of``
+convert between a rational matrix and the integer rows of a ``Lattice2``;
+``dominated_controls`` turns a step pair into two that each break one
+hypothesis of the interleaving lemma.
 """
 
 import math
@@ -36,6 +37,26 @@ def brute_measure(x: Fraction, t: int, kind: str = "ordinary") -> Fraction:
     """min over q = 1..t of ||q x|| (ordinary) or of q ||q x|| (weak)."""
     assert kind in ("ordinary", "weak")
     return min((q if kind == "weak" else 1) * dist_to_int(q * x) for q in range(1, t + 1))
+
+
+def running_minimum_rows(pq, weak: bool) -> list[int]:
+    """The rows v <= N-2 where rho_v = q_N ||q_v x|| (psi), or the product
+    q_v rho_v (upsilon), is below every earlier row's; q_v and p_N by the
+    recurrence, rho_v from its definition, each product formed."""
+    p_prev, q_prev, p, q = 1, 0, pq.a0, 1
+    qs = [q]
+    for a in pq.tail:
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        qs.append(q)
+    kept, best = [], None
+    for v, q_v in enumerate(qs[:-2]):
+        r = q_v * p % q
+        num = min(r, q - r) * (q_v if weak else 1)
+        if best is None or num < best:
+            kept.append(v)
+            best = num
+    return kept
 
 
 def full_round_div_root(base: int, num: int, den: int, c: int, s: int) -> int:

@@ -226,7 +226,7 @@ def test_criterion_5_lattice_consistency(lattice_pair):
     start = time.time()
     theta, eta = lattice_pair
     lat = lattice_from_pair(theta, eta)
-    radius = degeneracy_radius(lat)
+    radius_num, radius_den = degeneracy_radius(lat)
     ordinary, uniform, info = lattice_exponents(lat)
 
     om_max = max(ordinary_exponent(theta).value, ordinary_exponent(eta).value)
@@ -245,13 +245,14 @@ def test_criterion_5_lattice_consistency(lattice_pair):
         "scaling shift ordinary": abs(o2.value - ordinary.value) < 0.1,
         "scaling shift uniform": abs(u2.value - uniform.value) < 0.1,
         "capped below degeneracy": not info["truncated"],
+        "radius printed unreduced": info["degeneracy_radius"] == f"{radius_num}/{radius_den}",
         "runtime": elapsed < 300.0,
     }
     ok = all(checks.values())
     report(5, ok, f"omega_lat={ordinary.value:.4f} vs {target_ord:.4f}, "
                   f"omega_bar_lat={uniform.value:.4f} vs {target_uni:.4f}, "
                   f"scaled=({o2.value:.4f},{u2.value:.4f}), radius~1e"
-                  f"{len(str(radius.numerator)) - len(str(radius.denominator))}, "
+                  f"{len(str(radius_num)) - len(str(radius_den))}, "
                   f"{elapsed:.1f}s (< 300s)")
     assert ok, checks
 

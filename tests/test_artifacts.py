@@ -41,7 +41,7 @@ PINS = [
     (["exponents", "--theta", "[0;2,3,2,3,2,3,2,3]", "--eta", "[0;3,2,3,2,3,2,3,2]"],
      "b280bfa12b044bb9c629084056cc1ee4dfedb7f2d89f61d242f35825cee34adb"),
     (["lattice", "--theta", "theta.json", "--eta", "eta.json", "--d1", "2", "--d2", "3"],
-     "75e06a826bac72c5165692037d82b77c4b028cc3cf3c7c133c38a80d1d49da43"),
+     "3146338720d6e3f602f7fd6e25e5cb7942c2102e0ce55f03ea78fa7939c5e12a"),
     (["lemma1", "--seed", "0", "--pairs", "100"],
      "379f7a828bdf8391f09a0ddaf5f8853cc74f78437264a501d4820d3163ab1e91"),
     (["lemma1", "--u-csv", "u.csv", "--v-csv", "v.csv", "--u-end", "20", "--v-end", "20",
@@ -71,12 +71,12 @@ PINS = [
      "51be81c431f5da63ac9755deddb4f22479d7e9bb8a465bff5893f8e1cebc5b3e"),
     # The lattice profile scaled, at the cap and in a small box.
     (["lattice", "--theta", WIDE_THETA, "--eta", WIDE_ETA, "--d1", "2", "--d2", "3"],
-     "7b50f6055ac2da70a36551bff061738bcdbcbb19e009eef0c057047de05e8ace"),
+     "11c307f6624647f4a52f12b3010fdead652e875d0eabef0d1fec57bc8c8dfe1e"),
     (["lattice", "--theta", WIDE_THETA, "--eta", WIDE_ETA, "--d1", "2", "--d2", "3",
      "--t-max", "3"],
-     "c44c4795f74dfca99dfa1df71a1e37515a2fb7826451eab113a9481807ded3ec"),
+     "282a6705324e8b9d2c2e78744b537491f0e0bb3f0724d3f87df71e57c7826cf6"),
     (["lattice", "--theta", "theta.json", "--eta", "eta.json", "--t-max", "1000000000"],
-     "dd687cec9f566ccc54f05dc995dd32ca0a641ab4d20d8ee7c91705ad6d07177b"),
+     "0c4f67c5e624252ab57327fd935af8c3ec2765fbad352281960ec862b96c8948"),
     # Both measure functions where the lowest terms need g_v > 1.
     (["measure", "--prefix", "theta.json", "--kind", "psi"],
      "e4337e7a9e2623047d159f0dc664f88eaf64811358b8118b7fc0b6af1583110a"),
@@ -102,12 +102,12 @@ PINS = [
     (["verify", "--theorem", "T4", "--gamma", "1", "--depth", "10"],
      "b3ea9a03d98ce1bd5edcd4b97e64d663d8530b86ccc2f81c3da624b26cab988b"),
     (["verify", "--theorem", "T4", "--gamma", "1", "--depth", "12"],
-     "0bed35b78f64e3ef6b959ef7e332f6d7256d1f3212e0322289e9f5bb6cd2cefa"),
+     "d87a1d9986f18d613802600a1886b370f2317e6050032a0ccd30536558a01936"),
     # Walk quotients of up to 288k bits and sample keys of up to 178k: the recursive division.
     (["verify", "--theorem", "T4", "--gamma", "1", "--depth", "14"],
-     "ff4e58d71d7b3d999ba6a14df238f91cd53a7ac40d0c5bed7008a0f8bf3db24b"),
+     "4461ffe545ccef933f4f4288f24cd152eafc74edaaacdfe8936a2090f02ecad7"),
     (["lattice", "--theta", "theta10.json", "--eta", "eta10.json", "--d1", "2", "--d2", "3"],
-     "53169181bd4889f727ed3161a2ea44206e31a3e42d9f50a1dd21db3c135076cf"),
+     "e7ad51d4e7365fbf8517941cdf44c8220804705107dfaca519cd71facae1c9bc"),
     (["exponents", "--theta", "thm1.json"],
      "6b749ea0137262a1a322a4d4f1e75af0486c567688e96171492571647ecc1c62"),
     (["measure", "--prefix", "thm1.json", "--kind", "psi"],

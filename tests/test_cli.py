@@ -19,13 +19,16 @@ from weakapprox.cf import PartialQuotients, convergents
 from weakapprox.cli import EXIT_INAPPLICABLE, EXIT_USAGE, main
 from weakapprox.construct import DIGIT_GUARD_ENV, construct_thm1, construct_thm2, construct_thm3
 from weakapprox.exponents import exponent_report
-from weakapprox.intmath import decimal_str, parse_decimal
+from weakapprox.intmath import decimal_str, fraction_str, parse_decimal
 from weakapprox.lattice import lattice_exponents, lattice_from_pair
 from weakapprox.measure import StepFunction
+from oracles import matrix_of
 
 
 #: A small thm3-like pair with a nonsingular lattice.
 PAIR_THETA, PAIR_ETA = "[0;3,7,156]", "[0;2,3,22]"
+#: A longer one, with enough records to estimate.
+WIDE_THETA, WIDE_ETA = "[0;3,7,156,535867,986372083990945]", "[0;2,3,22,3435,1840703167]"
 
 
 def run(argv, capsys):
@@ -272,6 +275,24 @@ class TestLatticeCommand:
         data = json.loads(out)
         assert data["flags"] == []
         assert 1.0 < data["omega_bar_lattice"]["value"] < data["omega_lattice"]["value"] + 0.05
+
+    @pytest.mark.parametrize("d1, d2, a11, a22", [("1", "1", "1/1", "1/1"),
+                                                  ("3", "1/2", "3/1", "1/2"),
+                                                  ("4/9", "10", "4/9", "10/1")])
+    def test_matrix_prints_the_scaled_entries(self, capsys, d1, d2, a11, a22):
+        """The matrix diag(d1, d2) [[1, theta], [eta, 1]] prints in lowest
+        terms: the entries of the lattice's integer rows, reduced.  4/9
+        cancels against theta = p/q (2 | q, 3 | p), 10 against eta's
+        denominator (5 | s)."""
+        code, out = run(["lattice", "--theta", WIDE_THETA, "--eta", WIDE_ETA,
+                         "--d1", d1, "--d2", d2], capsys)
+        assert code == 0
+        theta, eta = PartialQuotients.parse(WIDE_THETA), PartialQuotients.parse(WIDE_ETA)
+        lat = lattice_from_pair(theta, eta, Fraction(d1), Fraction(d2))
+        matrix = json.loads(out)["lattice"]
+        assert matrix == {name: fraction_str(x)
+                          for name, x in zip(("a11", "a12", "a21", "a22"), matrix_of(lat))}
+        assert (matrix["a11"], matrix["a22"]) == (a11, a22)
 
     def test_singular_pair_is_a_usage_error(self, capsys):
         # theta * eta = (1/2) * 2 = 1 makes [[1, theta], [eta, 1]] singular.

@@ -21,12 +21,15 @@ from weakapprox.construct import construct_thm1, construct_thm2, construct_thm3
 from weakapprox.exponents import (
     ASYMPTOTIC_TOL,
     EXACT_TOL,
+    ExponentEstimate,
+    _omega_bar,
     apply_window,
     exponent_report,
+    uniform_exponent,
 )
 from weakapprox.intmath import decimal_str, log_int, log_ratio, ratio_less
-from weakapprox.measure import measure_csv, psi_step, upsilon_step
-from oracles import brute_measure, dist_to_int, evaluate_nested
+from weakapprox.measure import _drops, measure_csv, psi_step, upsilon_step
+from oracles import brute_measure, dist_to_int, evaluate_nested, running_minimum_rows
 
 core_settings = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -204,6 +207,46 @@ def test_measure_csv_reduces_in_closed_form(pq):
     assume(convergents(pq)[-2].q >= 2)
     for weak, f in ((False, psi_step(pq)), (True, upsilon_step(pq))):
         assert measure_csv(pq, weak) == f.to_csv()
+
+
+@core_settings
+@given(prefixes())
+def test_kept_rows_equal_the_product_oracle(pq):
+    """The drops decided on factors keep the rows of the running minimum
+    of the formed products."""
+    assume(convergents(pq)[-2].q >= 2)
+    for weak in (False, True):
+        assert _drops(pq, weak) == running_minimum_rows(pq, weak)
+
+
+def assert_same_bits(got: ExponentEstimate, want: ExponentEstimate) -> None:
+    assert (got.kind, got.value.hex(), got.window) == (want.kind, want.value.hex(), want.window)
+    assert [(t, s.hex()) for t, s in got.samples] == [(t, s.hex()) for t, s in want.samples]
+
+
+@pytest.mark.parametrize(
+    "prefix",
+    [
+        pytest.param(construct_thm1(Fraction(3, 2), 14), id="thm1-d14"),
+        *(pytest.param(pq, id=f"thm2-d12-{k}")
+          for k, pq in enumerate(construct_thm2(Fraction(13, 10), 12))),
+        *(pytest.param(pq, id=f"thm3-d10-{k}")
+          for k, pq in enumerate(construct_thm3(Fraction(1), 10))),
+    ],
+)
+def test_omega_bar_from_kept_rows_constructions(prefix):
+    """omega_bar logs each kept row on its factors and gives the bits of
+    ``uniform_exponent`` on ``upsilon_step``, which logs the products."""
+    got = _omega_bar(prefix, _drops(prefix, weak=True), None)
+    assert_same_bits(got, uniform_exponent(upsilon_step(prefix), "omega_bar"))
+
+
+@core_settings
+@given(prefixes())
+def test_omega_bar_from_kept_rows_random(pq):
+    assume(convergents(pq)[-2].q >= 2)
+    got = _omega_bar(pq, _drops(pq, weak=True), None)
+    assert_same_bits(got, uniform_exponent(upsilon_step(pq), "omega_bar"))
 
 
 def test_exponent_report_takes_no_gcd(gcd_calls):

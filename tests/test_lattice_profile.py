@@ -23,7 +23,7 @@ from weakapprox.bounds import check_theorem
 from weakapprox.cf import PartialQuotients
 from weakapprox.cli import EXIT_INAPPLICABLE, main
 from weakapprox.construct import construct_thm2, construct_thm3, growth_rate_thm3
-from weakapprox.intmath import fraction_str, log_ratio, parse_decimal
+from weakapprox.intmath import decimal_str, log_ratio, parse_decimal
 from weakapprox.lattice import (
     Lattice2,
     degeneracy_radius,
@@ -60,7 +60,7 @@ def oracle_cap(lat: Lattice2) -> Fraction:
 def radii(draw, lat: Lattice2) -> Fraction:
     """t_max up to about 40, or at or past the degeneracy radius, capped by
     the oracle's budget."""
-    radius = degeneracy_radius(lat)
+    radius = Fraction(*degeneracy_radius(lat))
     den = draw(st.sampled_from((1, 3, 7, 8)))
     t = draw(
         st.one_of(
@@ -143,7 +143,7 @@ def test_general_profile_matches_oracle(case):
 )
 def test_degenerate_chains_match_oracle(entries):
     lat = from_entries(*entries)
-    for t in (Fraction(1, 2), 1, 2, degeneracy_radius(lat), 6):
+    for t in (Fraction(1, 2), 1, 2, Fraction(*degeneracy_radius(lat)), 6):
         assert_matches_oracle(lat, Fraction(t))
 
 
@@ -157,7 +157,7 @@ def test_degeneracy_radius_matches_oracle(entries):
     zero-product point, the box just inside it none."""
     assume(entries[0] * entries[3] != entries[1] * entries[2])
     lat = from_entries(*entries)
-    radius = degeneracy_radius(lat)
+    radius = Fraction(*degeneracy_radius(lat))
     assume(radius <= oracle_cap(lat))
     assert psi_lattice(lat, radius) == 0
     assert psi_lattice(lat, radius * Fraction(4095, 4096)) != 0
@@ -177,7 +177,7 @@ def test_deep_profiles_are_prefixes_of_the_capped_profile(pair, scale):
     passes the minima outside the box of radius t and keeps those inside.
     Each record's own t is a radius too, where the box test is a tie."""
     lat = lattice_from_pair(*pair, *scale)
-    cap = degeneracy_radius(lat) * Fraction(4095, 4096)
+    cap = Fraction(*degeneracy_radius(lat)) * Fraction(4095, 4096)
     full = minimum_profile(lat, cap)
     for t in (1, 3, 1000, 10**20, cap, *(rec.t for rec in full)):
         assert minimum_profile(lat, t) == [rec for rec in full if rec.t <= t]
@@ -190,16 +190,25 @@ def test_deep_profiles_are_prefixes_of_the_capped_profile(pair, scale):
      (Fraction(1, 4096), Fraction(1, 4095))],
 )
 def test_radius_and_cap_print_as_their_fractions(depth, scale):
-    """``info`` prints the radius and the cap, radius * 4095/4096, whether
-    default or truncated, from one conversion of the radius's terms; the scales put
-    factors of 4096 and of 4095 = 3^2 5 7 13 into the two terms, and depth
-    10 takes the numerator past the plain-``str`` size."""
+    """``info`` prints the radius as its unreduced terms
+    |D| / max(g1 d2, g2 d1) and the cap, whether default or truncated, as a
+    fraction equal to radius * 4095/4096; the scales put factors of 4096
+    and of 4095 = 3^2 5 7 13 into the two terms, and depth 10 takes the
+    numerator past the plain-``str`` size."""
     lat = lattice_from_pair(*construct_thm3(Fraction(1), depth), *scale)
-    radius = degeneracy_radius(lat)
+    n, d = abs(lat.D), max(lat.g1 * lat.d2, lat.g2 * lat.d1)
+    assert degeneracy_radius(lat) == (n, d)
+    radius = Fraction(n, d)
+
+    def value(text: str) -> Fraction:
+        num, _, den = text.partition("/")
+        return Fraction(parse_decimal(num), parse_decimal(den))
+
     for t_max in (None, radius, 2 * radius):
         _, _, info = lattice_exponents(lat, t_max)
-        assert info["degeneracy_radius"] == fraction_str(radius)
-        assert info["t_max"] == fraction_str(radius * Fraction(4095, 4096))
+        assert info["degeneracy_radius"] == f"{decimal_str(n)}/{decimal_str(d)}"
+        assert value(info["degeneracy_radius"]) == radius
+        assert value(info["t_max"]) == radius * Fraction(4095, 4096)
 
 
 @pytest.mark.parametrize("scale", [(1, 1), (2, 3)])
@@ -237,7 +246,7 @@ def roadmap_pair() -> Lattice2:
 
 def test_record_off_the_convergent_branches_api():
     lat = roadmap_pair()
-    radius = degeneracy_radius(lat)
+    radius = Fraction(*degeneracy_radius(lat))
     assert radius == Fraction(18400, 7)
     records = minimum_profile(lat, radius * Fraction(4095, 4096))
     assert [(r.t, r.product_sq) for r in records] == [(Fraction(186, 7), Fraction(34596, 49))]
@@ -273,20 +282,19 @@ def test_lattice_exponents_converge_with_depth(gamma, depths):
     assert slacks[-1] < 0.001, slacks
 
 
-def test_lattice_exponents_take_only_the_radius_gcd(gcd_calls):
-    """The pair lattice gets its row gcds from the scales and the records
-    need no product or gcd; the one record-sized gcd left reduces the
-    printed degeneracy radius.  The others reduce its printed multiple
-    4095/4096 and have an argument of at most 13 bits."""
+@pytest.mark.parametrize("t_max", [None, 10**9, 10**100000], ids=["cap", "1e9", "1e100000"])
+def test_lattice_exponents_take_no_record_sized_gcd(gcd_calls, t_max):
+    """The pair lattice gets its row gcds from the scales, the records need
+    no product or gcd, and the radius is printed unreduced: no gcd has both
+    arguments above 64 bits (those left cancel the cap's factor 4095/4096).
+    A t_max past the radius (10^100000) is truncated to that cap."""
     pair = construct_thm3(Fraction(1), 12)
     gcd_calls.clear()
     lat = lattice_from_pair(*pair)
     assert gcd_calls == []
-    lattice_exponents(lat)
-    big = [args for args in gcd_calls if min(a.bit_length() for a in args) > 64]
-    assert big == [(abs(lat.D), max(lat.g1 * lat.d2, lat.g2 * lat.d1))]
-    assert all(min(a.bit_length() for a in args) <= 13
-               for args in gcd_calls if args not in big)
+    _, _, info = lattice_exponents(lat, t_max)
+    assert info["truncated"] == (t_max == 10**100000)
+    assert not [args for args in gcd_calls if min(a.bit_length() for a in args) > 64]
 
 
 @profile_settings

@@ -122,6 +122,11 @@ PINS = [
      "cc9aded1a5d9e1df6e249786d8494927f2ef9c9032cca56a34ff94c77871a8ab"),
     (["plot", "--prefix", "bounded.json"],
      "664439edaa2986c59f39c50b18d80f67e5cc569d1ca923321387b9e538c7c078"),
+    # cf at depth 1 (no distance table), and with a negative a0, a1 = 1 and a_N = 1.
+    (["cf", "--prefix", "[3;7]"],
+     "23c561926969c90dbe17f75d36997c520bc761601b761e3c235f56da11eb837c"),
+    (["cf", "--prefix", "[-2;1,4,1]"],
+     "60a1c812d64ca409065cf540a4566f9bf1d2839cbf2e5a951cdc9593cfe13f36"),
     # Usage errors and an inapplicable estimate.
     (["lattice", "--theta", "[0;3,7,156]", "--eta", "[0;2,3,22]", "--t-max", "1/0"],
      "b4935467565928ba9782303eabf6de4e23f3f1e69fc967052625ebe6cc364e8e"),

@@ -7,10 +7,8 @@ combinatorics are all computed in exact rational arithmetic on top of them.
 
 from .bounds import BoundCheck, G_frak, check_theorem, g_frak
 from .cf import (
-    Convergent,
     ExactDistance,
     PartialQuotients,
-    convergents,
     qnorm_table,
     truncation_value,
 )
@@ -49,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundCheck",
-    "Convergent",
     "ExactDistance",
     "ExponentEstimate",
     "G_frak",
@@ -65,7 +62,6 @@ __all__ = [
     "construct_thm1",
     "construct_thm2",
     "construct_thm3",
-    "convergents",
     "degeneracy_radius",
     "exponent_report",
     "find_witnesses",

@@ -49,8 +49,8 @@ ratio, so only a value that is printed needs lowest terms: ``qnorm_table``
 (the ``cf`` artifact's distances) and the ``measure`` CSV take g_v by (4),
 one row at a time, through ``PrefixAnalysis.g``.  Everything else reads
 the unreduced pairs (rho_v, q_N).  ``Fraction`` objects are made only at
-the public boundary (``Convergent.value``, ``truncation_value``,
-``ExactDistance.value``), from pairs already known to be in lowest terms.
+the public boundary (``truncation_value`` and ``ExactDistance.value``),
+from pairs already known to be in lowest terms.
 """
 
 from __future__ import annotations
@@ -66,10 +66,8 @@ from .intmath import decimal_str, parse_decimal, reduced_fraction
 __all__ = [
     "PartialQuotients",
     "PrefixAnalysis",
-    "Convergent",
     "ExactDistance",
     "analyse",
-    "convergents",
     "truncation_value",
     "qnorm_table",
 ]
@@ -157,20 +155,6 @@ class PartialQuotients:
 
 
 @dataclass(frozen=True)
-class Convergent:
-    """One convergent p/q of a prefix, with its index."""
-
-    index: int
-    p: int
-    q: int
-
-    @property
-    def value(self) -> Fraction:
-        # p_v q_{v-1} - p_{v-1} q_v = +-1, so p/q is in lowest terms.
-        return reduced_fraction(self.p, self.q)
-
-
-@dataclass(frozen=True)
 class ExactDistance:
     """||q * x|| for the truncation value x, as an exact rational.
 
@@ -188,21 +172,6 @@ class ExactDistance:
     tail_degenerate: bool = False
 
 
-def convergents(pq: PartialQuotients) -> list[Convergent]:
-    """All convergents (p0,q0), ..., (pN,qN) by the standard recurrence.
-
-    p_v = a_v p_{v-1} + p_{v-2},  q_v = a_v q_{v-1} + q_{v-2}.
-    """
-    p_prev, q_prev = 1, 0
-    p, q = pq.a0, 1
-    out = [Convergent(0, p, q)]
-    for i, a in enumerate(pq.tail, start=1):
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-        out.append(Convergent(i, p, q))
-    return out
-
-
 def truncation_value(pq: PartialQuotients) -> Fraction:
     """The exact rational value p_N/q_N of the prefix, read from its analysis."""
     an = pq.analysis
@@ -216,7 +185,8 @@ class PrefixAnalysis:
     ``q[v]`` is the convergent denominator q_v and ``rho[v]`` is
     q_N ||q_v x||, for v = 0..N, as facts (1)-(3) of the module docstring
     define them; ``p_n`` is the last numerator, so x = p_N/q_N.  The other
-    numerators p_v are not kept: nothing downstream reads them.  Rows
+    numerators p_v are not kept: only the ``cf`` command prints them, and
+    it runs their recurrence in its own output loop.  Rows
     v <= N-2 are valid for measure functions, whose domain therefore ends
     at ``domain_end`` = q_{N-1}.
     """

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import CHECK_TOL, check_theorem
-from .cf import PartialQuotients, convergents, qnorm_table, truncation_value
+from .cf import PartialQuotients, qnorm_table, truncation_value
 from .construct import (GuardExceeded, InterleavingError, _digit_guard,
                         construct_thm1, construct_thm2, construct_thm3)
 from .exponents import ASYMPTOTIC_TOL, NotEstimable, exponent_report
@@ -137,7 +137,6 @@ def _build(scheme: str, gamma: Fraction, depth: int,
 
 def cmd_cf(args) -> int:
     pq = _load_prefix(args.prefix)
-    conv = convergents(pq)
     table = qnorm_table(pq) if pq.depth >= 2 else []
     text: dict[int, str] = {}  # every q_v is printed twice, and q_N in most rows
 
@@ -147,13 +146,16 @@ def cmd_cf(args) -> int:
     def frac(x: Fraction) -> str:
         return f"{dec(x.numerator)}/{dec(x.denominator)}"
 
+    # Only this artifact prints the numerators p_v, so their recurrence
+    # p_v = a_v p_{v-1} + p_{v-2}, from (p_{-2}, p_{-1}) = (0, 1), runs here.
+    conv, p_prev, p = [], 0, 1
+    for v, (a, q) in enumerate(zip((pq.a0, *pq.tail), pq.analysis.q)):
+        p, p_prev = a * p + p_prev, p
+        conv.append({"index": v, "p": dec(p), "q": dec(q)})
     out = {
         "prefix": {"a0": dec(pq.a0), "tail": [dec(a) for a in pq.tail]},
-        "value": frac(conv[-1].value),
-        "convergents": [
-            {"index": c.index, "p": dec(c.p), "q": dec(c.q)}
-            for c in conv
-        ],
+        "value": frac(truncation_value(pq)),
+        "convergents": conv,
         "distances": [
             {
                 "index": row.index,

@@ -61,20 +61,22 @@ have |x2| rising: they form a chain.
     stretch is in sup-norm order, and so is the rest: merging the two
     orders the minima by sup-norm, the smaller product first at a tie.
 
-``minimum_profile`` seeds the chain at its x2 = 0 end, walks it once,
-merges it by (5) and keeps the running minima, on the integer rows of
-``Lattice2``.  No step multiplies two coordinates: the box test and the
-merge compare sup-norms with ``intmath.ratio_less``, and the record test
-|x1 x2| < |y1 y2| is ``ratio_less(|x1|, |y2|, |y1|, |x2|)``, both screened
-on bit lengths and then on 64-bit heads; so is the merge's tie-break by
-product at equal sup-norms.  The records keep |x1|, |x2|,
+``minimum_profile`` is the one walker.  It takes the sup-norm bound as
+two positive integer terms in any form, seeds the chain at its x2 = 0
+end, walks it once, merges it by (5) and keeps the running minima, on the
+integer rows of ``Lattice2``.  No step multiplies two coordinates: the box
+test and the merge compare sup-norms with ``intmath.ratio_less``, and the
+record test |x1 x2| < |y1 y2| is ``ratio_less(|x1|, |y2|, |y1|, |x2|)``,
+both screened on bit lengths and then on 64-bit heads; so is the merge's
+tie-break by product at equal sup-norms.  The records keep |x1|, |x2|,
 d1 and d2 unreduced, and the estimates take log Psi^2 from
 ``intmath.log_product_ratio(|x1|, |x2|, d1, d2)``, which depends only on
 the value and reads the factors' heads; so they need no gcd and no
-product, and only the tests build Fractions.  ``lattice_exponents`` walks
-to an integer cap read off the unreduced radius and decides truncation
-with ``ratio_less``; with ``lattice_from_pair`` it takes no gcd whose
-arguments both have more than 13 bits.
+product, and only the tests build Fractions.  ``lattice_exponents`` calls
+``minimum_profile`` on an integer cap read off the unreduced radius, whose
+terms only small gcds cancel, and decides truncation with ``ratio_less``;
+with ``lattice_from_pair`` it takes no gcd whose arguments both have more
+than 13 bits, and makes no ``Fraction`` of record size.
 
 ``lattice_from_pair`` knows the row gcds of a pair lattice (|n1| and |n2|
 for row scales n/m, as p/q and r/s are in lowest terms) and passes them
@@ -243,32 +245,23 @@ def _walk(p: _Point, q: _Point, t_num: int, t_den: int, d2: int) -> list[_Point]
     return walked
 
 
-def minimum_profile(lat: Lattice2, t_max: Rat) -> list[ProfileRecord]:
-    """All running-minimum records of the product up to sup-norm t_max.
+def minimum_profile(lat: Lattice2, t_num: int, t_den: int = 1) -> list[ProfileRecord]:
+    """All running-minimum records of the product up to the sup-norm
+    t_num/t_den, given by positive integer terms in any form.
 
-    The candidates are the relative minima with sup-norm <= t_max, walked
-    once from the x2 = 0 end of the chain and merged into sup-norm order
-    (see the module docstring).
+    The candidates are the relative minima with sup-norm <= t_num/t_den,
+    walked once from the x2 = 0 end of the chain and merged into sup-norm
+    order (see the module docstring).
     """
-    return _profile(lat, *_cap_terms(t_max))
-
-
-def _cap_terms(t_max: Rat) -> tuple[int, int]:
-    """The terms of a positive cap t_max; anything else raises."""
-    t_max = Fraction(t_max)
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    return t_max.numerator, t_max.denominator
-
-
-def _profile(lat: Lattice2, tn: int, td: int) -> list[ProfileRecord]:
-    """``minimum_profile`` up to the sup-norm tn/td > 0, in any terms."""
+    if t_num <= 0 or t_den <= 0:
+        raise ValueError("t_num and t_den must be positive")
     d1, d2 = lat.d1, lat.d2
     e, r = _axis_seed(lat)
-    # sup-norm <= tn/td  iff  |x1|/d1 <= tn/td and |x2|/d2 <= tn/td
+    # sup-norm <= t  iff  |x1|/d1 <= t and |x2|/d2 <= t
     chain = [
-        p for p in (e, r, *_walk(e, r, tn, td, d2))
-        if not ratio_less(tn, td, abs(p[2]), d1) and not ratio_less(tn, td, abs(p[3]), d2)
+        p for p in (e, r, *_walk(e, r, t_num, t_den, d2))
+        if not ratio_less(t_num, t_den, abs(p[2]), d1)
+        and not ratio_less(t_num, t_den, abs(p[3]), d2)
     ]
     # Fact (5): the sup-norm is |x1|/d1 on the first k points and |x2|/d2
     # after; each stretch goes on a stack whose top has the least sup-norm.
@@ -327,15 +320,20 @@ def lattice_exponents(
     ``exponents.apply_window`` schedules, as on the number side.  An input
     without a sample of each kind raises ``exponents.NotEstimable``.
 
-    The range is capped strictly below the degeneracy radius; a requested
-    t_max at or beyond it is truncated and flagged in the info dict.  The
+    The records are ``minimum_profile``'s up to the cap.  The range is
+    capped strictly below the degeneracy radius, at 4095/4096 of it by
+    default; a requested t_max must be positive, and one at or beyond the
+    radius is truncated to that cap and flagged in the info dict.  The
     info dict prints the radius unreduced, as ``degeneracy_radius`` gives
     it, and the cap from one conversion of the radius's terms.
     """
     n, d = degeneracy_radius(lat)
     truncated = False
     if t_max is not None:
-        tn, td = _cap_terms(t_max)
+        t_max = Fraction(t_max)
+        if t_max <= 0:  # before ratio_less, which needs nonnegative terms
+            raise ValueError("t_max must be positive")
+        tn, td = t_max.numerator, t_max.denominator
         truncated = not ratio_less(tn, td, n, d)
     n_dec, d_dec = to_decimal(n), to_decimal(d)
     if t_max is None or truncated:
@@ -351,7 +349,7 @@ def lattice_exponents(
     info: dict = {"degeneracy_radius": f"{n_dec}/{d_dec}", "truncated": truncated,
                   "t_max": t_text}
 
-    records = _profile(lat, tn, td)
+    records = minimum_profile(lat, tn, td)
     # Every record lies below the degeneracy radius, so its product is nonzero.
     log_psi = [log_product_ratio(*rec.coords, *rec.dens) / 2.0 for rec in records]
     ord_all: list[tuple[int, float]] = []

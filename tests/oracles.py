@@ -2,6 +2,8 @@
 
 The library reads these quantities off continued fractions and the chain of
 relative minima; the tests compare its answers with the scans here.
+``convergents`` is the textbook (p_v, q_v) recurrence that the prefix
+analysis, the truncation value and the ``cf`` artifact are checked against.
 ``exact_log_ratio`` is the definition the screened log kernel must match
 bit for bit.  ``running_minimum_rows`` is the running minimum the measure
 functions keep, on formed products.  ``from_entries`` and ``matrix_of``
@@ -17,6 +19,19 @@ from weakapprox.intmath import nth_root_floor
 from weakapprox.lattice import Lattice2
 from weakapprox.lemma import StepPair
 from weakapprox.measure import StepFunction
+
+
+def convergents(pq) -> list[tuple[int, int]]:
+    """(p_v, q_v) for v = 0..N by p_v = a_v p_{v-1} + p_{v-2} and
+    q_v = a_v q_{v-1} + q_{v-2}, from (p_{-2}, q_{-2}) = (0, 1) and
+    (p_{-1}, q_{-1}) = (1, 0)."""
+    p_prev, q_prev, p, q = 0, 1, 1, 0
+    out = []
+    for a in (pq.a0, *pq.tail):
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        out.append((p, q))
+    return out
 
 
 def evaluate_nested(pq) -> Fraction:
@@ -43,14 +58,10 @@ def running_minimum_rows(pq, weak: bool) -> list[int]:
     """The rows v <= N-2 where rho_v = q_N ||q_v x|| (psi), or the product
     q_v rho_v (upsilon), is below every earlier row's; q_v and p_N by the
     recurrence, rho_v from its definition, each product formed."""
-    p_prev, q_prev, p, q = 1, 0, pq.a0, 1
-    qs = [q]
-    for a in pq.tail:
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-        qs.append(q)
+    conv = convergents(pq)
+    p, q = conv[-1]
     kept, best = [], None
-    for v, q_v in enumerate(qs[:-2]):
+    for v, (_, q_v) in enumerate(conv[:-2]):
         r = q_v * p % q
         num = min(r, q - r) * (q_v if weak else 1)
         if best is None or num < best:

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from weakapprox.bounds import G_frak, check_theorem, g_frak
-from weakapprox.cf import PartialQuotients, convergents, qnorm_table
+from weakapprox.cf import PartialQuotients, qnorm_table
 from weakapprox.cli import main as cli_main
 from weakapprox.construct import construct_thm1, construct_thm2, construct_thm3
 from weakapprox.exponents import ordinary_exponent, uniform_exponent
@@ -35,7 +35,7 @@ from weakapprox.lemma import (
     verify_witness,
 )
 from weakapprox.measure import min_step, psi_step, upsilon_step
-from oracles import dominated_controls
+from oracles import convergents, dominated_controls
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -112,15 +112,14 @@ def _capped_prefix(rng: random.Random, q_cap: int = 20_000) -> PartialQuotients:
         if keep < 2:
             continue
         pq = PartialQuotients(rng.randint(-2, 2), tail[:keep])
-        if convergents(pq)[-2].q >= 2:
+        if pq.analysis.q[-2] >= 2:
             return pq
 
 
 def _scan_check(pq: PartialQuotients) -> None:
     """Exact, integer-only brute scan of both measure functions over the
     whole valid domain, compared piecewise against the step functions."""
-    conv = convergents(pq)
-    p_n, q_n = conv[-1].p, conv[-1].q
+    p_n, q_n = convergents(pq)[-1]
     psi = psi_step(pq)
     ups = upsilon_step(pq)
 
@@ -154,14 +153,14 @@ def test_criterion_1_exactness_suite():
         pq = _capped_prefix(rng)
         conv = convergents(pq)
         for k in range(1, len(conv)):
-            det = conv[k].p * conv[k - 1].q - conv[k - 1].p * conv[k].q
-            assert det == (-1) ** (k - 1)
+            (p, q), (p_prev, q_prev) = conv[k], conv[k - 1]
+            assert p * q_prev - p_prev * q == (-1) ** (k - 1)
         for row in qnorm_table(pq):
             if not row.sandwich_ok:
                 continue
-            nxt = conv[row.index + 1]
+            q_next = conv[row.index + 1][1]
             a_next = pq.tail[row.index]
-            assert Fraction(1, 2 * nxt.q) < row.value < Fraction(1, nxt.q)
+            assert Fraction(1, 2 * q_next) < row.value < Fraction(1, q_next)
             assert Fraction(1, a_next + 2) < row.q * row.value < Fraction(1, a_next)
         _scan_check(pq)
     elapsed = time.time() - start

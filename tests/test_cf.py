@@ -1,10 +1,12 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from weakapprox.cf import PartialQuotients, convergents, qnorm_table, truncation_value
-from oracles import evaluate_nested
+from weakapprox.cf import PartialQuotients, qnorm_table, truncation_value
+from weakapprox.cli import main
+from oracles import convergents, evaluate_nested
 
 
 def random_prefix(rng, max_depth=50, max_quot=9):
@@ -16,12 +18,13 @@ def random_prefix(rng, max_depth=50, max_quot=9):
 
 def test_fibonacci_denominators():
     pq = PartialQuotients(1, (1, 1, 1, 1))
-    assert [c.q for c in convergents(pq)] == [1, 1, 2, 3, 5]
+    assert pq.analysis.q == (1, 1, 2, 3, 5)
 
 
 def test_hand_run_recurrence():
     pq = PartialQuotients(0, (2, 2, 2))
-    assert [(c.p, c.q) for c in convergents(pq)] == [(0, 1), (1, 2), (2, 5), (5, 12)]
+    assert convergents(pq) == [(0, 1), (1, 2), (2, 5), (5, 12)]
+    assert (pq.analysis.q, pq.analysis.p_n) == ((1, 2, 5, 12), 5)
 
 
 def test_empty_tail_rejected():
@@ -49,31 +52,47 @@ def test_truncation_matches_nested_evaluation():
         assert truncation_value(pq) == evaluate_nested(pq)
 
 
-def test_analysis_numerator_is_the_last_convergent_numerator():
-    """``analyse`` takes p_N = a0 q_N + r_0 without a numerator recurrence,
-    and ``truncation_value`` reads it: both agree with the recurrence on
-    random prefixes, at depth 1, with a1 = 1 and with a negative a0."""
+def corner_prefixes() -> list[PartialQuotients]:
+    """Random prefixes, and prefixes at depth 1, with a1 = 1, with a_N = 1
+    and with a negative a0."""
     rng = random.Random(17)
     prefixes = [PartialQuotients(a0, tail) for a0 in (-5, -1, 0, 3)
                 for tail in ((1,), (2,), (1, 1), (1, 4, 1), (7, 1))]
     for _ in range(400):
         tail = tuple(rng.choice((1, 2, rng.randint(1, 10**9))) for _ in range(rng.randint(1, 40)))
         prefixes.append(PartialQuotients(rng.randint(-10**9, 10**9), tail))
-    for pq in prefixes:
-        last = convergents(pq)[-1]
-        assert (pq.analysis.p_n, pq.analysis.q_n) == (last.p, last.q)
+    return prefixes
+
+
+def test_analysis_numerator_is_the_last_convergent_numerator():
+    """``analyse`` takes p_N = a0 q_N + r_0 without a numerator recurrence,
+    and ``truncation_value`` reads it: both agree with the recurrence."""
+    for pq in corner_prefixes():
+        conv = convergents(pq)
+        assert (pq.analysis.q, pq.analysis.p_n) == (tuple(q for _, q in conv), conv[-1][0])
         x = truncation_value(pq)
-        assert (x.numerator, x.denominator) == (last.p, last.q)
+        assert (x.numerator, x.denominator) == conv[-1]
+
+
+def test_cf_prints_the_recurrence(capsys):
+    """The ``cf`` artifact prints every p_v and q_v of the recurrence, and
+    p_N/q_N as the value, on the same prefixes."""
+    for pq in corner_prefixes():
+        assert main(["cf", "--prefix", pq.to_json()]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        conv = convergents(pq)
+        assert [(c["index"], int(c["p"]), int(c["q"])) for c in doc["convergents"]] == [
+            (v, p, q) for v, (p, q) in enumerate(conv)]
+        assert doc["value"] == "{}/{}".format(*conv[-1])
 
 
 def test_continuant_identity():
     rng = random.Random(99)
     for _ in range(300):
-        pq = random_prefix(rng, max_depth=30)
-        conv = convergents(pq)
+        conv = convergents(random_prefix(rng, max_depth=30))
         for k in range(1, len(conv)):
-            det = conv[k].p * conv[k - 1].q - conv[k - 1].p * conv[k].q
-            assert det == (-1) ** (k - 1)
+            (p, q), (p_prev, q_prev) = conv[k], conv[k - 1]
+            assert p * q_prev - p_prev * q == (-1) ** (k - 1)
 
 
 def test_qnorm_values_example():
@@ -111,13 +130,12 @@ def test_sandwich_inequalities_exact():
     rng = random.Random(31337)
     for _ in range(250):
         pq = random_prefix(rng, max_depth=12)
-        conv = convergents(pq)
         for row in qnorm_table(pq):
             if not row.sandwich_ok:
                 continue
-            nxt = conv[row.index + 1]
+            q_next = pq.analysis.q[row.index + 1]
             a_next = pq.tail[row.index]  # a_{index+1}
-            assert Fraction(1, 2 * nxt.q) < row.value < Fraction(1, nxt.q)
+            assert Fraction(1, 2 * q_next) < row.value < Fraction(1, q_next)
             assert Fraction(1, a_next + 2) < row.q * row.value < Fraction(1, a_next)
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import weakapprox.cli as cli
 from weakapprox.bounds import BoundCheck, check_theorem
-from weakapprox.cf import PartialQuotients, convergents
+from weakapprox.cf import PartialQuotients
 from weakapprox.cli import EXIT_INAPPLICABLE, EXIT_USAGE, main
 from weakapprox.construct import DIGIT_GUARD_ENV, construct_thm1, construct_thm2, construct_thm3
 from weakapprox.exponents import exponent_report
@@ -491,7 +491,7 @@ class TestLoadGuard:
             p = tmp_path / f"{name}.json"
             p.write_text(pq.to_json(), encoding="utf-8")
             paths.append(str(p))
-        digits = max(len(str(convergents(pq)[-1].q)) for pq in (theta, eta))
+        digits = max(len(str(pq.analysis.q_n)) for pq in (theta, eta))
         argv = ["exponents", "--theta", paths[0], "--eta", paths[1]]
         monkeypatch.setenv(DIGIT_GUARD_ENV, str(digits))
         assert run(argv, capsys)[0] == 0
@@ -506,7 +506,7 @@ class TestLoadGuard:
     )
     def test_digit_bound_never_exceeds_q(self, tail):
         pq = PartialQuotients(0, tuple(tail))
-        assert pq.min_q_digits() <= len(str(convergents(pq)[-1].q))
+        assert pq.min_q_digits() <= len(str(pq.analysis.q_n))
 
 
 class TestNoGlobalIntStrLimit:
@@ -527,7 +527,7 @@ class TestNoGlobalIntStrLimit:
         return (self.INLINE, str(path))
 
     def test_q_n_exceeds_the_default_limit(self):
-        q_n = convergents(PartialQuotients(0, self.TAIL))[-1].q
+        q_n = PartialQuotients(0, self.TAIL).analysis.q_n
         assert len(decimal_str(q_n)) > 20_000
 
     @pytest.mark.parametrize("command, flag", [("cf", "--prefix"), ("exponents", "--theta")])

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from weakapprox import construct
-from weakapprox.cf import convergents
 from weakapprox.construct import (
     DIGIT_GUARD_ENV,
     GuardExceeded,
@@ -19,7 +18,7 @@ from oracles import full_round_div_root
 
 
 def q_sequence(pq):
-    return [c.q for c in convergents(pq)]
+    return list(pq.analysis.q)
 
 
 class TestSpec:

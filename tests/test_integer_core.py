@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import weakapprox.cf as cf
-from weakapprox.cf import PartialQuotients, convergents, qnorm_table
+from weakapprox.cf import PartialQuotients, qnorm_table
 from weakapprox.construct import construct_thm1, construct_thm2, construct_thm3
 from weakapprox.exponents import (
     ASYMPTOTIC_TOL,
@@ -29,7 +29,8 @@ from weakapprox.exponents import (
 )
 from weakapprox.intmath import decimal_str, log_int, log_ratio, ratio_less
 from weakapprox.measure import _drops, measure_csv, psi_step, upsilon_step
-from oracles import brute_measure, dist_to_int, evaluate_nested, running_minimum_rows
+from oracles import (brute_measure, convergents, dist_to_int, evaluate_nested,
+                     running_minimum_rows)
 
 core_settings = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -51,7 +52,7 @@ def prefixes(draw, max_depth=40, max_quotient=10**6):
 
 
 def small_domain(pq):
-    return 2 <= convergents(pq)[-2].q <= 60
+    return 2 <= pq.analysis.q[-2] <= 60
 
 
 def assert_lowest_terms(x: Fraction, num: int, den: int):
@@ -93,7 +94,7 @@ def test_gcd_identity_and_continuant_identity(pq):
 @core_settings
 @given(prefixes())
 def test_stored_pairs_are_coprime_and_equal_the_fraction_values(pq):
-    assume(convergents(pq)[-2].q >= 2)
+    assume(pq.analysis.q[-2] >= 2)
     psi, ups = psi_step(pq), upsilon_step(pq)
     ref_psi, ref_ups = fraction_psi(pq), fraction_upsilon(pq)
     for f, ref in ((psi, ref_psi), (ups, ref_ups)):
@@ -204,7 +205,7 @@ def test_screened_less_when_the_heads_agree(head, shift, low_a, low_c, b, step):
 def test_measure_csv_reduces_in_closed_form(pq):
     """The CSV writer's lowest terms by g_v equal the generic reduction of
     the unreduced pairs the measure functions hold."""
-    assume(convergents(pq)[-2].q >= 2)
+    assume(pq.analysis.q[-2] >= 2)
     for weak, f in ((False, psi_step(pq)), (True, upsilon_step(pq))):
         assert measure_csv(pq, weak) == f.to_csv()
 
@@ -214,7 +215,7 @@ def test_measure_csv_reduces_in_closed_form(pq):
 def test_kept_rows_equal_the_product_oracle(pq):
     """The drops decided on factors keep the rows of the running minimum
     of the formed products."""
-    assume(convergents(pq)[-2].q >= 2)
+    assume(pq.analysis.q[-2] >= 2)
     for weak in (False, True):
         assert _drops(pq, weak) == running_minimum_rows(pq, weak)
 
@@ -244,7 +245,7 @@ def test_omega_bar_from_kept_rows_constructions(prefix):
 @core_settings
 @given(prefixes())
 def test_omega_bar_from_kept_rows_random(pq):
-    assume(convergents(pq)[-2].q >= 2)
+    assume(pq.analysis.q[-2] >= 2)
     got = _omega_bar(pq, _drops(pq, weak=True), None)
     assert_same_bits(got, uniform_exponent(upsilon_step(pq), "omega_bar"))
 
@@ -276,9 +277,9 @@ def test_report_analyses_each_prefix_once(monkeypatch):
 
 def fraction_rows(pq):
     conv = convergents(pq)
-    x = Fraction(conv[-1].p, conv[-1].q)
+    x = Fraction(*conv[-1])
     n = pq.depth
-    return [(c.q, dist_to_int(c.q * x)) for c in conv if c.index <= n - 2], conv[n - 1].q
+    return [(q, dist_to_int(q * x)) for _, q in conv[:n - 1]], conv[n - 1][1]
 
 
 def fraction_merged(points, end):

@@ -9,7 +9,8 @@ record.  They are checked here on random rational matrices, then on a pair
 whose only record lies off the old convergent branches.  The closed-form
 degeneracy radius is checked against the oracle, deep profiles against
 their own capped profile, and the lattice exponent estimates are checked
-to converge with depth.
+to converge with depth.  The bound is taken as two positive integer terms
+in any form, and ``lattice_exponents`` reads the profile at its own cap.
 """
 
 import math
@@ -91,7 +92,7 @@ def general(draw):
 
 
 def assert_matches_oracle(lat: Lattice2, t_max: Fraction) -> None:
-    records = minimum_profile(lat, t_max)
+    records = minimum_profile(lat, t_max.numerator, t_max.denominator)
     # Sup-norms are multiples of 1/(d1 d2), so t - below is above every
     # sup-norm less than t.
     a11, a12, a21, a22 = matrix_of(lat)
@@ -163,6 +164,45 @@ def test_degeneracy_radius_matches_oracle(entries):
     assert psi_lattice(lat, radius * Fraction(4095, 4096)) != 0
 
 
+@profile_settings
+@given(unit_diagonal(), st.integers(2, 10**30))
+def test_profile_depends_only_on_the_value_of_its_bound(case, k):
+    """The terms of the bound may share any factor: (k n, k d) gives the
+    records of (n, d), in the same unreduced integers."""
+    lat, t = case
+    n, d = t.numerator, t.denominator
+    assert minimum_profile(lat, k * n, k * d) == minimum_profile(lat, n, d)
+
+
+@pytest.mark.parametrize("terms", [(0, 1), (-3, 2), (1, 0), (2, -1), (-1, -1)])
+def test_profile_bound_terms_must_be_positive(terms):
+    lat = lattice_from_pair(*construct_thm3(Fraction(1), 4))
+    with pytest.raises(ValueError, match="positive"):
+        minimum_profile(lat, *terms)
+
+
+@pytest.mark.parametrize("t_max", [0, Fraction(-3, 2), -10**1000], ids=["0", "-3/2", "-1e1000"])
+def test_exponent_cap_must_be_positive(t_max):
+    """A requested cap is checked before the truncation test, so a negative
+    one longer than the radius is not mistaken for one beyond it."""
+    lat = lattice_from_pair(*construct_thm3(Fraction(1), 4))
+    with pytest.raises(ValueError, match="t_max must be positive"):
+        lattice_exponents(lat, t_max)
+
+
+@pytest.mark.parametrize("t_max", [None, 1000, Fraction(10**6, 7), 10**1000],
+                         ids=["cap", "1000", "1e6/7", "1e1000"])
+@pytest.mark.parametrize("scale", [(1, 1), (2, 3)])
+def test_lattice_exponents_read_the_profile_at_their_cap(scale, t_max):
+    """``lattice_exponents`` counts exactly the records ``minimum_profile``
+    gives at the cap it prints, default, requested or truncated."""
+    lat = lattice_from_pair(*construct_thm3(Fraction(1), 8), *scale)
+    _, _, info = lattice_exponents(lat, t_max)
+    assert info["truncated"] == (t_max == 10**1000)
+    num, _, den = info["t_max"].partition("/")
+    assert info["records"] == len(minimum_profile(lat, parse_decimal(num), parse_decimal(den)))
+
+
 @pytest.mark.parametrize(
     "pair, scale",
     [
@@ -177,10 +217,13 @@ def test_deep_profiles_are_prefixes_of_the_capped_profile(pair, scale):
     passes the minima outside the box of radius t and keeps those inside.
     Each record's own t is a radius too, where the box test is a tie."""
     lat = lattice_from_pair(*pair, *scale)
-    cap = Fraction(*degeneracy_radius(lat)) * Fraction(4095, 4096)
-    full = minimum_profile(lat, cap)
-    for t in (1, 3, 1000, 10**20, cap, *(rec.t for rec in full)):
-        assert minimum_profile(lat, t) == [rec for rec in full if rec.t <= t]
+    n, d = degeneracy_radius(lat)
+    cap = (4095 * n, 4096 * d)
+    full = minimum_profile(lat, *cap)
+    for terms in ((1, 1), (3, 1), (1000, 1), (10**20, 1), cap,
+                  *((rec.sup, rec.sup_den) for rec in full)):
+        t = Fraction(*terms)
+        assert minimum_profile(lat, *terms) == [rec for rec in full if rec.t <= t]
 
 
 @pytest.mark.parametrize("depth", [6, 10])
@@ -220,7 +263,7 @@ def test_exponent_samples_depend_only_on_record_values(scale):
     lat = lattice_from_pair(theta, eta, *scale)
     ordinary, uniform, info = lattice_exponents(lat)
     num, _, den = info["t_max"].partition("/")
-    records = minimum_profile(lat, Fraction(parse_decimal(num), parse_decimal(den)))
+    records = minimum_profile(lat, parse_decimal(num), parse_decimal(den))
     # Some records are not in lowest terms, so reducing them changes the pairs.
     assert any(math.gcd(r.product, r.product_den) > 1 for r in records)
     assert any(math.gcd(r.sup, r.sup_den) > 1 for r in records)
@@ -246,9 +289,9 @@ def roadmap_pair() -> Lattice2:
 
 def test_record_off_the_convergent_branches_api():
     lat = roadmap_pair()
-    radius = Fraction(*degeneracy_radius(lat))
-    assert radius == Fraction(18400, 7)
-    records = minimum_profile(lat, radius * Fraction(4095, 4096))
+    n, d = degeneracy_radius(lat)
+    assert Fraction(n, d) == Fraction(18400, 7)
+    records = minimum_profile(lat, 4095 * n, 4096 * d)
     assert [(r.t, r.product_sq) for r in records] == [(Fraction(186, 7), Fraction(34596, 49))]
 
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weakapprox.cf import PartialQuotients, convergents
+from weakapprox.cf import PartialQuotients
 from weakapprox.measure import StepFunction, measure_csv, min_step, psi_step, upsilon_step
-from oracles import brute_measure
+from oracles import brute_measure, convergents
 
 
 def small_prefix(rng, max_q=400):
@@ -18,7 +18,7 @@ def small_prefix(rng, max_q=400):
         pq = PartialQuotients(
             rng.randint(0, 2), tuple(rng.randint(1, 6) for _ in range(depth))
         )
-        if 2 <= convergents(pq)[-2].q <= max_q:
+        if 2 <= pq.analysis.q[-2] <= max_q:
             return pq
 
 
@@ -188,7 +188,7 @@ class TestOracleEquivalence:
         rng = random.Random(777)
         for _ in range(40):
             pq = small_prefix(rng)
-            x = Fraction(convergents(pq)[-1].p, convergents(pq)[-1].q)
+            x = Fraction(*convergents(pq)[-1])
             psi, ups = psi_step(pq), upsilon_step(pq)
             for t in range(1, psi.domain_end):
                 assert psi.value(t) == brute_measure(x, t, "ordinary")

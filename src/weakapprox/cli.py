@@ -10,6 +10,11 @@ fired, or a well-formed input is too short or too degenerate to estimate
 Everything is deterministic for a fixed invocation: one seed drives all
 randomness, JSON is emitted with sorted keys, and the SVG writer formats
 floats with a fixed pattern.
+
+``_COMMANDS`` is the one table of commands.  A call builds only its own
+command's parser from it; the full parser, from the same table, is built
+only for help, the version, a missing or unknown command and a left-over
+argument, so every message reads as the full parser words it.
 """
 
 from __future__ import annotations
@@ -85,14 +90,18 @@ _ECHO_CHARS = 60
 _LONG_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
+def _echo(text: str) -> str:
+    """A bad option value in short, so a huge one does not flood stderr."""
+    shown = text[:_ECHO_CHARS]
+    return repr(text) if shown == text else f"{shown!r}... ({len(text)} characters)"
+
+
 def _rational(text: str) -> Fraction:
     """argparse type of a rational option such as 3/2; a bad one exits 2.
 
     ``Fraction`` reads every form it knows (3/2, 1.5, 2e3).  A text it
     refuses that matches ``_LONG_RATIONAL``, one past the interpreter's
-    int<->str digit limit, is read by ``parse_decimal``.  The message
-    echoes at most ``_ECHO_CHARS`` characters of the value and gives its
-    length, so a huge bad value does not flood stderr.
+    int<->str digit limit, is read by ``parse_decimal``.
     """
     try:
         try:
@@ -104,9 +113,7 @@ def _rational(text: str) -> Fraction:
             num, den = parts.groups()
             return Fraction(parse_decimal(num), parse_decimal(den) if den else 1)
     except (ValueError, ZeroDivisionError):
-        shown = repr(text) if len(text) <= _ECHO_CHARS else (
-            f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)")
-        raise argparse.ArgumentTypeError(f"invalid rational: {shown}") from None
+        raise argparse.ArgumentTypeError(f"invalid rational: {_echo(text)}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -118,6 +125,15 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
     return n
+
+
+def _window(text: str) -> tuple[int, int]:
+    """argparse type of a sample window 'lo,hi' of two integers; a bad one exits 2."""
+    try:
+        lo, hi = text.split(",")
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid window (not lo,hi): {_echo(text)}") from None
 
 
 def _seed_tuple(text: str) -> tuple[int, ...]:
@@ -199,11 +215,7 @@ def cmd_measure(args) -> int:
 def cmd_exponents(args) -> int:
     theta = _load_prefix(args.theta)
     eta = _load_prefix(args.eta) if args.eta else None
-    window = None
-    if args.window:
-        lo, _, hi = args.window.partition(",")
-        window = (int(lo), int(hi))
-    report = exponent_report(theta, eta, window=window)
+    report = exponent_report(theta, eta, window=args.window)
     _emit(_json_dump(report), args.output)
     return EXIT_CHECK_FAILED if report["flags"] else EXIT_OK
 
@@ -309,7 +321,7 @@ def cmd_verify(args) -> int:
 def cmd_plot(args) -> int:
     functions = []
     labels = args.label or []
-    for k, path in enumerate(args.csv):
+    for k, path in enumerate(args.csv or []):
         text = Path(path).read_text(encoding="utf-8")
         f = StepFunction.from_csv(text)
         label = labels[k] if k < len(labels) else Path(path).stem
@@ -328,7 +340,74 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
+#: Each command's help line, handler and options as (flag, add_argument keywords).
+_COMMANDS = {
+    "cf": ("convergents and exact distances of a prefix", cmd_cf, (
+        ("--prefix", dict(required=True, help="'[a0;a1,...]' or JSON artifact path")),
+    )),
+    "construct": ("generate an extremal prefix or pair", cmd_construct, (
+        ("--scheme", dict(required=True, choices=("thm1", "thm2", "thm3"))),
+        ("--gamma", dict(type=_rational, required=True, help="rational, e.g. 3/2")),
+        ("--depth", dict(type=int, required=True)),
+        ("--seed-theta", dict(help="comma-separated a0,a1,...")),
+        ("--seed-eta", dict(help="comma-separated b0,b1,...")),
+    )),
+    "measure": ("export a measure function as CSV", cmd_measure, (
+        ("--prefix", dict(required=True)),
+        ("--kind", dict(choices=("psi", "upsilon"), default="psi")),
+    )),
+    "exponents": ("exponent estimates and ordering flags", cmd_exponents, (
+        ("--theta", dict(required=True)),
+        ("--eta", dict()),
+        ("--window", dict(type=_window, help="explicit sample window 'lo,hi'")),
+    )),
+    "lattice": ("lattice exponent estimates for a pair", cmd_lattice, (
+        ("--theta", dict(required=True)),
+        ("--eta", dict(required=True)),
+        ("--t-max", dict(type=_rational, help="rational cap; defaults to the degeneracy radius")),
+        ("--d1", dict(type=_rational, default=1, help="diagonal row scale for the first row")),
+        ("--d2", dict(type=_rational, default=1, help="diagonal row scale for the second row")),
+    )),
+    "lemma1": ("step-pair hypothesis checks and witnesses", cmd_lemma1, (
+        ("--seed", dict(type=int, default=0)),
+        ("--pairs", dict(type=_positive_int, default=20)),
+        ("--pieces", dict(type=int, default=10)),
+        ("--u-csv", dict(help="CSV for the first function")),
+        ("--v-csv", dict(help="CSV for the second function")),
+        ("--u-end", dict(type=int, help="domain end for the first CSV")),
+        ("--v-end", dict(type=int, help="domain end for the second CSV")),
+        ("--margin", dict(type=int, default=BOUNDARY_MARGIN,
+                          help="breakpoints at each window edge left out of the witness scan")),
+    )),
+    "verify": ("build a construction and check its bound", cmd_verify, (
+        ("--theorem", dict(required=True, choices=("T1", "T2", "T3", "T4"))),
+        ("--gamma", dict(type=_rational, required=True)),
+        ("--depth", dict(type=int, default=12)),
+        ("--tolerance", dict(type=float, default=CHECK_TOL)),
+    )),
+    "plot": ("render step functions to SVG", cmd_plot, (
+        ("--csv", dict(action="append", help="repeatable CSV input")),
+        ("--label", dict(action="append", help="repeatable trace label")),
+        ("--prefix", dict(help="plot psi and upsilon of this prefix")),
+        ("--annotate", dict(help="comma-separated vertical marker positions")),
+        ("--title", dict(default="")),
+        ("--linear", dict(action="store_true", help="linear instead of log axes")),
+    )),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give ``parser`` the options of command ``name``, ``--output`` and its handler."""
+    _, handler, options = _COMMANDS[name]
+    for flag, kwargs in options:
+        parser.add_argument(flag, **kwargs)
+    parser.add_argument("--output")
+    parser.set_defaults(func=handler)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: the root options and one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="weakapprox",
         description="Exact-arithmetic experiments with continued fractions, "
@@ -337,81 +416,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cf", help="convergents and exact distances of a prefix")
-    p.add_argument("--prefix", required=True, help="'[a0;a1,...]' or JSON artifact path")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_cf)
-
-    p = sub.add_parser("construct", help="generate an extremal prefix or pair")
-    p.add_argument("--scheme", required=True, choices=("thm1", "thm2", "thm3"))
-    p.add_argument("--gamma", type=_rational, required=True, help="rational, e.g. 3/2")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--seed-theta", help="comma-separated a0,a1,...")
-    p.add_argument("--seed-eta", help="comma-separated b0,b1,...")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("measure", help="export a measure function as CSV")
-    p.add_argument("--prefix", required=True)
-    p.add_argument("--kind", choices=("psi", "upsilon"), default="psi")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_measure)
-
-    p = sub.add_parser("exponents", help="exponent estimates and ordering flags")
-    p.add_argument("--theta", required=True)
-    p.add_argument("--eta")
-    p.add_argument("--window", help="explicit sample window 'lo,hi'")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_exponents)
-
-    p = sub.add_parser("lattice", help="lattice exponent estimates for a pair")
-    p.add_argument("--theta", required=True)
-    p.add_argument("--eta", required=True)
-    p.add_argument("--t-max", type=_rational,
-                   help="rational cap; defaults to the degeneracy radius")
-    p.add_argument("--d1", type=_rational, default=1, help="diagonal row scale for the first row")
-    p.add_argument("--d2", type=_rational, default=1, help="diagonal row scale for the second row")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_lattice)
-
-    p = sub.add_parser("lemma1", help="step-pair hypothesis checks and witnesses")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairs", type=_positive_int, default=20)
-    p.add_argument("--pieces", type=int, default=10)
-    p.add_argument("--u-csv", help="CSV for the first function")
-    p.add_argument("--v-csv", help="CSV for the second function")
-    p.add_argument("--u-end", type=int, help="domain end for the first CSV")
-    p.add_argument("--v-end", type=int, help="domain end for the second CSV")
-    p.add_argument("--margin", type=int, default=BOUNDARY_MARGIN,
-                   help="breakpoints at each window edge left out of the witness scan")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_lemma1)
-
-    p = sub.add_parser("verify", help="build a construction and check its bound")
-    p.add_argument("--theorem", required=True, choices=("T1", "T2", "T3", "T4"))
-    p.add_argument("--gamma", type=_rational, required=True)
-    p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--tolerance", type=float, default=CHECK_TOL)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("plot", help="render step functions to SVG")
-    p.add_argument("--csv", action="append", default=[], help="repeatable CSV input")
-    p.add_argument("--label", action="append", help="repeatable trace label")
-    p.add_argument("--prefix", help="plot psi and upsilon of this prefix")
-    p.add_argument("--annotate", help="comma-separated vertical marker positions")
-    p.add_argument("--title", default="")
-    p.add_argument("--linear", action="store_true", help="linear instead of log axes")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_plot)
-
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_line), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    left_over = True
+    if argv and argv[0] in _COMMANDS:
+        # The full parser hands the same argv[1:] to this command's subparser.
+        parser = _add_command(argparse.ArgumentParser(prog=f"weakapprox {argv[0]}"), argv[0])
+        args, left_over = parser.parse_known_args(argv[1:])
+    if left_over:  # help, version, a missing or unknown command, or an extra argument
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except GuardExceeded as exc:

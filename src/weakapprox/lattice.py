@@ -151,31 +151,13 @@ class ProfileRecord:
     """One running-minimum record in the profile's unreduced integers: at
     sup-norm t = sup/sup_den (|x1|/d1 or |x2|/d2), Psi^2 drops to
     |x1| |x2| / (d1 d2), with ``coords`` = (|x1|, |x2|), the lattice point's
-    coordinates scaled by the row denominators ``dens`` = (d1, d2).
-    ``product`` = |x1 x2|, ``product_den`` = d1 d2, ``t`` and
-    ``product_sq`` are derived on demand."""
+    coordinates scaled by the row denominators ``dens`` = (d1, d2)."""
 
     sup: int
     sup_den: int
     point: tuple[int, int]
     coords: tuple[int, int]
     dens: tuple[int, int]
-
-    @property
-    def product(self) -> int:
-        return self.coords[0] * self.coords[1]
-
-    @property
-    def product_den(self) -> int:
-        return self.dens[0] * self.dens[1]
-
-    @property
-    def t(self) -> Fraction:
-        return Fraction(self.sup, self.sup_den)
-
-    @property
-    def product_sq(self) -> Fraction:  # (x1 x2)^2 = Psi(t)^4
-        return Fraction(self.product, self.product_den) ** 2
 
 
 def lattice_from_pair(

@@ -7,7 +7,9 @@ analysis, the truncation value and the ``cf`` artifact are checked against.
 ``exact_log_ratio`` is the definition the screened log kernel must match
 bit for bit.  ``running_minimum_rows`` is the running minimum the measure
 functions keep, on formed products.  ``from_entries`` and ``matrix_of``
-convert between a rational matrix and the integer rows of a ``Lattice2``;
+convert between a rational matrix and the integer rows of a ``Lattice2``.
+The ``record_*`` functions form the product, its denominator, the radius
+t and Psi^4 of a ``ProfileRecord``, which keeps them as unreduced factors.
 ``dominated_controls`` turns a step pair into two that each break one
 hypothesis of the interleaving lemma.
 """
@@ -134,6 +136,26 @@ def psi_lattice(lat, t):
             if (m or n) and max(abs(x1), abs(x2)) <= t:
                 best = (x1 * x2) ** 2 if best is None else min(best, (x1 * x2) ** 2)
     return best
+
+
+def record_product(rec) -> int:
+    """|x1 x2| of a profile record, over ``record_product_den``."""
+    return rec.coords[0] * rec.coords[1]
+
+
+def record_product_den(rec) -> int:
+    """d1 d2, the denominator of a profile record's product."""
+    return rec.dens[0] * rec.dens[1]
+
+
+def record_t(rec) -> Fraction:
+    """The sup-norm t at which a profile record's drop happens."""
+    return Fraction(rec.sup, rec.sup_den)
+
+
+def record_product_sq(rec) -> Fraction:
+    """(x1 x2)^2 = Psi(t)^4 of a profile record, as ``psi_lattice`` gives it."""
+    return Fraction(record_product(rec), record_product_den(rec)) ** 2
 
 
 def dominated_controls(pair: StepPair) -> tuple[StepPair, StepPair]:

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import itertools
@@ -123,6 +124,12 @@ class TestConstruct:
         pytest.param(["plot", "--csv", "header.csv"], id="header-only-csv"),
         pytest.param(["lemma1", "--pairs", "0"], id="pairs-zero"),
         pytest.param(["lemma1", "--pairs", "-3"], id="pairs-negative"),
+        pytest.param(["exponents", "--theta", "[0;2,2,2,2]", "--window", "5"],
+                     id="window-without-comma"),
+        pytest.param(["exponents", "--theta", "[0;2,2,2,2]", "--window", "x,y"],
+                     id="window-not-integers"),
+        pytest.param(["bogus"], id="unknown-command"),
+        pytest.param(["cf", "--prefix", "[0;2,2]", "--bogus"], id="unknown-option"),
     ])
     def test_usage_error_exit_code(self, argv, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -256,6 +263,15 @@ class TestExponentsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize("window", ["5", "x,y", "1,2,3", "7" * 100])
+    def test_bad_window_names_the_option(self, window, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["exponents", "--theta", "[0;2,2,2,2]", "--window", window])
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_USAGE
+        assert "argument --window: invalid window (not lo,hi): " in err
+        assert cli._echo(window) in err and len(err) < 400
 
 
 class TestLatticeCommand:
@@ -461,6 +477,69 @@ def test_version_runs():
     with pytest.raises(SystemExit) as err:
         main(["--version"])
     assert err.value.code == 0
+
+
+def full_parser_main(argv):
+    """``main`` on the full parser alone, the reference for every call."""
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def outcome(entry, argv, capsys):
+    """(exit code, stdout, stderr) of one call."""
+    try:
+        code = entry(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserPaths:
+    """``main`` builds only the named command's parser, and the full one
+    only for help, version and errors; either way it reads as before."""
+
+    @pytest.fixture(autouse=True)
+    def _fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.fixture
+    def parsers_built(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        return built
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_command_help_is_the_subparser_help(self, name, capsys):
+        action = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        want = action.choices[name].format_help()
+        assert outcome(main, [name, "--help"], capsys) == (0, want, "")
+
+    def test_a_valid_call_builds_one_parser(self, parsers_built, capsys):
+        assert main(["cf", "--prefix", "[0;2,2]"]) == 0
+        assert parsers_built == ["weakapprox cf"]
+
+    def test_a_left_over_argument_builds_the_full_parser(self, parsers_built, capsys):
+        cli.build_parser()
+        full = len(parsers_built)
+        parsers_built.clear()
+        assert outcome(main, ["cf", "--prefix", "[0;2,2]", "extra"], capsys)[0] == EXIT_USAGE
+        assert len(parsers_built) == 1 + full and parsers_built[1] == "weakapprox"
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["--version"], ["bogus"], ["cf"], ["cf", "-h"], ["cf", "--version"],
+        ["cf", "--prefix", "[0;2,2]", "--bogus"], ["cf", "--prefix", "[0;2,2]", "extra"],
+        ["verify", "--theorem", "T9", "--gamma", "3/2"],
+    ])
+    def test_output_matches_the_full_parser(self, argv, capsys):
+        assert outcome(main, argv, capsys) == outcome(full_parser_main, argv, capsys)
 
 
 class TestLoadGuard:

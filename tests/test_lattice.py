@@ -14,7 +14,7 @@ from weakapprox.lattice import (
     minimum_profile,
 )
 from weakapprox.measure import min_step, upsilon_step
-from oracles import from_entries, matrix_of, psi_lattice
+from oracles import from_entries, matrix_of, psi_lattice, record_product_sq, record_t
 
 
 def brute_bound(lat, t):
@@ -165,21 +165,22 @@ class TestMinimumProfile:
         assert records, "profile should find records"
         prev = None
         for rec in records:
-            assert psi_lattice(lat, rec.t) == rec.product_sq
+            assert psi_lattice(lat, record_t(rec)) == record_product_sq(rec)
             if prev is not None:
-                mid = (prev.t + rec.t) / 2
-                assert psi_lattice(lat, mid) == prev.product_sq
+                mid = (record_t(prev) + record_t(rec)) / 2
+                assert psi_lattice(lat, mid) == record_product_sq(prev)
             prev = rec
         # strictly decreasing products at strictly increasing radii
-        assert all(a.t < b.t for a, b in zip(records, records[1:]))
-        assert all(a.product_sq > b.product_sq for a, b in zip(records, records[1:]))
+        assert all(record_t(a) < record_t(b) for a, b in zip(records, records[1:]))
+        assert all(record_product_sq(a) > record_product_sq(b)
+                   for a, b in zip(records, records[1:]))
 
     def test_matches_exhaustive_scan_scaled(self):
         theta, eta = construct_thm3(Fraction(1), 4)
         lat = lattice_from_pair(theta, eta, 2, 3)
         records = minimum_profile(lat, 500)
         for rec in records:
-            assert psi_lattice(lat, rec.t) == rec.product_sq
+            assert psi_lattice(lat, record_t(rec)) == record_product_sq(rec)
 
 
 @pytest.fixture(scope="module")

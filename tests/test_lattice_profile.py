@@ -32,7 +32,8 @@ from weakapprox.lattice import (
     lattice_from_pair,
     minimum_profile,
 )
-from oracles import from_entries, matrix_of, psi_lattice
+from oracles import (from_entries, matrix_of, psi_lattice, record_product,
+                     record_product_den, record_product_sq, record_t)
 
 profile_settings = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -100,14 +101,14 @@ def assert_matches_oracle(lat: Lattice2, t_max: Fraction) -> None:
     below = Fraction(1, 2 * den)
     previous = None
     for rec in records:
-        assert rec.t <= t_max
+        assert record_t(rec) <= t_max
         m, n = rec.point
         x1, x2 = a11 * m + a12 * n, a21 * m + a22 * n
-        assert max(abs(x1), abs(x2)) == rec.t
-        assert (x1 * x2) ** 2 == rec.product_sq
-        assert psi_lattice(lat, rec.t) == rec.product_sq
-        assert psi_lattice(lat, rec.t - below) == previous
-        previous = rec.product_sq
+        assert max(abs(x1), abs(x2)) == record_t(rec)
+        assert (x1 * x2) ** 2 == record_product_sq(rec)
+        assert psi_lattice(lat, record_t(rec)) == record_product_sq(rec)
+        assert psi_lattice(lat, record_t(rec) - below) == previous
+        previous = record_product_sq(rec)
     assert psi_lattice(lat, t_max) == previous
 
 
@@ -223,7 +224,7 @@ def test_deep_profiles_are_prefixes_of_the_capped_profile(pair, scale):
     for terms in ((1, 1), (3, 1), (1000, 1), (10**20, 1), cap,
                   *((rec.sup, rec.sup_den) for rec in full)):
         t = Fraction(*terms)
-        assert minimum_profile(lat, *terms) == [rec for rec in full if rec.t <= t]
+        assert minimum_profile(lat, *terms) == [rec for rec in full if record_t(rec) <= t]
 
 
 @pytest.mark.parametrize("depth", [6, 10])
@@ -265,19 +266,20 @@ def test_exponent_samples_depend_only_on_record_values(scale):
     num, _, den = info["t_max"].partition("/")
     records = minimum_profile(lat, parse_decimal(num), parse_decimal(den))
     # Some records are not in lowest terms, so reducing them changes the pairs.
-    assert any(math.gcd(r.product, r.product_den) > 1 for r in records)
+    assert any(math.gcd(record_product(r), record_product_den(r)) > 1 for r in records)
     assert any(math.gcd(r.sup, r.sup_den) > 1 for r in records)
 
     def log(x: Fraction) -> float:
         return log_ratio(x.numerator, x.denominator)
 
-    log_psi = [log(Fraction(r.product, r.product_den)) / 2.0 for r in records]
+    log_psi = [log(Fraction(record_product(r), record_product_den(r))) / 2.0 for r in records]
     ord_samples, uni_samples = [], []
     for k, rec in enumerate(records):
-        if rec.t >= 2:
-            ord_samples.append((int(rec.t), 1.0 - log_psi[k] / log(rec.t)))
+        t = record_t(rec)
+        if t >= 2:
+            ord_samples.append((int(t), 1.0 - log_psi[k] / log(t)))
             if k > 0:
-                uni_samples.append((int(rec.t), 1.0 - log_psi[k - 1] / log(rec.t)))
+                uni_samples.append((int(t), 1.0 - log_psi[k - 1] / log(t)))
     assert ordinary.samples == tuple(ord_samples)
     assert uniform.samples == tuple(uni_samples)
 
@@ -292,7 +294,8 @@ def test_record_off_the_convergent_branches_api():
     n, d = degeneracy_radius(lat)
     assert Fraction(n, d) == Fraction(18400, 7)
     records = minimum_profile(lat, 4095 * n, 4096 * d)
-    assert [(r.t, r.product_sq) for r in records] == [(Fraction(186, 7), Fraction(34596, 49))]
+    assert [(record_t(r), record_product_sq(r)) for r in records] == [
+        (Fraction(186, 7), Fraction(34596, 49))]
 
 
 def test_record_off_the_convergent_branches_cli(capsys):

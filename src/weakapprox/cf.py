@@ -48,7 +48,7 @@ A log, a comparison or a running minimum depends only on the value of a
 ratio, so only a value that is printed needs lowest terms: ``qnorm_table``
 (the ``cf`` artifact's distances) and the ``measure`` CSV take g_v by (4),
 one row at a time, through ``PrefixAnalysis.g``.  Everything else reads
-the unreduced pairs (rho_v, q_N).  ``Fraction`` objects are made only at
+rho_v and q_N unreduced.  ``Fraction`` objects are made only at
 the public boundary (``truncation_value`` and ``ExactDistance.value``),
 from pairs already known to be in lowest terms.
 """

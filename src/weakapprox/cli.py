@@ -127,17 +127,22 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _window(text: str) -> tuple[int, int]:
-    """argparse type of a sample window 'lo,hi' of two integers; a bad one exits 2."""
-    try:
-        lo, hi = text.split(",")
-        return int(lo), int(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid window (not lo,hi): {_echo(text)}") from None
+def _integers(shape: str, count: int | None = None):
+    """argparse type of comma-separated integers, exactly ``count`` of them
+    if given; a bad one exits 2 with ``shape`` in its message."""
+    def parse(text: str) -> tuple[int, ...]:
+        try:
+            values = tuple(int(x) for x in text.split(","))
+        except ValueError:
+            values = ()
+        if not values or count is not None and len(values) != count:
+            raise argparse.ArgumentTypeError(f"invalid {shape}: {_echo(text)}")
+        return values
+    return parse
 
 
-def _seed_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+_window = _integers("window (not lo,hi)", 2)
+_int_list = _integers("integer list (not a,b,...)")
 
 
 def _build(scheme: str, gamma: Fraction, depth: int,
@@ -189,9 +194,9 @@ def cmd_cf(args) -> int:
 
 def cmd_construct(args) -> int:
     seeds = {
-        name: _seed_tuple(text)
-        for name, text in (("seed_theta", args.seed_theta), ("seed_eta", args.seed_eta))
-        if text
+        name: seed
+        for name, seed in (("seed_theta", args.seed_theta), ("seed_eta", args.seed_eta))
+        if seed is not None
     }
     built = _build(args.scheme, args.gamma, args.depth, seeds)
     if len(built) == 1:
@@ -334,8 +339,8 @@ def cmd_plot(args) -> int:
         functions.append(("upsilon", ups))
     if not functions:
         raise ValueError("plot needs --csv or --prefix")
-    annotations = [int(a) for a in args.annotate.split(",")] if args.annotate else []
-    svg = plot_steps(functions, annotations, log_axes=not args.linear, title=args.title)
+    svg = plot_steps(functions, list(args.annotate or ()), log_axes=not args.linear,
+                     title=args.title)
     _emit(svg, args.output)
     return EXIT_OK
 
@@ -349,8 +354,8 @@ _COMMANDS = {
         ("--scheme", dict(required=True, choices=("thm1", "thm2", "thm3"))),
         ("--gamma", dict(type=_rational, required=True, help="rational, e.g. 3/2")),
         ("--depth", dict(type=int, required=True)),
-        ("--seed-theta", dict(help="comma-separated a0,a1,...")),
-        ("--seed-eta", dict(help="comma-separated b0,b1,...")),
+        ("--seed-theta", dict(type=_int_list, help="comma-separated a0,a1,...")),
+        ("--seed-eta", dict(type=_int_list, help="comma-separated b0,b1,...")),
     )),
     "measure": ("export a measure function as CSV", cmd_measure, (
         ("--prefix", dict(required=True)),
@@ -389,7 +394,7 @@ _COMMANDS = {
         ("--csv", dict(action="append", help="repeatable CSV input")),
         ("--label", dict(action="append", help="repeatable trace label")),
         ("--prefix", dict(help="plot psi and upsilon of this prefix")),
-        ("--annotate", dict(help="comma-separated vertical marker positions")),
+        ("--annotate", dict(type=_int_list, help="comma-separated vertical marker positions")),
         ("--title", dict(default="")),
         ("--linear", dict(action="store_true", help="linear instead of log axes")),
     )),

@@ -26,7 +26,7 @@ from typing import Callable, Iterable
 from .cf import TABLE_DEPTH_ERROR, PartialQuotients
 from .cf import qnorm_table  # noqa: F401 - perfbench looks it up here
 from .intmath import _decimal_text, log_int, log_product_ratio, log_ratio
-from .measure import StepFunction, _drops, _measure, min_step, psi_step
+from .measure import StepFunction, min_step, psi_step, upsilon_step
 
 __all__ = [
     "ExponentEstimate",
@@ -163,55 +163,35 @@ def uniform_exponent(
     Samples at left limits of stored breakpoints >= 2 plus the left limit at
     the domain end (the binding point when the function rarely improves);
     window min.  A function without a sample raises ``NotEstimable``.
-    """
-    if kind not in _WEAK_SHIFT:
-        raise ValueError(f"unknown uniform kind {kind!r}")
-    logs = [log_ratio(*v) for v in f.pairs]
-    return _estimate(kind, _left_limit_samples(f.breakpoints, f.domain_end, logs, kind),
-                     window, min)
-
-
-def _left_limit_samples(
-    breakpoints: tuple[int, ...], domain_end: int, logs: list[float], kind: str
-) -> list[tuple[int, float]]:
-    """The samples of a uniform ``kind`` from a merged step function's
-    breakpoints, domain end and the logs of its values.
 
     The left limit at breakpoints[k] is value k - 1, and at domain_end it
     is the last value, so value k is sampled at the next breakpoint, or at
-    the domain end for the last, if that point is >= 2.
+    the domain end for the last, if that point is >= 2.  Each value
+    (x, y, d) is logged on its factors as log_product_ratio(x, y, d, 1),
+    the bits of log_ratio(x y, d) without the product.
     """
+    if kind not in _WEAK_SHIFT:
+        raise ValueError(f"unknown uniform kind {kind!r}")
     shift = _WEAK_SHIFT[kind]
-    ends = (*breakpoints[1:], domain_end)
-    return [(t, shift - lg / log_int(t)) for t, lg in zip(ends, logs) if t >= 2]
+    ends = (*f.breakpoints[1:], f.domain_end)
+    samples = [(t, shift - log_product_ratio(*v, 1) / log_int(t))
+               for t, v in zip(ends, f.factors) if t >= 2]
+    return _estimate(kind, samples, window, min)
 
 
 def _one_number(
     pq: PartialQuotients, name: str, window: tuple[int, int] | None, flags: list[str]
-) -> tuple[ExponentEstimate, ExponentEstimate, list[int]]:
-    """omega, omega_bar and the rows upsilon keeps for one prefix; appends
-    the prefix's two ordering flags to ``flags``."""
+) -> tuple[ExponentEstimate, ExponentEstimate, StepFunction]:
+    """omega, omega_bar and upsilon of one prefix; appends the prefix's two
+    ordering flags to ``flags``."""
     omega = ordinary_exponent(pq, window)
-    kept = _drops(pq, weak=True)
-    omega_bar = _omega_bar(pq, kept, window)
+    upsilon = upsilon_step(pq)
+    omega_bar = uniform_exponent(upsilon, "omega_bar", window)
     if not omega.value >= 1 - EXACT_TOL:
         flags.append(f"omega_{name} below 1")
     if not omega.value >= omega_bar.value - ASYMPTOTIC_TOL:
         flags.append(f"omega_{name} below omega_bar_{name}")
-    return omega, omega_bar, kept
-
-
-def _omega_bar(
-    pq: PartialQuotients, kept: list[int], window: tuple[int, int] | None
-) -> ExponentEstimate:
-    """``uniform_exponent(upsilon_step(pq), "omega_bar", window)`` from the
-    rows ``kept`` that upsilon keeps, each value's log taken on its factors
-    as log_product_ratio(q_v, rho_v, q_N, 1): the bits of
-    log_ratio(q_v rho_v, q_N), without the product."""
-    an = pq.analysis
-    logs = [log_product_ratio(an.q[v], an.rho[v], an.q_n, 1) for v in kept]
-    samples = _left_limit_samples(tuple(an.q[v] for v in kept), an.domain_end, logs, "omega_bar")
-    return _estimate("omega_bar", samples, window, min)
+    return omega, omega_bar, upsilon
 
 
 def exponent_report(
@@ -227,7 +207,7 @@ def exponent_report(
     """
     flags: list[str] = []
     text: dict[int, str] = {}  # the sample keys, shared by all estimates (many are q_v)
-    omega_t, omega_bar_t, kept_t = _one_number(theta, "theta", window, flags)
+    omega_t, omega_bar_t, upsilon_t = _one_number(theta, "theta", window, flags)
     report: dict = {
         "omega_theta": omega_t.value,
         "omega_bar_theta": omega_bar_t.value,
@@ -237,10 +217,10 @@ def exponent_report(
         },
     }
     if eta is not None:
-        omega_e, omega_bar_e, kept_e = _one_number(eta, "eta", window, flags)
+        omega_e, omega_bar_e, upsilon_e = _one_number(eta, "eta", window, flags)
         psi_min = min_step(psi_step(theta), psi_step(eta))
         varpi_psi = uniform_exponent(psi_min, "varpi_psi", window)
-        ups_min = min_step(_measure(theta, kept_t, weak=True), _measure(eta, kept_e, weak=True))
+        ups_min = min_step(upsilon_t, upsilon_e)
         varpi_ups = uniform_exponent(ups_min, "varpi_upsilon", window)
         report.update(
             {

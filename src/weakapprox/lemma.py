@@ -23,8 +23,8 @@ is simply "t is a stored breakpoint with a predecessor": the first two
 clauses hold for every index >= 1.  Every check compares values and never
 computes with them, so only their order matters; the seeded generator
 ``random_step_pair`` therefore draws small integer levels.  Each comparison
-is ``intmath.ratio_less`` on the functions' (num, den) pairs; Fractions
-are built only for a witness's report.
+is the ``measure`` comparator on the functions' values, held as factors
+(x, y, d) = x y / d; Fractions are built only for a witness's report.
 
 Hypotheses.  u is non-increasing, so on a full v-interval ending at e its
 smallest value is u(e-), the value of u's last piece starting before e.
@@ -41,8 +41,8 @@ when s_{mu+1} = q_{nu+1} (a shared breakpoint) or s_mu <= q_nu.  When the
 interleaving holds, u is constant on [q_nu, q_{nu+1}) and v on
 [s_mu, s_{mu+1}), which gives the values by index:
 
-  u(s_mu) = u(q_{nu+1}-) = u.pairs[nu],
-  v(s_mu-) = v.pairs[mu-1],   v(q_{nu+1}-) = v.pairs[mu].
+  u(s_mu) = u(q_{nu+1}-) = u.factors[nu],
+  v(s_mu-) = v.factors[mu-1],   v(q_{nu+1}-) = v.factors[mu].
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intmath import decimal_str, fraction_str, ratio_less
-from .measure import StepFunction
+from .intmath import decimal_str, fraction_str
+from .measure import StepFunction, Value, _fraction, _less
 
 __all__ = [
     "StepPair",
@@ -98,7 +98,7 @@ class Witness:
     """Index pair realizing the interleaving and both strict inequalities.
 
     nu_star / mu_star index into the stored breakpoints of u / v.
-    ``levels`` holds, as the functions' (num, den) pairs, the three values
+    ``levels`` holds, as the functions' factors (x, y, d), the three values
     the clauses compare: u(s_mu) = u(q_{nu+1}-), v(s_mu-) and
     v(q_{nu+1}-).  The four properties below give them as Fractions.
     """
@@ -109,23 +109,23 @@ class Witness:
     s_mu: int
     q_nu1: int
     s_mu1: int
-    levels: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
+    levels: tuple[Value, Value, Value]
 
     @property
     def u_at_s(self) -> Fraction:
-        return Fraction(*self.levels[0])
+        return _fraction(self.levels[0])
 
     @property
     def v_before_s(self) -> Fraction:
-        return Fraction(*self.levels[1])
+        return _fraction(self.levels[1])
 
     @property
     def v_before_q1(self) -> Fraction:
-        return Fraction(*self.levels[2])
+        return _fraction(self.levels[2])
 
     @property
     def u_before_q1(self) -> Fraction:
-        return Fraction(*self.levels[0])
+        return _fraction(self.levels[0])
 
     def to_dict(self) -> dict:
         return {
@@ -170,7 +170,7 @@ def _interval_checks(
     failures: list[int] = []
     for k in range(bisect_right(lbp, lo) - 1, bisect_right(lbp, hi) - 1):
         j = bisect_left(ubp, lbp[k + 1]) - 1
-        if ratio_less(*upper.pairs[j], *lower.pairs[k]):
+        if _less(upper.factors[j], lower.factors[k]):
             witnesses.append((k, max(lbp[k], lo, ubp[j])))
         else:
             failures.append(k)
@@ -226,12 +226,12 @@ def find_witnesses(pair: StepPair, margin: int = BOUNDARY_MARGIN) -> list[Witnes
         mu = bisect_left(s, q[nu + 1]) - 1
         if mu not in mu_range:
             continue
-        u_nu, v_before_s, v_mu = u.pairs[nu], v.pairs[mu - 1], v.pairs[mu]
+        u_nu, v_before_s, v_mu = u.factors[nu], v.factors[mu - 1], v.factors[mu]
         if (
             q[nu] < s[mu]
             and q[nu + 1] < s[mu + 1]
-            and ratio_less(*u_nu, *v_before_s)
-            and ratio_less(*v_mu, *u_nu)
+            and _less(u_nu, v_before_s)
+            and _less(v_mu, u_nu)
         ):
             out.append(
                 Witness(
@@ -261,8 +261,8 @@ def verify_witness(pair: StepPair, w: Witness) -> bool:
             u.breakpoints[w.nu_star + 1] == w.q_nu1,
             v.breakpoints[w.mu_star] == w.s_mu,
             v.breakpoints[w.mu_star + 1] == w.s_mu1,
-            ratio_less(*u.pairs[u.piece_index(w.s_mu)], *v.pairs[v.left_index(w.s_mu)]),
-            ratio_less(*v.pairs[v.left_index(w.q_nu1)], *u.pairs[u.left_index(w.q_nu1)]),
+            _less(u.factors[u.piece_index(w.s_mu)], v.factors[v.left_index(w.s_mu)]),
+            _less(v.factors[v.left_index(w.q_nu1)], u.factors[u.left_index(w.q_nu1)]),
         )
     except (ValueError, IndexError):
         return False
@@ -291,11 +291,11 @@ def random_step_pair(seed: int, pieces: int = 8) -> StepPair:
         t += rng.randint(1, _GAP)
     domain_end = t + rng.randint(1, _GAP)
 
-    levels: list[tuple[int, int]] = []
+    levels: list[Value] = []
     level = 0
     for _ in range(2 * pieces):
         level += rng.randint(1, _GAP)
-        levels.append((level, 1))
+        levels.append((level, 1, 1))
     levels.reverse()
     return StepPair(
         StepFunction(tuple(q_bps), tuple(levels[0::2]), domain_end),

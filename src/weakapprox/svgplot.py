@@ -13,8 +13,8 @@ import math
 from fractions import Fraction
 from html import escape
 
-from .intmath import log_int, log_ratio
-from .measure import StepFunction
+from .intmath import log_int, log_product_ratio
+from .measure import StepFunction, Value
 
 __all__ = ["plot_steps"]
 
@@ -28,8 +28,8 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _log10_ratio(num: int, den: int) -> float:
-    return log_ratio(num, den) / math.log(10.0)
+def _log10_value(x: int, y: int, d: int) -> float:
+    return log_product_ratio(x, y, d, 1) / math.log(10.0)
 
 
 def _log10_int(t: int) -> float:
@@ -62,11 +62,11 @@ def plot_steps(
             if isinstance(t, int):
                 return _log10_int(t)
             t = Fraction(t)
-            return _log10_ratio(t.numerator, t.denominator)
+            return _log10_value(t.numerator, 1, t.denominator)
         return float(t)
 
-    def ty(v: tuple[int, int]) -> float:
-        return _log10_ratio(*v) if log_axes else v[0] / v[1]
+    def ty(v: Value) -> float:
+        return _log10_value(*v) if log_axes else v[0] * v[1] / v[2]
 
     xs: list[float] = []
     ys: list[float] = []

@@ -274,6 +274,41 @@ class TestExponentsCommand:
         assert cli._echo(window) in err and len(err) < 400
 
 
+class TestIntegerListOptions:
+    """--seed-theta, --seed-eta and plot --annotate."""
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["construct", "--scheme", "thm3", "--gamma", "1", "--depth", "5",
+              "--seed-theta", "0,x"], "--seed-theta"),
+            (["construct", "--scheme", "thm3", "--gamma", "1", "--depth", "5",
+              "--seed-eta", "0,"], "--seed-eta"),
+            (["construct", "--scheme", "thm1", "--gamma", "3/2", "--depth", "5",
+              "--seed-theta", ""], "--seed-theta"),
+            (["plot", "--prefix", "[0;2,2,2,2]", "--annotate", "1,x"], "--annotate"),
+            (["plot", "--prefix", "[0;2,2,2,2]", "--annotate", "1," * 60 + "x"], "--annotate"),
+        ],
+        ids=["seed-theta-not-integer", "seed-eta-empty-entry", "seed-theta-empty",
+             "annotate-not-integer", "annotate-long"],
+    )
+    def test_bad_integer_list_names_the_option(self, argv, option, capsys):
+        """Seeds and markers share the comma-separated integer type of
+        --window: a bad one, the empty text included, exits 2 naming the
+        option and the expected form."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE and captured.out == ""
+        assert f"argument {option}: invalid integer list (not a,b,...): " in captured.err
+        assert cli._echo(argv[-1]) in captured.err and len(captured.err) < 600
+
+    def test_annotations_are_read_as_integers(self, capsys):
+        code, out = run(["plot", "--prefix", "[0;2,2,2,2,2,2]", "--annotate", "2,5"], capsys)
+        assert code == 0
+        assert '>2</text>' in out and '>5</text>' in out
+
+
 class TestLatticeCommand:
     def test_pair_lattice_report(self, capsys, tmp_path):
         pair_path = tmp_path / "pair.json"

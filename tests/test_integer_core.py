@@ -22,13 +22,13 @@ from weakapprox.exponents import (
     ASYMPTOTIC_TOL,
     EXACT_TOL,
     ExponentEstimate,
-    _omega_bar,
     apply_window,
     exponent_report,
     uniform_exponent,
 )
 from weakapprox.intmath import decimal_str, log_int, log_ratio, ratio_less
-from weakapprox.measure import _drops, measure_csv, psi_step, upsilon_step
+from weakapprox.measure import (StepFunction, _less, measure_csv, min_step, psi_step,
+                                upsilon_step)
 from oracles import (brute_measure, convergents, dist_to_int, evaluate_nested,
                      running_minimum_rows)
 
@@ -131,6 +131,25 @@ def test_screened_less_agrees_with_fraction_order(an, ad, bn, bd):
     assert ratio_less(bn, bd, an, ad) == (b < a)
 
 
+@core_settings
+@given(positive, positive, positive, positive, positive, positive, st.integers(0, 3))
+def test_value_less_agrees_with_fraction_order(x1, y1, d1, x2, y2, d2, case):
+    """The comparator of factor-held values (x, y, d) = x y / d on each of
+    its paths: one denominator (with one y, or two), both y = 1, and
+    neither."""
+    if case <= 1:
+        d2 = d1
+    if case == 1:
+        y2 = y1
+    elif case == 2:
+        y1 = y2 = 1
+    v, w = (x1, y1, d1), (x2, y2, d2)
+    a, b = Fraction(x1 * y1, d1), Fraction(x2 * y2, d2)
+    assert _less(v, w) == (a < b)
+    assert _less(w, v) == (b < a)
+    assert not _less(v, v)
+
+
 def with_bits(bits: int, low: int) -> int:
     """An integer of exactly ``bits`` bits, its low bits taken from ``low``."""
     return (1 << (bits - 1)) | (low % (1 << (bits - 1)))
@@ -210,14 +229,26 @@ def test_measure_csv_reduces_in_closed_form(pq):
         assert measure_csv(pq, weak) == f.to_csv()
 
 
+def product_held(pq, weak: bool) -> StepFunction:
+    """psi, or upsilon if ``weak``, on the rows of the product oracle, each
+    value held as the formed product (rho_v or q_v rho_v, 1, q_N)."""
+    an = pq.analysis
+    rows = running_minimum_rows(pq, weak)
+    return StepFunction(tuple(an.q[v] for v in rows),
+                        tuple((an.q[v] * an.rho[v] if weak else an.rho[v], 1, an.q_n)
+                              for v in rows),
+                        an.domain_end)
+
+
 @core_settings
 @given(prefixes())
 def test_kept_rows_equal_the_product_oracle(pq):
     """The drops decided on factors keep the rows of the running minimum
-    of the formed products."""
+    of the formed products: the breakpoints are their q_v."""
     assume(pq.analysis.q[-2] >= 2)
-    for weak in (False, True):
-        assert _drops(pq, weak) == running_minimum_rows(pq, weak)
+    conv = convergents(pq)
+    for weak, f in ((False, psi_step(pq)), (True, upsilon_step(pq))):
+        assert f.breakpoints == tuple(conv[v][1] for v in running_minimum_rows(pq, weak))
 
 
 def assert_same_bits(got: ExponentEstimate, want: ExponentEstimate) -> None:
@@ -236,18 +267,40 @@ def assert_same_bits(got: ExponentEstimate, want: ExponentEstimate) -> None:
     ],
 )
 def test_omega_bar_from_kept_rows_constructions(prefix):
-    """omega_bar logs each kept row on its factors and gives the bits of
-    ``uniform_exponent`` on ``upsilon_step``, which logs the products."""
-    got = _omega_bar(prefix, _drops(prefix, weak=True), None)
-    assert_same_bits(got, uniform_exponent(upsilon_step(prefix), "omega_bar"))
+    """omega_bar logs each value of ``upsilon_step`` on its factors and gives
+    the bits of the same estimate on the formed products."""
+    got = uniform_exponent(upsilon_step(prefix), "omega_bar")
+    assert_same_bits(got, uniform_exponent(product_held(prefix, weak=True), "omega_bar"))
 
 
 @core_settings
 @given(prefixes())
 def test_omega_bar_from_kept_rows_random(pq):
     assume(pq.analysis.q[-2] >= 2)
-    got = _omega_bar(pq, _drops(pq, weak=True), None)
-    assert_same_bits(got, uniform_exponent(upsilon_step(pq), "omega_bar"))
+    got = uniform_exponent(upsilon_step(pq), "omega_bar")
+    assert_same_bits(got, uniform_exponent(product_held(pq, weak=True), "omega_bar"))
+
+
+def assert_same_minimum(theta, eta) -> None:
+    """The minimum of factor-held upsilons equals that of product-held ones,
+    and so does its varpi_upsilon, bit for bit."""
+    got = min_step(upsilon_step(theta), upsilon_step(eta))
+    want = min_step(product_held(theta, weak=True), product_held(eta, weak=True))
+    assert (got.breakpoints, got.values, got.domain_end) == (
+        want.breakpoints, want.values, want.domain_end)
+    assert_same_bits(uniform_exponent(got, "varpi_upsilon"),
+                     uniform_exponent(want, "varpi_upsilon"))
+
+
+def test_min_step_of_factor_held_upsilons_thm3_pair():
+    assert_same_minimum(*construct_thm3(Fraction(1), 10))
+
+
+@core_settings
+@given(prefixes(), prefixes())
+def test_min_step_of_factor_held_upsilons_random(theta, eta):
+    assume(theta.analysis.q[-2] >= 2 and eta.analysis.q[-2] >= 2)
+    assert_same_minimum(theta, eta)
 
 
 def test_exponent_report_takes_no_gcd(gcd_calls):

@@ -18,7 +18,7 @@ extremal constructions) visible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 __all__ = ["BoundCheck", "g_frak", "G_frak", "check_theorem"]
 
@@ -68,17 +68,7 @@ class BoundCheck:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "lhs": self.lhs,
-            "bound": self.bound,
-            "slack": self.slack,
-            "satisfied": self.satisfied,
-            "applicable": self.applicable,
-            "tolerance": self.tolerance,
-            "inputs": {k: v for k, v in sorted(self.inputs.items())},
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 #: Per theorem: the estimate keys it reads, the key that must exceed 1 for

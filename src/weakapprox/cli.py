@@ -29,8 +29,7 @@ from pathlib import Path
 from . import __version__
 from .bounds import CHECK_TOL, check_theorem
 from .cf import PartialQuotients, qnorm_table, truncation_value
-from .construct import (GuardExceeded, InterleavingError, _digit_guard,
-                        construct_thm1, construct_thm2, construct_thm3)
+from .construct import GuardExceeded, _digit_guard, construct_thm1, construct_thm2, construct_thm3
 from .exponents import ASYMPTOTIC_TOL, NotEstimable, exponent_report
 from .intmath import _decimal_text, fraction_str, parse_decimal
 from .lattice import lattice_exponents, lattice_from_pair
@@ -443,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     except NotEstimable as exc:
         print(f"not estimable: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except (InterleavingError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

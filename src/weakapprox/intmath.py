@@ -50,6 +50,7 @@ from __future__ import annotations
 import math
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
+from functools import cache
 
 #: Bits of each factor's head in ``log_int`` and in the screens of
 #: ``ratio_less`` and ``log_product_ratio``.
@@ -73,11 +74,6 @@ _LN2 = math.log(2.0)
 
 #: Largest integer (in bits) that ``decimal_str`` converts with plain ``str``.
 _PLAIN_BITS = 10_000
-
-#: 2^(_PLAIN_BITS 2^k) as an exact ``Decimal``, by k: the powers at which
-#: ``to_decimal`` splits, shared by every conversion in the process.  Each
-#: entry is a constant, made on first use as the square of the one below.
-_POW2: dict[int, Decimal] = {}
 
 #: Longest text that ``parse_decimal`` converts with plain ``int``.
 _PLAIN_DIGITS = 4_300
@@ -569,7 +565,7 @@ def to_decimal(n: int) -> Decimal:
     at 2^w for the largest w = ``_PLAIN_BITS`` 2^k below its bit length,
     both parts are converted recursively, and they are recombined as
     hi * 2^w + lo in the C ``decimal`` module, whose multiplication is
-    subquadratic, with 2^w read from the shared table ``_POW2``.  The
+    subquadratic, with 2^w from the cached ``_pow2(k)``.  The
     context has ``MAX_PREC`` digits and traps ``Inexact`` and ``Rounded``,
     so a rounding would raise instead of giving wrong digits.
     """
@@ -584,19 +580,15 @@ def to_decimal(n: int) -> Decimal:
     return _EXACT.add(_EXACT.multiply(to_decimal(hi), _pow2(k)), to_decimal(n - (hi << w)))
 
 
+@cache
 def _pow2(k: int) -> Decimal:
-    """Entry k of ``_POW2``, made on first use: 2^_PLAIN_BITS for k = 0, else
-    the square of entry k - 1.  Two threads may both make an entry; they
-    store the same value."""
-    got = _POW2.get(k)
-    if got is None:
-        if k == 0:
-            got = _EXACT.power(2, _PLAIN_BITS)
-        else:
-            half = _pow2(k - 1)
-            got = _EXACT.multiply(half, half)
-        _POW2[k] = got
-    return got
+    """2^(_PLAIN_BITS 2^k) as an exact ``Decimal``, a power at which
+    ``to_decimal`` splits: made on first use as the square of entry k - 1
+    and shared by every conversion in the process."""
+    if k == 0:
+        return _EXACT.power(2, _PLAIN_BITS)
+    half = _pow2(k - 1)
+    return _EXACT.multiply(half, half)
 
 
 def scale_decimal(x: Decimal, num: int, den: int) -> Decimal:

@@ -80,7 +80,9 @@ than 13 bits, and makes no ``Fraction`` of record size.
 
 ``lattice_from_pair`` knows the row gcds of a pair lattice (|n1| and |n2|
 for row scales n/m, as p/q and r/s are in lowest terms) and passes them
-to ``Lattice2.with_row_gcds``; only a general matrix takes the two gcds.
+to the ``Lattice2`` constructor as ``g1`` and ``g2``, which replace the
+removed ``Lattice2.with_row_gcds`` (an API change); only a general matrix
+takes the two gcds.
 """
 
 from __future__ import annotations
@@ -110,9 +112,10 @@ Rat = Union[int, Fraction]
 @dataclass(frozen=True)
 class Lattice2:
     """Lattice A*Z^2 of a nonsingular rational 2x2 matrix A, held as integer
-    rows: row i of A is (Ai, Bi)/di with di > 0.  Construction also keeps
-    D = A1 B2 - B1 A2 and gi = gcd(Ai, Bi) of fact (2) of the module
-    docstring, as the attributes ``D``, ``g1`` and ``g2``."""
+    rows: row i of A is (Ai, Bi)/di with di > 0, and gi = gcd(Ai, Bi).  A
+    caller that knows g1 or g2 passes it; construction takes the gcd only
+    of a row whose gi is not given, and keeps D = A1 B2 - B1 A2 of fact (2)
+    of the module docstring as the attribute ``D``."""
 
     A1: int
     B1: int
@@ -120,30 +123,19 @@ class Lattice2:
     A2: int
     B2: int
     d2: int
+    g1: int | None = None
+    g2: int | None = None
 
     def __post_init__(self) -> None:
-        self._derive(gcd(self.A1, self.B1), gcd(self.A2, self.B2))
-
-    @classmethod
-    def with_row_gcds(cls, A1: int, B1: int, d1: int, A2: int, B2: int, d2: int,
-                      g1: int, g2: int) -> "Lattice2":
-        """The lattice of these rows when their gcds g1 = gcd(A1, B1) and
-        g2 = gcd(A2, B2) are already known; takes no gcd."""
-        lat = object.__new__(cls)
-        for name, value in zip(("A1", "B1", "d1", "A2", "B2", "d2"), (A1, B1, d1, A2, B2, d2)):
-            object.__setattr__(lat, name, value)
-        lat._derive(g1, g2)
-        return lat
-
-    def _derive(self, g1: int, g2: int) -> None:
-        """Check the rows and keep D, g1 and g2."""
         if self.d1 <= 0 or self.d2 <= 0:
             raise ValueError("row denominators must be positive")
         object.__setattr__(self, "D", self.A1 * self.B2 - self.B1 * self.A2)
         if self.D == 0:
             raise ValueError("matrix must be nonsingular")
-        object.__setattr__(self, "g1", g1)
-        object.__setattr__(self, "g2", g2)
+        if self.g1 is None:
+            object.__setattr__(self, "g1", gcd(self.A1, self.B1))
+        if self.g2 is None:
+            object.__setattr__(self, "g2", gcd(self.A2, self.B2))
 
 
 @dataclass(frozen=True)
@@ -171,8 +163,8 @@ def lattice_from_pair(
     theta, eta = theta_pq.analysis, eta_pq.analysis
     d1, d2 = Fraction(d1), Fraction(d2)
     n1, m1, n2, m2 = d1.numerator, d1.denominator, d2.numerator, d2.denominator
-    return Lattice2.with_row_gcds(n1 * theta.q_n, n1 * theta.p_n, m1 * theta.q_n,
-                                  n2 * eta.p_n, n2 * eta.q_n, m2 * eta.q_n, abs(n1), abs(n2))
+    return Lattice2(n1 * theta.q_n, n1 * theta.p_n, m1 * theta.q_n,
+                    n2 * eta.p_n, n2 * eta.q_n, m2 * eta.q_n, abs(n1), abs(n2))
 
 
 def degeneracy_radius(lat: Lattice2) -> tuple[int, int]:

@@ -10,7 +10,6 @@ default since both coordinates span many orders of magnitude.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from html import escape
 
 from .intmath import log_int, log_product_ratio
@@ -45,8 +44,9 @@ def plot_steps(
     """Render labelled step functions (and vertical marker lines) to SVG text.
 
     ``annotations`` are x-positions (typically witness breakpoints) drawn as
-    dashed vertical lines.  Functions must have overlapping domains.  The
-    title and the labels are escaped as XML text (``&``, ``<``, ``>``).
+    dashed vertical lines.  Functions must have overlapping domains, and on
+    linear axes every coordinate must fit in a double.  The title and the
+    labels are escaped as XML text (``&``, ``<``, ``>``).
     """
     if not functions:
         raise ValueError("nothing to plot")
@@ -57,28 +57,23 @@ def plot_steps(
     if lo >= hi:
         raise ValueError("domains do not overlap")
 
-    def tx(t) -> float:
-        if log_axes:
-            if isinstance(t, int):
-                return _log10_int(t)
-            t = Fraction(t)
-            return _log10_value(t.numerator, 1, t.denominator)
-        return float(t)
+    def tx(t: int) -> float:
+        return _log10_int(t) if log_axes else float(t)
 
     def ty(v: Value) -> float:
         return _log10_value(*v) if log_axes else v[0] * v[1] / v[2]
 
-    xs: list[float] = []
-    ys: list[float] = []
-    for _, f in functions:
-        for b, e, v in f.pieces():
-            if e <= lo or b >= hi:
-                continue
-            xs.extend((tx(max(b, lo)), tx(min(e, hi))))
-            ys.append(ty(v))
-    for a in annotations:
-        if lo <= a < hi:
-            xs.append(tx(a))
+    # Each function's segments (x_start, x_end, y) and the markers, in axis
+    # units, computed once: the bounds are read from them and they are drawn.
+    try:
+        segments = [[(tx(max(b, lo)), tx(min(e, hi)), ty(v))
+                     for b, e, v in f.pieces() if lo < e and b < hi] for _, f in functions]
+        marks = [(k, tx(k)) for k in sorted(set(annotations)) if lo <= k < hi]
+    except OverflowError:
+        raise ValueError("a coordinate does not fit in a double on linear axes; "
+                         "plot it on log axes") from None
+    xs = [x for segs in segments for b, e, _ in segs for x in (b, e)] + [x for _, x in marks]
+    ys = [y for segs in segments for _, _, y in segs]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     if x1 - x0 < 1e-9:
@@ -116,10 +111,8 @@ def plot_steps(
         f'font-family="monospace" font-size="12">{axis_label}</text>'
     )
 
-    for k in sorted(set(annotations)):
-        if not (lo <= k < hi):
-            continue
-        x = _fmt(px(tx(k)))
+    for k, xk in marks:
+        x = _fmt(px(xk))
         out.append(
             f'<line x1="{x}" y1="{m}" x2="{x}" y2="{h - m}" '
             f'stroke="#888888" stroke-width="1" stroke-dasharray="4,3"/>'
@@ -129,14 +122,10 @@ def plot_steps(
             f'font-family="monospace" font-size="10">{k}</text>'
         )
 
-    for idx, (label, f) in enumerate(functions):
+    for idx, ((label, _), segs) in enumerate(zip(functions, segments)):
         color = _PALETTE[idx % len(_PALETTE)]
-        for b, e, v in f.pieces():
-            if e <= lo or b >= hi:
-                continue
-            bx, ex = max(b, lo), min(e, hi)
-            xa, xb_ = px(tx(bx)), px(tx(ex))
-            y = py(ty(v))
+        for b, e, y in segs:
+            xa, xb_, y = px(b), px(e), py(y)
             out.append(
                 f'<line x1="{_fmt(xa)}" y1="{_fmt(y)}" x2="{_fmt(xb_)}" y2="{_fmt(y)}" '
                 f'stroke="{color}" stroke-width="2"/>'

@@ -217,6 +217,14 @@ class TestMeasureAndPlot:
         assert captured.out == ""
         assert "error:" in captured.err and "--csv" in captured.err and "--prefix" in captured.err
 
+    def test_plot_linear_of_a_deep_prefix_is_a_usage_error(self, capsys):
+        """q_{N-1} of 900 twos is above 2^1024: no double holds it."""
+        prefix = "[0;" + ",".join(["2"] * 900) + "]"
+        assert main(["plot", "--prefix", prefix, "--linear"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "linear axes" in captured.err
+
     def test_plot_escapes_title_and_labels(self, tmp_path, capsys):
         psi_path = tmp_path / "psi.csv"
         run(["measure", "--prefix", "[0;2,2,2]", "--output", str(psi_path)], capsys)

@@ -570,17 +570,18 @@ def test_decimal_str_at_every_split_width(w):
             assert decimal_str(-n) == "-" + text
 
 
-def test_decimal_str_fills_the_power_table_in_either_order(monkeypatch):
-    """From an empty table, converting the smaller value first or the larger
-    one first gives the same digits, and the table holds 2^(_PLAIN_BITS 2^k)."""
+def test_decimal_str_fills_the_power_table_in_either_order():
+    """From an empty cache, converting the smaller value first or the larger
+    one first gives the same digits, and ``_pow2`` caches 2^(_PLAIN_BITS 2^k)."""
     small, large = 7**20_000, -(7**60_000)  # 56k and 168k bits
     texts = [str(decimal.Decimal(n)) for n in (small, large)]
     for order in (slice(None), slice(None, None, -1)):
-        monkeypatch.setattr(intmath, "_POW2", {})
-        for _ in range(2):  # an empty table, then a full one
+        intmath._pow2.cache_clear()
+        for _ in range(2):  # an empty cache, then a full one
             assert [decimal_str(n) for n in (small, large)[order]] == texts[order]
-        assert sorted(intmath._POW2) == list(range(5))
-    assert all(int(x) == 1 << (intmath._PLAIN_BITS << k) for k, x in intmath._POW2.items())
+        assert intmath._pow2.cache_info().currsize == 5
+    assert all(int(intmath._pow2(k)) == 1 << (intmath._PLAIN_BITS << k) for k in range(5))
+    assert intmath._pow2.cache_info().currsize == 5  # the entries are k = 0..4
 
 
 _LIMIT = intmath._DIV_LIMIT

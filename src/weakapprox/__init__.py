@@ -5,7 +5,7 @@ functions, exponent estimates, lattice product minima, and the step-pair
 combinatorics are all computed in exact rational arithmetic on top of them.
 """
 
-from .bounds import BoundCheck, G_frak, check_theorem, g_frak
+from .bounds import BoundCheck, G_frak, check_prefixes, check_theorem, g_frak
 from .cf import (
     ExactDistance,
     PartialQuotients,
@@ -58,6 +58,7 @@ __all__ = [
     "StepPair",
     "Witness",
     "check_conditions",
+    "check_prefixes",
     "check_theorem",
     "construct_thm1",
     "construct_thm2",

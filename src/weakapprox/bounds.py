@@ -20,7 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-__all__ = ["BoundCheck", "g_frak", "G_frak", "check_theorem"]
+from .cf import PartialQuotients
+from .exponents import exponent_report
+from .lattice import lattice_exponents, lattice_from_pair
+
+__all__ = ["BoundCheck", "g_frak", "G_frak", "check_theorem", "check_prefixes"]
 
 #: Default tolerance on asymptotic comparisons.
 CHECK_TOL = 0.05
@@ -123,3 +127,18 @@ def check_theorem(which: str, estimates: dict, tolerance: float = CHECK_TOL) -> 
         )
     slack = lhs - bound
     return BoundCheck(which, lhs, bound, slack, slack >= -tol, True, tol, inputs, note)
+
+
+def check_prefixes(which: str, theta: PartialQuotients, eta: PartialQuotients | None = None,
+                   tolerance: float = CHECK_TOL) -> tuple[dict, BoundCheck, list[str]]:
+    """Check theorem ``which`` on a prefix or a pair (T2-T4 need a pair, or
+    are inapplicable); return ``exponent_report``'s report, the check and the
+    report's flags.  T4 checks the pair lattice's two estimates, and nests
+    the report as ``number_side`` beside their ``lattice_info``."""
+    report = estimates = exponent_report(theta, eta)
+    flags = report["flags"]
+    if which == "T4" and eta is not None:
+        ordinary, uniform, info = lattice_exponents(lattice_from_pair(theta, eta))
+        estimates = {"omega_lattice": ordinary.value, "omega_bar_lattice": uniform.value}
+        report = {"number_side": report, "lattice_info": info}
+    return report, check_theorem(which, estimates, tolerance), flags

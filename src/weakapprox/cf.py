@@ -56,6 +56,7 @@ from pairs already known to be in lowest terms.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -64,6 +65,8 @@ from math import gcd
 from .intmath import decimal_str, parse_decimal, reduced_fraction
 
 __all__ = [
+    "GuardExceeded",
+    "DIGIT_GUARD_ENV",
     "PartialQuotients",
     "PrefixAnalysis",
     "ExactDistance",
@@ -71,6 +74,20 @@ __all__ = [
     "truncation_value",
     "qnorm_table",
 ]
+
+
+#: Hard ceiling on denominator digit counts; override via environment.
+DEFAULT_DIGIT_GUARD = 10 ** 6
+DIGIT_GUARD_ENV = "WEAKAPPROX_DIGIT_GUARD"
+
+
+class GuardExceeded(RuntimeError):
+    """A prefix or a construction grew past the configured digit guard."""
+
+
+def _digit_guard() -> int:
+    env = os.environ.get(DIGIT_GUARD_ENV)
+    return int(env) if env else DEFAULT_DIGIT_GUARD
 
 
 #: The error of a distance table or estimate asked of a depth-1 prefix.
@@ -218,7 +235,9 @@ def analyse(pq: PartialQuotients) -> PrefixAnalysis:
     """Denominators q_v by the forward recurrence, rho_v by the backward
     recurrence (1) with the corner complement (3), and p_N = a0 q_N + r_0.
     ``pq.analysis`` keeps the result.  Any depth is analysed; a distance
-    table or an estimate needs depth >= 2 and checks it itself.
+    table or an estimate needs depth >= 2 and checks it itself.  A prefix
+    whose q_N certainly exceeds the digit guard raises ``GuardExceeded``
+    before any recurrence runs, however the prefix was made.
 
     The numerator needs no recurrence of its own.  By (1) at v = 0, where
     (p_0, q_0) = (a0, 1), |p_N - a0 q_N| = r_0, taken before the corner
@@ -226,6 +245,9 @@ def analyse(pq: PartialQuotients) -> PrefixAnalysis:
     every a_i >= 1, so p_N = a0 q_N + r_0.  In continuants: r_0 = K(a2..aN)
     and q_N = K(a1..aN), and p_N/q_N = a0 + K(a2..aN)/K(a1..aN).
     """
+    digits, guard = pq.min_q_digits(), _digit_guard()
+    if digits > guard:
+        raise GuardExceeded(f"prefix q_N has at least {digits} digits (guard {guard})")
     n = pq.depth
     q_prev, q_n = 0, 1
     q = [q_n]

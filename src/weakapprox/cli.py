@@ -27,9 +27,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .bounds import CHECK_TOL, check_theorem
-from .cf import PartialQuotients, qnorm_table, truncation_value
-from .construct import GuardExceeded, _digit_guard, construct_thm1, construct_thm2, construct_thm3
+from .bounds import CHECK_TOL, check_prefixes
+from .cf import GuardExceeded, PartialQuotients, qnorm_table, truncation_value
+from .construct import construct_thm1, construct_thm2, construct_thm3
 from .exponents import ASYMPTOTIC_TOL, NotEstimable, exponent_report
 from .intmath import _decimal_text, fraction_str, parse_decimal
 from .lattice import lattice_exponents, lattice_from_pair
@@ -62,8 +62,7 @@ def _json_dump(obj) -> str:
 def _load_prefix(arg: str) -> PartialQuotients:
     """Accept '[a0;a1,...]' or a JSON artifact, inline or as a file path.
 
-    A prefix whose q_N certainly exceeds the digit guard raises
-    ``GuardExceeded`` (exit 3) before anything analyses it.
+    Its analysis checks the digit guard (``cf.analyse``; exit 3).
     """
     p = Path(arg)
     try:
@@ -72,13 +71,8 @@ def _load_prefix(arg: str) -> PartialQuotients:
         is_file = False
     text = p.read_text(encoding="utf-8") if is_file else arg.strip()
     if is_file or text.startswith("{"):
-        pq = PartialQuotients.from_json(text)
-    else:
-        pq = PartialQuotients.parse(text)
-    digits, guard = pq.min_q_digits(), _digit_guard()
-    if digits > guard:
-        raise GuardExceeded(f"prefix q_N has at least {digits} digits (guard {guard})")
-    return pq
+        return PartialQuotients.from_json(text)
+    return PartialQuotients.parse(text)
 
 
 #: Characters of a bad option value that an error message echoes.
@@ -200,13 +194,9 @@ def cmd_construct(args) -> int:
     built = _build(args.scheme, args.gamma, args.depth, seeds)
     if len(built) == 1:
         _emit(built[0].to_json() + "\n", args.output)
-        return EXIT_OK
-    theta, eta = built
-    out = {
-        "theta": json.loads(theta.to_json()),
-        "eta": json.loads(eta.to_json()),
-    }
-    _emit(_json_dump(out), args.output)
+    else:
+        out = {name: json.loads(pq.to_json()) for name, pq in zip(("theta", "eta"), built)}
+        _emit(_json_dump(out), args.output)
     return EXIT_OK
 
 
@@ -283,14 +273,8 @@ def cmd_lemma1(args) -> int:
         ok = report.a_holds and report.b_holds and 1 <= len(verified) == len(witnesses)
         if not ok:
             failures += 1
-        results.append(
-            {
-                "seed": args.seed + k,
-                "a_holds": report.a_holds,
-                "b_holds": report.b_holds,
-                "witnesses": len(verified),
-            }
-        )
+        results.append({"seed": args.seed + k, "a_holds": report.a_holds,
+                        "b_holds": report.b_holds, "witnesses": len(verified)})
     out = {"pairs": results, "failures": failures}
     _emit(_json_dump(out), args.output)
     return EXIT_CHECK_FAILED if failures else EXIT_OK
@@ -300,15 +284,7 @@ def cmd_verify(args) -> int:
     if not 0 <= args.tolerance < float("inf"):  # also false for nan
         raise ValueError("--tolerance must be finite and >= 0")
     pair = _build(_SCHEME_OF[args.theorem], args.gamma, args.depth, {})
-    report = exponent_report(*pair)
-    flags = report["flags"]
-    estimates = report
-    if args.theorem == "T4":
-        ordinary, uniform, info = lattice_exponents(lattice_from_pair(*pair))
-        estimates = {"omega_lattice": ordinary.value, "omega_bar_lattice": uniform.value}
-        report = {"number_side": report, "lattice_info": info}
-    check = check_theorem(args.theorem, estimates, tolerance=args.tolerance)
-
+    report, check, flags = check_prefixes(args.theorem, *pair, tolerance=args.tolerance)
     out = {
         "theorem": args.theorem,
         "gamma": str(args.gamma),
@@ -332,10 +308,7 @@ def cmd_plot(args) -> int:
         functions.append((label, f))
     if args.prefix:
         pq = _load_prefix(args.prefix)
-        psi = psi_step(pq)
-        ups = upsilon_step(pq)
-        functions.append(("psi", psi))
-        functions.append(("upsilon", ups))
+        functions += [("psi", psi_step(pq)), ("upsilon", upsilon_step(pq))]
     if not functions:
         raise ValueError("plot needs --csv or --prefix")
     svg = plot_steps(functions, list(args.annotate or ()), log_axes=not args.linear,

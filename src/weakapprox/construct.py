@@ -22,10 +22,9 @@ Three schemes, each taking a rational parameter gamma = u/v so that every
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
-from .cf import PartialQuotients
+from .cf import DIGIT_GUARD_ENV, GuardExceeded, PartialQuotients, _digit_guard
 from .intmath import decimal_str, digits_of, round_div_root, round_root
 
 __all__ = [
@@ -38,26 +37,12 @@ __all__ = [
     "DIGIT_GUARD_ENV",
 ]
 
-#: Hard ceiling on denominator digit counts; override via environment.
-DEFAULT_DIGIT_GUARD = 10 ** 6
-DIGIT_GUARD_ENV = "WEAKAPPROX_DIGIT_GUARD"
-
-
-class GuardExceeded(RuntimeError):
-    """A construction grew past the configured digit guard."""
-
-
 class InterleavingError(ValueError):
     """Generated denominators failed the required strict interleaving."""
 
     def __init__(self, index: int, message: str):
         super().__init__(f"interleaving failed at index {index}: {message}")
         self.index = index
-
-
-def _digit_guard() -> int:
-    env = os.environ.get(DIGIT_GUARD_ENV)
-    return int(env) if env else DEFAULT_DIGIT_GUARD
 
 
 def _check_guard(q: int, guard: int) -> None:

@@ -84,10 +84,10 @@ def plot_steps(
     m, w, h = _MARGIN, _WIDTH, _HEIGHT
 
     def px(x: float) -> float:
-        return m + (x - x0) * (w - 2 * m) / (x1 - x0)
+        return m + (x - x0) / (x1 - x0) * (w - 2 * m)
 
     def py(y: float) -> float:
-        return h - m - (y - y0) * (h - 2 * m) / (y1 - y0)
+        return h - m - (y - y0) / (y1 - y0) * (h - 2 * m)
 
     out: list[str] = []
     out.append(

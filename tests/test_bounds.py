@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from weakapprox.bounds import BoundCheck, G_frak, check_theorem, g_frak
+from weakapprox.bounds import BoundCheck, G_frak, check_prefixes, check_theorem, g_frak
+from weakapprox.cf import PartialQuotients
+from weakapprox.exponents import exponent_report
 
 
 def poly_g(y, x):
@@ -145,3 +147,25 @@ class TestChecks:
         assert d["theorem"] == "T1"
         assert isinstance(d["inputs"], dict)
         assert isinstance(chk, BoundCheck)
+
+
+class TestCheckPrefixes:
+    """The library path from prefixes to a verdict, on a pair that no
+    construction built."""
+
+    THETA = PartialQuotients(0, (3, 7, 156, 535867, 986372083990945))
+    ETA = PartialQuotients(0, (2, 3, 22, 3435, 1840703167))
+
+    @pytest.mark.parametrize("which", ["T2", "T3", "T4"])
+    def test_pair(self, which):
+        report, chk, flags = check_prefixes(which, self.THETA, self.ETA)
+        number_side = report["number_side"] if which == "T4" else report
+        assert number_side == exponent_report(self.THETA, self.ETA)
+        assert flags == number_side["flags"]
+        assert chk.theorem == which and chk.applicable
+
+    @pytest.mark.parametrize("which", ["T2", "T3", "T4"])
+    def test_one_prefix_leaves_a_pair_check_inapplicable(self, which):
+        report, chk, flags = check_prefixes(which, self.THETA)
+        assert report == exponent_report(self.THETA) and flags == report["flags"]
+        assert not chk.applicable and chk.note == "missing inputs"

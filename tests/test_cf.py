@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from weakapprox.cf import PartialQuotients, qnorm_table, truncation_value
+import weakapprox
+import weakapprox.construct
+from weakapprox.cf import (DIGIT_GUARD_ENV, GuardExceeded, PartialQuotients, qnorm_table,
+                           truncation_value)
 from weakapprox.cli import main
 from oracles import convergents, evaluate_nested
 
@@ -152,6 +155,28 @@ def test_json_numbers_of_any_length(default_int_limit):
     assert PartialQuotients.from_json(text) == PartialQuotients(-2, (3, 7, 10**5000 + 7, 2))
     with pytest.raises(ValueError):
         PartialQuotients.from_json('{"a0": 1.5, "tail": [1]}')
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PartialQuotients.from_json('{"a0": 0, "tail": [1' + "0" * 60 + ', 2]}'),
+    lambda: PartialQuotients.parse("[0;1" + "0" * 60 + ",2]"),
+    lambda: PartialQuotients(0, (10**60, 2)),
+], ids=["from_json", "parse", "constructor"])
+def test_analysis_checks_the_digit_guard(monkeypatch, make):
+    """However a prefix is made, its analysis refuses a q_N sure to pass
+    the guard before any recurrence runs, and accepts it at the bound."""
+    pq = make()
+    digits = pq.min_q_digits()
+    monkeypatch.setenv(DIGIT_GUARD_ENV, str(digits - 1))
+    with pytest.raises(GuardExceeded, match=f"at least {digits} digits \\(guard {digits - 1}\\)"):
+        pq.analysis
+    monkeypatch.setenv(DIGIT_GUARD_ENV, str(digits))
+    assert pq.analysis.q_n == 2 * 10**60 + 1
+
+
+def test_guard_names_resolve_from_construct_and_the_package():
+    assert weakapprox.construct.GuardExceeded is GuardExceeded is weakapprox.GuardExceeded
+    assert weakapprox.construct.DIGIT_GUARD_ENV == DIGIT_GUARD_ENV
 
 
 def test_parse_bracket_notation():

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weakapprox.bounds as bounds
 import weakapprox.cli as cli
+from weakapprox import check_prefixes
 from weakapprox.bounds import BoundCheck, check_theorem
 from weakapprox.cf import PartialQuotients
 from weakapprox.cli import EXIT_INAPPLICABLE, EXIT_USAGE, main
@@ -478,20 +480,25 @@ class TestVerifyCommand:
         theorem on its own construction and with its own estimate keys."""
         g = Fraction(gamma)
         if theorem == "T1":
-            report = exponent_report(construct_thm1(g, depth))
+            built = (construct_thm1(g, depth),)
+            report = exponent_report(*built)
             estimates = {k: report[k] for k in ("omega_theta", "omega_bar_theta")}
         elif theorem == "T2":
-            report = exponent_report(*construct_thm2(g, depth))
+            built = construct_thm2(g, depth)
+            report = exponent_report(*built)
             estimates = {k: report[k] for k in ("omega_theta", "omega_eta", "varpi_psi")}
         elif theorem == "T3":
-            report = exponent_report(*construct_thm3(g, depth))
+            built = construct_thm3(g, depth)
+            report = exponent_report(*built)
             estimates = {k: report[k] for k in ("omega_theta", "omega_eta", "varpi_upsilon")}
         else:
-            pair = construct_thm3(g, depth)
-            ordinary, uniform, info = lattice_exponents(lattice_from_pair(*pair))
+            built = construct_thm3(g, depth)
+            ordinary, uniform, info = lattice_exponents(lattice_from_pair(*built))
             estimates = {"omega_lattice": ordinary.value, "omega_bar_lattice": uniform.value}
-            report = {"number_side": exponent_report(*pair), "lattice_info": info}
+            report = {"number_side": exponent_report(*built), "lattice_info": info}
         check = check_theorem(theorem, estimates)
+        number_side = report["number_side"] if theorem == "T4" else report
+        assert check_prefixes(theorem, *built) == (report, check, number_side["flags"])
         expected = {"theorem": theorem, "gamma": gamma, "depth": depth,
                     "check": check.to_dict(), "report": report}
         code, out = run(["verify", "--theorem", theorem, "--gamma", gamma,
@@ -505,9 +512,9 @@ class TestVerifyCommand:
             return BoundCheck(which, None, None, None, None, False, tolerance, estimates,
                               "varpi_psi <= 1")
 
-        real_report = cli.exponent_report
-        monkeypatch.setattr(cli, "check_theorem", inapplicable)
-        monkeypatch.setattr(cli, "exponent_report",
+        real_report = bounds.exponent_report
+        monkeypatch.setattr(bounds, "check_theorem", inapplicable)
+        monkeypatch.setattr(bounds, "exponent_report",
                             lambda *a, **k: {**real_report(*a, **k), "flags": flags})
         code, out = run(
             ["verify", "--theorem", "T2", "--gamma", "13/10", "--depth", "8"], capsys

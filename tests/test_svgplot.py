@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+import math
+import xml.etree.ElementTree as ET
+
 import pytest
 
 import weakapprox.svgplot as svgplot
@@ -65,6 +68,20 @@ def test_linear_axes_reject_a_coordinate_beyond_a_double(f):
     assert plot_steps([("f", f)]).rstrip().endswith("</svg>")
     with pytest.raises(ValueError, match="linear axes"):
         plot_steps([("f", f)], log_axes=False)
+
+
+@pytest.mark.parametrize("f", [
+    StepFunction((1, 10**306), (Fraction(1), Fraction(1, 2)), 10**307),  # an x near the limit
+    StepFunction((1, 5), (Fraction(10**306), Fraction(1)), 9),  # a y near the limit
+])
+def test_linear_axes_near_the_double_limit_stay_finite(f):
+    """Coordinates that fit in a double, though their span times the axis
+    length in pixels does not, still give finite pixels on linear axes."""
+    svg = plot_steps([("f", f)], log_axes=False)
+    coords = [float(v) for el in ET.fromstring(svg).iter() for k, v in el.attrib.items()
+              if k in ("x", "y", "x1", "x2", "y1", "y2", "cx", "cy")]
+    assert coords and all(math.isfinite(c) for c in coords)
+    assert "inf" not in svg and "nan" not in svg
 
 
 def test_each_plotted_piece_takes_one_log(monkeypatch):

@@ -107,8 +107,11 @@ def check_theorem(which: str, estimates: dict, tolerance: float = CHECK_TOL) -> 
         identity g_frak(2u + 1) = G_frak(u)^2.  Needs omega_bar_lattice > 1.
 
     Only the theorem's own keys are read from ``estimates``.  Missing or
-    ineligible inputs give an inapplicable (not failed) check.
+    ineligible inputs give an inapplicable (not failed) check.  A tolerance
+    that is not finite and >= 0 raises ``ValueError``.
     """
+    if not 0 <= tolerance < math.inf:  # also false for nan
+        raise ValueError(f"tolerance must be finite and >= 0, not {tolerance!r}")
     if which not in _THEOREMS:
         raise ValueError(f"unknown theorem id {which!r}")
     keys, gate, lhs_of, bound_of, note = _THEOREMS[which]

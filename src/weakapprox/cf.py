@@ -62,7 +62,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .intmath import decimal_str, parse_decimal, reduced_fraction
+from .intmath import decimal_str, digits_of, parse_decimal, reduced_fraction
 
 __all__ = [
     "GuardExceeded",
@@ -88,6 +88,11 @@ class GuardExceeded(RuntimeError):
 def _digit_guard() -> int:
     env = os.environ.get(DIGIT_GUARD_ENV)
     return int(env) if env else DEFAULT_DIGIT_GUARD
+
+
+def _check_guard(q: int, guard: int) -> None:
+    if digits_of(q) > guard:
+        raise GuardExceeded(f"denominator reached ~{digits_of(q)} digits (guard {guard})")
 
 
 #: The error of a distance table or estimate asked of a depth-1 prefix.
@@ -235,9 +240,10 @@ def analyse(pq: PartialQuotients) -> PrefixAnalysis:
     """Denominators q_v by the forward recurrence, rho_v by the backward
     recurrence (1) with the corner complement (3), and p_N = a0 q_N + r_0.
     ``pq.analysis`` keeps the result.  Any depth is analysed; a distance
-    table or an estimate needs depth >= 2 and checks it itself.  A prefix
-    whose q_N certainly exceeds the digit guard raises ``GuardExceeded``
-    before any recurrence runs, however the prefix was made.
+    table or an estimate needs depth >= 2 and checks it itself.  A q_N past
+    the digit guard raises ``GuardExceeded``, however the prefix was made:
+    before any recurrence if its lower bound ``min_q_digits`` is past it,
+    else before the backward recurrence.
 
     The numerator needs no recurrence of its own.  By (1) at v = 0, where
     (p_0, q_0) = (a0, 1), |p_N - a0 q_N| = r_0, taken before the corner
@@ -254,6 +260,7 @@ def analyse(pq: PartialQuotients) -> PrefixAnalysis:
     for a in pq.tail:
         q_n, q_prev = a * q_n + q_prev, q_n
         q.append(q_n)
+    _check_guard(q_n, guard)
     rho = [0] * (n + 1)
     rho[n - 1] = 1
     for v in range(n - 2, -1, -1):

@@ -11,10 +11,10 @@ Everything is deterministic for a fixed invocation: one seed drives all
 randomness, JSON is emitted with sorted keys, and the SVG writer formats
 floats with a fixed pattern.
 
-``_COMMANDS`` is the one table of commands.  A call builds only its own
-command's parser from it; the full parser, from the same table, is built
-only for help, the version, a missing or unknown command and a left-over
-argument, so every message reads as the full parser words it.
+``_COMMANDS`` is the one table of commands, and ``build_parser`` makes
+the one parser from it.  ``main`` parses every call with that parser,
+built on first use and kept for the process: no option default is
+mutable, and ``append`` actions copy their list on each parse.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -31,7 +32,7 @@ from .bounds import CHECK_TOL, check_prefixes
 from .cf import GuardExceeded, PartialQuotients, qnorm_table, truncation_value
 from .construct import construct_thm1, construct_thm2, construct_thm3
 from .exponents import ASYMPTOTIC_TOL, NotEstimable, exponent_report
-from .intmath import _decimal_text, fraction_str, parse_decimal
+from .intmath import decimal_str, fraction_str, parse_decimal
 from .lattice import lattice_exponents, lattice_from_pair
 from .lemma import (BOUNDARY_MARGIN, StepPair, check_conditions, find_witnesses,
                     random_step_pair, verify_witness)
@@ -152,10 +153,7 @@ def _build(scheme: str, gamma: Fraction, depth: int,
 def cmd_cf(args) -> int:
     pq = _load_prefix(args.prefix)
     table = qnorm_table(pq) if pq.depth >= 2 else []
-    text: dict[int, str] = {}  # every q_v is printed twice, and q_N in most rows
-
-    def dec(n: int) -> str:
-        return _decimal_text(n, text)
+    dec = cache(decimal_str)  # every q_v is printed twice, and q_N in most rows
 
     def frac(x: Fraction) -> str:
         return f"{dec(x.numerator)}/{dec(x.denominator)}"
@@ -224,11 +222,11 @@ def cmd_lattice(args) -> int:
     d1, d2 = Fraction(args.d1), Fraction(args.d2)
     matrix = {"a11": d1, "a12": d1 * truncation_value(theta),
               "a21": d2 * truncation_value(eta), "a22": d2}
-    text: dict[int, str] = {}  # the uniform sample keys are ordinary ones
+    dec = cache(decimal_str)  # the uniform sample keys are ordinary ones
     out = {
         "lattice": {name: fraction_str(x) for name, x in matrix.items()},
-        "omega_lattice": ordinary.to_dict(text),
-        "omega_bar_lattice": uniform.to_dict(text),
+        "omega_lattice": ordinary.to_dict(dec),
+        "omega_bar_lattice": uniform.to_dict(dec),
         "info": info,
         "flags": [],
     }
@@ -373,16 +371,6 @@ _COMMANDS = {
 }
 
 
-def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Give ``parser`` the options of command ``name``, ``--output`` and its handler."""
-    _, handler, options = _COMMANDS[name]
-    for flag, kwargs in options:
-        parser.add_argument(flag, **kwargs)
-    parser.add_argument("--output")
-    parser.set_defaults(func=handler)
-    return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The full parser: the root options and one subparser per command."""
     parser = argparse.ArgumentParser(
@@ -393,20 +381,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, _, _) in _COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_line), name)
+    for name, (help_line, handler, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flag, kwargs in options:
+            command.add_argument(flag, **kwargs)
+        command.add_argument("--output")
+        command.set_defaults(func=handler)
     return parser
 
 
+_parser = cache(build_parser)  # built on first use and kept for the process
+
+
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    left_over = True
-    if argv and argv[0] in _COMMANDS:
-        # The full parser hands the same argv[1:] to this command's subparser.
-        parser = _add_command(argparse.ArgumentParser(prog=f"weakapprox {argv[0]}"), argv[0])
-        args, left_over = parser.parse_known_args(argv[1:])
-    if left_over:  # help, version, a missing or unknown command, or an extra argument
-        args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GuardExceeded as exc:

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cf import DIGIT_GUARD_ENV, GuardExceeded, PartialQuotients, _digit_guard
-from .intmath import decimal_str, digits_of, round_div_root, round_root
+from .cf import DIGIT_GUARD_ENV, GuardExceeded, PartialQuotients, _check_guard, _digit_guard
+from .intmath import decimal_str, round_div_root, round_root
 
 __all__ = [
     "GuardExceeded",
@@ -43,11 +43,6 @@ class InterleavingError(ValueError):
     def __init__(self, index: int, message: str):
         super().__init__(f"interleaving failed at index {index}: {message}")
         self.index = index
-
-
-def _check_guard(q: int, guard: int) -> None:
-    if digits_of(q) > guard:
-        raise GuardExceeded(f"denominator reached ~{digits_of(q)} digits (guard {guard})")
 
 
 def _checked(scheme: str, gamma, depth: int) -> Fraction:

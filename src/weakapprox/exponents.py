@@ -21,11 +21,12 @@ whose log t is at least ``_LOG_COVERAGE`` of the last sample's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Iterable
 
 from .cf import TABLE_DEPTH_ERROR, PartialQuotients
 from .cf import qnorm_table  # noqa: F401 - perfbench looks it up here
-from .intmath import _decimal_text, log_int, log_product_ratio, log_ratio
+from .intmath import decimal_str, log_int, log_product_ratio, log_ratio
 from .measure import StepFunction, min_step, psi_step, upsilon_step
 
 __all__ = [
@@ -64,19 +65,18 @@ class ExponentEstimate:
     window: tuple[int, int]
     samples: tuple[tuple[int, float], ...] = field(repr=False)
 
-    def to_dict(self, text: dict[int, str] | None = None) -> dict:
-        """The estimate as JSON-ready values, sample keys as decimal strings.
+    def to_dict(self, dec: Callable[[int], str] = decimal_str) -> dict:
+        """The estimate as JSON-ready values, sample keys printed by ``dec``.
 
-        ``text`` maps keys already printed to their digits, and takes the
-        new ones: estimates written into one artifact share one, so that a
-        key they share is converted once.
+        Estimates written into one artifact share one
+        ``functools.cache(decimal_str)``, so that a key they share is
+        converted once.
         """
-        text = {} if text is None else text
         return {
             "kind": self.kind,
             "value": self.value,
             "window": list(self.window),
-            "samples": [[_decimal_text(t, text), s] for t, s in self.samples],
+            "samples": [[dec(t), s] for t, s in self.samples],
         }
 
 
@@ -206,14 +206,14 @@ def exponent_report(
     they must never fire on valid data.
     """
     flags: list[str] = []
-    text: dict[int, str] = {}  # the sample keys, shared by all estimates (many are q_v)
+    dec = cache(decimal_str)  # the sample keys, shared by all estimates (many are q_v)
     omega_t, omega_bar_t, upsilon_t = _one_number(theta, "theta", window, flags)
     report: dict = {
         "omega_theta": omega_t.value,
         "omega_bar_theta": omega_bar_t.value,
         "samples": {
-            "omega_theta": omega_t.to_dict(text)["samples"],
-            "omega_bar_theta": omega_bar_t.to_dict(text)["samples"],
+            "omega_theta": omega_t.to_dict(dec)["samples"],
+            "omega_bar_theta": omega_bar_t.to_dict(dec)["samples"],
         },
     }
     if eta is not None:
@@ -230,8 +230,8 @@ def exponent_report(
                 "varpi_upsilon": varpi_ups.value,
             }
         )
-        report["samples"]["varpi_psi"] = varpi_psi.to_dict(text)["samples"]
-        report["samples"]["varpi_upsilon"] = varpi_ups.to_dict(text)["samples"]
+        report["samples"]["varpi_psi"] = varpi_psi.to_dict(dec)["samples"]
+        report["samples"]["varpi_upsilon"] = varpi_ups.to_dict(dec)["samples"]
         if not varpi_psi.value >= 1 - ASYMPTOTIC_TOL:
             flags.append("varpi_psi below 1")
         if not varpi_psi.value <= varpi_ups.value + ASYMPTOTIC_TOL:

@@ -548,16 +548,6 @@ def decimal_str(n: int) -> str:
     return str(n) if n.bit_length() <= _PLAIN_BITS else str(to_decimal(n))
 
 
-def _decimal_text(n: int, text: dict[int, str]) -> str:
-    """``decimal_str(n)``, read from ``text`` or converted and added to it:
-    an artifact that prints an integer many times shares one ``text``, kept
-    for that artifact only."""
-    got = text.get(n)
-    if got is None:
-        got = text[n] = decimal_str(n)
-    return got
-
-
 def to_decimal(n: int) -> Decimal:
     """The exact ``Decimal`` of any integer, in time below quadratic.
 

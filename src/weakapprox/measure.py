@@ -35,11 +35,12 @@ import io
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from typing import Iterable, Union
 
 from .cf import PartialQuotients, qnorm_table  # noqa: F401 - perfbench looks it up here
-from .intmath import _decimal_text, _rat_str, decimal_str, parse_decimal, ratio_less
+from .intmath import _rat_str, decimal_str, parse_decimal, ratio_less
 
 __all__ = [
     "StepFunction",
@@ -188,11 +189,11 @@ def _fraction(v: Value) -> Fraction:
 
 def _csv(rows: Iterable[tuple[int, int, int]]) -> str:
     """The CSV text of (t, num, den) rows, each distinct integer converted once."""
-    text: dict[int, str] = {}
+    dec = cache(decimal_str)
     buf = io.StringIO()
     buf.write(_CSV_HEADER)
     for row in rows:
-        buf.write(",".join(_decimal_text(n, text) for n in row) + "\n")
+        buf.write(",".join(map(dec, row)) + "\n")
     return buf.getvalue()
 
 

@@ -141,6 +141,11 @@ class TestChecks:
         with pytest.raises(ValueError):
             check_theorem("T9", {})
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -0.5])
+    def test_bad_tolerance_raises(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            check_theorem("T1", {"omega_theta": 2.5, "omega_bar_theta": 1.5}, tolerance)
+
     def test_json_form(self):
         chk = check_theorem("T1", {"omega_theta": 2.0, "omega_bar_theta": 1.5})
         d = chk.to_dict()
@@ -163,6 +168,11 @@ class TestCheckPrefixes:
         assert number_side == exponent_report(self.THETA, self.ETA)
         assert flags == number_side["flags"]
         assert chk.theorem == which and chk.applicable
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -0.5])
+    def test_bad_tolerance_raises(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            check_prefixes("T1", self.THETA, tolerance=tolerance)
 
     @pytest.mark.parametrize("which", ["T2", "T3", "T4"])
     def test_one_prefix_leaves_a_pair_check_inapplicable(self, which):

@@ -174,6 +174,18 @@ def test_analysis_checks_the_digit_guard(monkeypatch, make):
     assert pq.analysis.q_n == 2 * 10**60 + 1
 
 
+def test_analysis_checks_q_n_past_the_lower_bound(monkeypatch):
+    """Twenty 3s: the lower bound reads 7 digits, q_N has 11, and the
+    guard is checked on q_N itself once the forward recurrence made it."""
+    pq = PartialQuotients(0, (3,) * 20)
+    assert pq.min_q_digits() == 7
+    monkeypatch.setenv(DIGIT_GUARD_ENV, "7")
+    with pytest.raises(GuardExceeded, match="reached ~11 digits \\(guard 7\\)"):
+        pq.analysis
+    monkeypatch.setenv(DIGIT_GUARD_ENV, "11")
+    assert len(str(pq.analysis.q_n)) == 11
+
+
 def test_guard_names_resolve_from_construct_and_the_package():
     assert weakapprox.construct.GuardExceeded is GuardExceeded is weakapprox.GuardExceeded
     assert weakapprox.construct.DIGIT_GUARD_ENV == DIGIT_GUARD_ENV

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 
 import weakapprox.bounds as bounds
 import weakapprox.cli as cli
+import weakapprox.exponents as exponents
+import weakapprox.measure as measure
 from weakapprox import check_prefixes
 from weakapprox.bounds import BoundCheck, check_theorem
 from weakapprox.cf import PartialQuotients
@@ -545,9 +548,17 @@ def outcome(entry, argv, capsys):
     return code, captured.out, captured.err
 
 
+#: Calls that help, print the version, fail on usage or run a command.
+PARSER_ARGVS = [
+    [], ["--help"], ["--version"], ["bogus"], ["cf"], ["cf", "-h"], ["cf", "--version"],
+    ["cf", "--prefix", "[0;2,2]", "--bogus"], ["cf", "--prefix", "[0;2,2]", "extra"],
+    ["verify", "--theorem", "T9", "--gamma", "3/2"], ["cf", "--prefix", "[0;2,2]"],
+]
+
+
 class TestParserPaths:
-    """``main`` builds only the named command's parser, and the full one
-    only for help, version and errors; either way it reads as before."""
+    """``main`` parses every call with one full parser, built once per
+    process, and reads as a freshly built parser does."""
 
     @pytest.fixture(autouse=True)
     def _fixed_width(self, monkeypatch):
@@ -572,28 +583,59 @@ class TestParserPaths:
         want = action.choices[name].format_help()
         assert outcome(main, [name, "--help"], capsys) == (0, want, "")
 
-    def test_a_valid_call_builds_one_parser(self, parsers_built, capsys):
-        assert main(["cf", "--prefix", "[0;2,2]"]) == 0
-        assert parsers_built == ["weakapprox cf"]
-
-    def test_a_left_over_argument_builds_the_full_parser(self, parsers_built, capsys):
+    def test_the_full_parser_is_built_once(self, parsers_built, capsys):
         cli.build_parser()
-        full = len(parsers_built)
+        full = list(parsers_built)
         parsers_built.clear()
+        cli._parser.cache_clear()
+        assert main(["cf", "--prefix", "[0;2,2]"]) == 0
+        assert parsers_built == full
+        parsers_built.clear()
+        assert main(["lemma1", "--pairs", "1"]) == 0
         assert outcome(main, ["cf", "--prefix", "[0;2,2]", "extra"], capsys)[0] == EXIT_USAGE
-        assert len(parsers_built) == 1 + full and parsers_built[1] == "weakapprox"
+        assert parsers_built == []
 
-    @pytest.mark.parametrize("argv", [
-        [], ["--help"], ["--version"], ["bogus"], ["cf"], ["cf", "-h"], ["cf", "--version"],
-        ["cf", "--prefix", "[0;2,2]", "--bogus"], ["cf", "--prefix", "[0;2,2]", "extra"],
-        ["verify", "--theorem", "T9", "--gamma", "3/2"],
-    ])
+    @pytest.mark.parametrize("argv", PARSER_ARGVS)
     def test_output_matches_the_full_parser(self, argv, capsys):
         assert outcome(main, argv, capsys) == outcome(full_parser_main, argv, capsys)
 
+    def test_reuse_matches_a_fresh_parser(self, tmp_path, capsys):
+        """Calls in any order read as on a fresh parser: no option value,
+        ``append`` lists included, carries over from one call to the next."""
+        for name, rows in (("u", "1,1,1\n4,3,10\n"), ("v", "2,1,2\n6,1,5\n")):
+            (tmp_path / f"{name}.csv").write_text("t,value_num,value_den\n" + rows,
+                                                  encoding="utf-8")
+        u, v = str(tmp_path / "u.csv"), str(tmp_path / "v.csv")
+        calls = [*PARSER_ARGVS, *PARSER_ARGVS] + [[name, "--help"] for name in cli._COMMANDS]
+        random.Random(0).shuffle(calls)
+        for argv in calls + [["plot", "--csv", u, "--csv", v], ["plot", "--csv", v]]:
+            assert outcome(main, argv, capsys) == outcome(full_parser_main, argv, capsys), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["cf", "--prefix", WIDE_THETA],
+    ["exponents", "--theta", WIDE_THETA, "--eta", WIDE_ETA],
+    ["lattice", "--theta", WIDE_THETA, "--eta", WIDE_ETA],
+    ["measure", "--prefix", WIDE_THETA, "--kind", "psi"],
+    ["measure", "--prefix", WIDE_THETA, "--kind", "upsilon"],
+], ids=["cf", "exponents", "lattice", "measure-psi", "measure-upsilon"])
+def test_each_printed_integer_is_converted_once(argv, monkeypatch, capsys):
+    """An artifact shares one memo of ``decimal_str`` across its values."""
+    converted = []
+
+    def counting(n):
+        converted.append(n)
+        return decimal_str(n)
+
+    for module in (cli, exponents, measure):
+        monkeypatch.setattr(module, "decimal_str", counting)
+    assert main(argv) in (0, 1)
+    capsys.readouterr()
+    assert converted and len(converted) == len(set(converted))
+
 
 class TestLoadGuard:
-    """A loaded prefix whose q_N certainly exceeds the digit guard exits 3."""
+    """A loaded prefix whose q_N exceeds the digit guard exits 3."""
 
     FIB_300 = "[0;" + ",".join(["1"] * 300) + "]"  # q_N = F_301 has 63 digits
 
@@ -603,9 +645,10 @@ class TestLoadGuard:
             ("[0;" + "1" + "0" * 60 + "]", "50", 3),  # one 61-digit quotient
             (FIB_300, "62", 3),
             (FIB_300, "63", 0),
-            ("[0;2,2,2]", "1", 0),
+            ("[0;" + ",".join(["3"] * 20) + "]", "7", 3),  # q_N has 11 digits, bound 7
+            ("[0;2,2,2]", "2", 0),
         ],
-        ids=["quotient", "fibonacci-over", "fibonacci-at", "small"],
+        ids=["quotient", "fibonacci-over", "fibonacci-at", "threes-over", "small"],
     )
     def test_inline_prefix(self, capsys, monkeypatch, prefix, guard, code):
         monkeypatch.setenv(DIGIT_GUARD_ENV, guard)
